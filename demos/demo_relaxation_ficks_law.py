@@ -13,7 +13,6 @@ from twofluid import (ClosureParams, Grid1D, SeparableAddedMass,
                       SeparableAddedMassParams, SimulationConfig,
                       evolved_from_primitive_profiles, evolved_to_primitive,
                       fick_residual, integrate)
-import dataclasses
 
 model = SeparableAddedMass(SeparableAddedMassParams(gamma1=2.0, gamma2=2.0))
 closures = ClosureParams(k=200.0, kappa=5.0)
@@ -28,13 +27,12 @@ init = evolved_from_primitive_profiles(
     rho2=lambda x: np.sqrt(2.0 - (1.0 + delta * np.sin(2 * np.pi * x)) ** 2),
     u1=0.0, u2=0.0, s1=0.0, s2=0.0)
 
-base = SimulationConfig(grid=grid, model=model, closures=closures,
-                        t_end=0.0, theta0=1.0)
+# one integration; reports land exactly on t = 0.2, 0.4, 0.6
+cfg = SimulationConfig(grid=grid, model=model, closures=closures,
+                       t_end=0.6, report_interval=0.2, theta0=1.0)
 
 print("diffusion-law residual along the relaxation:")
-for t_end in (0.2, 0.4, 0.6):
-    cfg = dataclasses.replace(base, t_end=t_end, report_interval=t_end)
-    _, cells, _ = integrate(cfg, init)[-1]
+for t_end, cells, _ in integrate(cfg, init)[1:]:
     p = evolved_to_primitive(model, cells)
     _, rel = fick_residual(model, closures, p, grid.dx, theta0=1.0)
     print(f"  t = {t_end:.1f}:  relative residual = {100 * rel:6.3f}%   "

@@ -30,9 +30,9 @@ from .hyperbolicity import (assemble_symmetric_system, characteristic_speeds,
 from .potential import (AdmissibilityError, PotentialModel,
                         SeparableAddedMass, SeparableAddedMassParams,
                         ThermoEval, evaluate, fd_check_derivatives)
-from .solver import (ExternalPotential, Grid1D, NonHyperbolicError,
-                     SimulationConfig, StepError, TimeStepReport,
-                     evolved_from_primitive_profiles, integrate, step)
+from .solver import (Grid1D, NonHyperbolicError, SimulationConfig, StepError,
+                     TimeStepReport, evolved_from_primitive_profiles,
+                     integrate, step)
 from .state import (ConvergenceError, DynamicQuantities, EvolvedState,
                     PrimitiveState, dynamic_quantities, evolved_to_primitive,
                     mixture_aggregates, primitive_to_evolved,
@@ -55,7 +55,7 @@ __all__ = [
     "check_legendre_identities", "check_stability_inequalities",
     "critical_relative_velocity", "legendre_transform",
     "map_hyperbolic_region", "wave_speeds_batch",
-    "ExternalPotential", "Grid1D", "NonHyperbolicError", "SimulationConfig",
+    "Grid1D", "NonHyperbolicError", "SimulationConfig",
     "StepError", "TimeStepReport", "evolved_from_primitive_profiles",
     "integrate", "step",
     "ManufacturedField", "balance_subidentities", "conservation_drift",

@@ -6,8 +6,14 @@ A run is described by the sections [potential], [closures], [grid],
 range checks and unknown sections or keys are hard errors, so a typo cannot
 silently fall back to a default.
 
+List keys (``[gibbs] h_values``, ``[fick] sample_times``, ``[reduce]
+n_values``) are comma-separated and checked at parse time: step sizes are
+positive, sample times positive and strictly increasing (``fick-relax``
+integrates once through them), and every grid size is at least 4.
+
 Initial profiles and external potentials are given as expressions in x
-(e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace.
+(e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
+an external potential becomes a plain callable Omega(x).
 """
 from __future__ import annotations
 
@@ -20,8 +26,7 @@ import numpy as np
 
 from .closures import ClosureParams
 from .potential import SeparableAddedMass, SeparableAddedMassParams
-from .solver import (ExternalPotential, Grid1D, SimulationConfig,
-                     ZERO_POTENTIAL)
+from .solver import Grid1D, SimulationConfig
 
 
 class ConfigError(ValueError):
@@ -87,27 +92,29 @@ class ScenarioConfig:
     def get(self, section: str, key: str) -> str:
         return self.raw[section][key]
 
-    def getfloat(self, section: str, key: str) -> float:
+    def _convert(self, section: str, key: str, kind, what: str):
         val = self.raw[section][key]
         try:
-            return float(val)
+            return kind(val)
         except ValueError as exc:
             raise ConfigError(
-                f"[{section}] {key} = {val!r} is not a number") from exc
+                f"[{section}] {key} = {val!r} is not {what}") from exc
+
+    def getfloat(self, section: str, key: str) -> float:
+        return self._convert(section, key, float, "a number")
 
     def getint(self, section: str, key: str) -> int:
-        val = self.raw[section][key]
-        try:
-            return int(val)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{section}] {key} = {val!r} is not an integer") from exc
+        return self._convert(section, key, int, "an integer")
 
     def getfloats(self, section: str, key: str):
-        return [float(v) for v in self.raw[section][key].split(",")]
+        return self._convert(section, key,
+                             lambda v: [float(x) for x in v.split(",")],
+                             "a comma-separated list of numbers")
 
     def getints(self, section: str, key: str):
-        return [int(v) for v in self.raw[section][key].split(",")]
+        return self._convert(section, key,
+                             lambda v: [int(x) for x in v.split(",")],
+                             "a comma-separated list of integers")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -158,10 +165,21 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("cfl must lie in (0, 0.9]")
     if cfg.getfloat("run", "t_end") < 0.0:
         raise ConfigError("t_end must be nonnegative")
+    if (cfg.get("run", "report_interval")
+            and cfg.getfloat("run", "report_interval") < 0.0):
+        raise ConfigError("report_interval must be nonnegative")
     for key in ("rho1", "rho2", "u1", "u2", "s1", "s2"):
         profile_expression(cfg.get("initial", key))
     for key in ("omega1", "omega2"):
         profile_expression(cfg.get("run", key))
+    if min(cfg.getfloats("gibbs", "h_values")) <= 0.0:
+        raise ConfigError("h_values must be positive")
+    times = cfg.getfloats("fick", "sample_times")
+    if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("sample_times must be positive and strictly "
+                          "increasing")
+    if min(cfg.getints("reduce", "n_values")) < 4:
+        raise ConfigError("every entry of n_values must be at least 4")
 
 
 def build_model(cfg: ScenarioConfig) -> SeparableAddedMass:
@@ -178,18 +196,6 @@ def build_closures(cfg: ScenarioConfig) -> ClosureParams:
                          kappa=cfg.getfloat("closures", "kappa"))
 
 
-def _external_potential(expr: str) -> ExternalPotential:
-    if expr.strip() in ("0", "0.0"):
-        return ZERO_POTENTIAL
-    value = profile_expression(expr)
-    h = 1e-6
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return (value(x + h) - value(x - h)) / (2.0 * h)
-
-    return ExternalPotential(value=value, grad=grad)
-
-
 def build_simulation(cfg: ScenarioConfig) -> SimulationConfig:
     grid = Grid1D(x_lo=cfg.getfloat("grid", "x_lo"),
                   x_hi=cfg.getfloat("grid", "x_hi"),
@@ -198,11 +204,12 @@ def build_simulation(cfg: ScenarioConfig) -> SimulationConfig:
     interval = cfg.get("run", "report_interval")
     return SimulationConfig(
         grid=grid, model=build_model(cfg), closures=build_closures(cfg),
-        omega1=_external_potential(cfg.get("run", "omega1")),
-        omega2=_external_potential(cfg.get("run", "omega2")),
+        omega1=profile_expression(cfg.get("run", "omega1")),
+        omega2=profile_expression(cfg.get("run", "omega2")),
         cfl=cfg.getfloat("run", "cfl"),
         t_end=cfg.getfloat("run", "t_end"),
-        report_interval=float(interval) if interval else None,
+        report_interval=(cfg.getfloat("run", "report_interval")
+                         if interval else None),
         theta0=cfg.getfloat("run", "theta0"))
 
 

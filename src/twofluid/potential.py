@@ -100,8 +100,9 @@ class PotentialModel(ABC):
 class ThermoEval:
     """Point-evaluated thermodynamic bundle at one state.
 
-    ``grad`` and ``hess`` follow the :data:`VAR_NAMES` ordering; ``i_star``
-    is -dW/dw, the momentum-exchange covector of the added-mass coupling.
+    ``grad`` follows the :data:`VAR_NAMES` ordering; ``i_star`` is -dW/dw,
+    the momentum-exchange covector of the added-mass coupling.  Second
+    partials come from :meth:`PotentialModel.hessian`.
     """
 
     W: ArrayLike
@@ -110,7 +111,6 @@ class ThermoEval:
     theta2: ArrayLike
     i_star: ArrayLike
     grad: np.ndarray
-    hess: np.ndarray | None
 
     @property
     def W_rho1(self):
@@ -121,49 +121,15 @@ class ThermoEval:
         return self.grad[1]
 
     @property
-    def W_s1(self):
-        return self.grad[2]
-
-    @property
-    def W_s2(self):
-        return self.grad[3]
-
-    @property
     def W_w(self):
         return self.grad[4]
 
-    @property
-    def W_rho1rho1(self):
-        return self.hess[0, 0]
 
-    @property
-    def W_rho1rho2(self):
-        return self.hess[0, 1]
-
-    @property
-    def W_rho2rho2(self):
-        return self.hess[1, 1]
-
-    @property
-    def W_rho1w(self):
-        return self.hess[0, 4]
-
-    @property
-    def W_rho2w(self):
-        return self.hess[1, 4]
-
-    @property
-    def W_ww(self):
-        return self.hess[4, 4]
-
-
-def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w,
-             need_hessian: bool = True) -> ThermoEval:
-    """Evaluate W and all derived quantities at raw state components."""
+def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w) -> ThermoEval:
+    """Evaluate W, its gradient and the derived quantities at raw components."""
     require_admissible(rho1, rho2)
     W = model.value(rho1, rho2, s1, s2, w)
     grad = model.gradient(rho1, rho2, s1, s2, w)
-    hess = model.hessian(rho1, rho2, s1, s2, w) if need_hessian else None
     Ww = grad[4]
     return ThermoEval(
         W=W,
@@ -172,21 +138,7 @@ def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w,
         theta2=grad[3] / rho2,
         i_star=-Ww,
         grad=grad,
-        hess=hess,
     )
-
-
-def eval_potential(model: PotentialModel, state) -> ThermoEval:
-    """Evaluate the potential bundle at a primitive state."""
-    return evaluate(model, state.rho1, state.rho2, state.s1, state.s2, state.w)
-
-
-def eval_lagrangian(model: PotentialModel, state, omega1=0.0, omega2=0.0):
-    """Energy density sum(rho u^2 / 2 - rho Omega) - W."""
-    require_admissible(state.rho1, state.rho2)
-    W = model.value(state.rho1, state.rho2, state.s1, state.s2, state.w)
-    kinetic = 0.5 * state.rho1 * state.u1 ** 2 + 0.5 * state.rho2 * state.u2 ** 2
-    return kinetic - state.rho1 * omega1 - state.rho2 * omega2 - W
 
 
 def fd_check_derivatives(model: PotentialModel, state, h: float = 1e-5) -> float:

@@ -10,7 +10,13 @@ products (discretized by central differences of cell values; acceptance-level
 runs are smooth).  Conservative terms use the Rusanov (local Lax-Friedrichs)
 flux with the local max characteristic speed supplied by the hyperbolicity
 module; algebraic drag/heat sources are pointwise.  Time stepping is SSP-RK2
-(Heun) with a CFL limit and an extra cap for stiff drag/heat rates.
+(Heun) with a CFL limit and an extra cap for stiff drag/heat rates; steps are
+clipped so that reports land exactly on multiples of the report interval.
+
+Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
+a failure becomes a :class:`StepError` naming the first failing cell) and
+evaluates the potential once; the report and the drag/heat cap reuse that
+evaluation.  External potentials Omega_a(x) are plain callables of x.
 """
 from __future__ import annotations
 
@@ -21,10 +27,9 @@ import numpy as np
 
 from . import hyperbolicity
 from .closures import ClosureParams, drag_and_heat, entropy_sources
-from .potential import RHO_FLOOR, PotentialModel, evaluate
+from .potential import RHO_FLOOR, PotentialModel, ThermoEval, evaluate
 from .state import (ConvergenceError, EvolvedState, PrimitiveState,
-                    mixture_aggregates, primitive_to_evolved,
-                    solve_relative_velocity)
+                    evolved_to_primitive, primitive_to_evolved)
 
 
 class StepError(RuntimeError):
@@ -65,23 +70,12 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class ExternalPotential:
-    """Scalar field Omega(x) with analytic gradient."""
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
-ZERO_POTENTIAL = ExternalPotential(value=lambda x: np.zeros_like(x),
-                                   grad=lambda x: np.zeros_like(x))
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     grid: Grid1D
     model: PotentialModel
     closures: ClosureParams = field(default_factory=ClosureParams)
-    omega1: ExternalPotential = ZERO_POTENTIAL
-    omega2: ExternalPotential = ZERO_POTENTIAL
+    omega1: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    omega2: Callable[[np.ndarray], np.ndarray] = np.zeros_like
     cfl: float = 0.45
     t_end: float = 1.0
     report_interval: float | None = None
@@ -108,25 +102,18 @@ class TimeStepReport:
     min_eig_A: float
 
 
-def _extend(arr: np.ndarray, bc: str) -> np.ndarray:
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """A profile callable of x, or a constant, as an array shaped like x."""
+    return np.broadcast_to(np.asarray(f(x) if callable(f) else f,
+                                      dtype=float), x.shape).copy()
+
+
+def _extend(arr, bc: str) -> np.ndarray:
+    """Cell values with one ghost cell on each side."""
+    arr = np.asarray(arr, dtype=float)
     if bc == "periodic":
         return np.concatenate(([arr[-1]], arr, [arr[0]]))
     return np.concatenate(([arr[0]], arr, [arr[-1]]))
-
-
-def _recover(model, cells: EvolvedState, t: float | None = None):
-    try:
-        dK = cells.K2 - cells.K1
-        tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(cells.K1),
-                                                 np.abs(cells.K2)))
-        w = solve_relative_velocity(model, cells.rho1, cells.rho2,
-                                    cells.s1, cells.s2, dK, tol=tol)
-    except ConvergenceError as exc:
-        raise StepError(f"velocity recovery failed: {exc}", t=t)
-    Ww = model.dW_dw(cells.rho1, cells.rho2, cells.s1, cells.s2, w)
-    u1 = cells.K1 - Ww / cells.rho1
-    return PrimitiveState(rho1=cells.rho1, rho2=cells.rho2,
-                          u1=u1, u2=u1 + w, s1=cells.s1, s2=cells.s2)
 
 
 def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
@@ -153,6 +140,7 @@ class RHSResult:
     smax: np.ndarray
     min_eig_A: np.ndarray
     primitive: PrimitiveState
+    thermo: ThermoEval
 
 
 def _rusanov_div(f: np.ndarray, q: np.ndarray, lam: np.ndarray,
@@ -169,20 +157,22 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     dx = grid.dx
     x = grid.centers()
 
-    p = _recover(model, cells, t=t)
-    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w, need_hessian=False)
+    try:
+        p = evolved_to_primitive(model, cells)
+    except ConvergenceError as exc:
+        raise StepError(f"velocity recovery failed: {exc}", t=t,
+                        cell=exc.cell) from exc
+    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     smax, min_eig = _cell_speeds(model, p, t=t)
 
-    om1 = config.omega1.value(x)
-    om2 = config.omega2.value(x)
-    R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - om1
-    R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - om2
+    R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - config.omega1(x)
+    R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - config.omega2(x)
 
     forces = drag_and_heat(config.closures, p, th.theta1, th.theta2)
     src1, src2 = entropy_sources(forces, p, th.theta1, th.theta2)
 
     bc = grid.bc
-    ext = lambda a: _extend(np.asarray(a, dtype=float), bc)
+    ext = lambda a: _extend(a, bc)
     rho1e, rho2e = ext(p.rho1), ext(p.rho2)
     u1e, u2e = ext(p.u1), ext(p.u2)
     K1e, K2e = ext(cells.K1), ext(cells.K2)
@@ -207,7 +197,7 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
 
     return RHSResult(d_rho1=d_rho1, d_rho2=d_rho2, d_K1=d_K1, d_K2=d_K2,
                      d_s1=d_s1, d_s2=d_s2, smax=smax, min_eig_A=min_eig,
-                     primitive=p)
+                     primitive=p, thermo=th)
 
 
 def _advance(cells: EvolvedState, rhs: RHSResult, dt: float,
@@ -245,10 +235,10 @@ def step(config: SimulationConfig, cells: EvolvedState, dt: float,
         s2=0.5 * (cells.s2 + stage2.s2))
 
 
-def _source_rate_cap(config: SimulationConfig, p: PrimitiveState,
-                     theta1, theta2) -> float:
+def _source_rate_cap(config: SimulationConfig, rhs: RHSResult) -> float:
     """Stiffness bound for the algebraic drag/heat sources."""
     k, kappa = config.closures.k, config.closures.kappa
+    p, theta1, theta2 = rhs.primitive, rhs.thermo.theta1, rhs.thermo.theta2
     rate = 0.0
     if k > 0.0:
         rate += k * float(np.max((1.0 / p.rho1 + 1.0 / p.rho2)
@@ -265,11 +255,9 @@ def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
     dx = grid.dx
     x = grid.centers()
     p = rhs.primitive
-    th = evaluate(config.model, p.rho1, p.rho2, p.s1, p.s2, p.w,
-                  need_hessian=False)
     energy_density = (0.5 * p.rho1 * p.u1 ** 2 + 0.5 * p.rho2 * p.u2 ** 2
-                      + p.rho1 * config.omega1.value(x)
-                      + p.rho2 * config.omega2.value(x) + th.U)
+                      + p.rho1 * config.omega1(x)
+                      + p.rho2 * config.omega2(x) + rhs.thermo.U)
     return TimeStepReport(
         t=t, dt=dt,
         max_speed=float(np.max(rhs.smax)),
@@ -286,11 +274,11 @@ def integrate(config: SimulationConfig, initial: EvolvedState
               ) -> List[Tuple[float, EvolvedState, TimeStepReport]]:
     """Run to t_end, emitting (t, cells, report) at the configured cadence.
 
-    The initial and final states are always included.  A report_interval of
-    zero records every step.  Step errors propagate with their time and cell
-    location attached.
+    The initial and final states are always included.  Steps are clipped so
+    that the k-th report lands exactly on ``k * report_interval``; a
+    report_interval of zero records every step.  Step errors propagate with
+    their time and cell location attached.
     """
-    grid = config.grid
     cadence = config.report_interval
     if cadence is None:
         cadence = config.t_end / 10.0
@@ -299,26 +287,23 @@ def integrate(config: SimulationConfig, initial: EvolvedState
     cells = initial
     rhs = assemble_rhs(config, cells, t=t)
     out = [(t, cells, make_report(config, cells, t, 0.0, rhs))]
-    next_report = cadence if cadence > 0 else 0.0
-
+    k = 1
     while t < config.t_end - 1e-14 * max(1.0, config.t_end):
-        smax = float(np.max(rhs.smax))
-        dt = config.cfl * grid.dx / max(smax, 1e-30)
-        if config.closures.k > 0.0 or config.closures.kappa > 0.0:
-            p = rhs.primitive
-            th = evaluate(config.model, p.rho1, p.rho2, p.s1, p.s2, p.w,
-                          need_hessian=False)
-            rate = _source_rate_cap(config, p, th.theta1, th.theta2)
-            if rate > 0.0:
-                dt = min(dt, 0.5 / rate)
-        dt = min(dt, config.t_end - t)
+        t_next = min(k * cadence, config.t_end) if cadence > 0 else config.t_end
+        dt = config.cfl * config.grid.dx / max(float(np.max(rhs.smax)), 1e-30)
+        rate = _source_rate_cap(config, rhs)
+        if rate > 0.0:
+            dt = min(dt, 0.5 / rate)
+        landed = dt >= t_next - t
+        if landed:
+            dt = t_next - t
         cells = step(config, cells, dt, t=t, rhs0=rhs)
-        t += dt
+        t = t_next if landed else t + dt
         rhs = assemble_rhs(config, cells, t=t)
-        if t >= next_report - 1e-12 or t >= config.t_end - 1e-14:
+        if landed:
+            k += 1
+        if landed or cadence == 0:
             out.append((t, cells, make_report(config, cells, t, dt, rhs)))
-            while cadence > 0 and next_report <= t + 1e-12:
-                next_report += cadence
     return out
 
 
@@ -327,10 +312,7 @@ def evolved_from_primitive_profiles(model: PotentialModel, grid: Grid1D,
                                     ) -> EvolvedState:
     """Sample primitive profile callables at cell centers and convert."""
     x = grid.centers()
-    def _sample(f):
-        return np.broadcast_to(np.asarray(f(x) if callable(f) else f,
-                                          dtype=float), x.shape).copy()
-    p = PrimitiveState(rho1=_sample(rho1), rho2=_sample(rho2),
-                       u1=_sample(u1), u2=_sample(u2),
-                       s1=_sample(s1), s2=_sample(s2))
+    p = PrimitiveState(rho1=_sample(rho1, x), rho2=_sample(rho2, x),
+                       u1=_sample(u1, x), u2=_sample(u2, x),
+                       s1=_sample(s1, x), s2=_sample(s2, x))
     return primitive_to_evolved(model, p)

@@ -22,7 +22,14 @@ from .potential import (ArrayLike, PotentialModel, evaluate, require_admissible)
 
 
 class ConvergenceError(RuntimeError):
-    """Velocity recovery failed (no bracket or no convergence)."""
+    """Velocity recovery failed (no bracket or no convergence).
+
+    ``cell`` is the flat index of the first state that failed.
+    """
+
+    def __init__(self, message: str, cell: int | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +110,14 @@ def _bracket_w(model, rho1, rho2, s1, s2, invsum, dK):
         hi = dK + delta
         glo = g(lo)
         ghi = g(hi)
-    if np.any(glo * ghi > 0.0):
-        bad = glo * ghi > 0.0
+    bad = glo * ghi > 0.0
+    if np.any(bad):
+        cell = int(np.argmax(bad))
         raise ConvergenceError(
             "no sign change while bracketing the relative velocity "
-            "(recovery map appears non-monotone: hyperbolicity loss territory); "
-            f"worst bracket half-width {float(np.max(np.where(bad, delta, 0.0))):g}, "
-            f"g(lo)={float(np.max(np.where(bad, glo, 0.0))):g}, "
-            f"g(hi)={float(np.max(np.where(bad, ghi, 0.0))):g}")
+            "(recovery map appears non-monotone: hyperbolicity loss territory) "
+            f"at state {cell}: bracket half-width {delta.flat[cell]:g}, "
+            f"g(lo)={glo.flat[cell]:g}, g(hi)={ghi.flat[cell]:g}", cell=cell)
     return g, lo, hi, glo, ghi
 
 
@@ -149,9 +156,13 @@ def solve_relative_velocity(model: PotentialModel, rho1, rho2, s1, s2, dK,
                   & (wn > np.minimum(lo, hi)) & (wn < np.maximum(lo, hi)))
         wn = np.where(inside, wn, 0.5 * (lo + hi))
         w = np.where(done, w, wn)
+    resid = np.abs(g(w))
+    if np.all(resid <= tol):  # the last update converged
+        return w
     raise ConvergenceError(
         f"velocity recovery did not converge in {max_iter} iterations; "
-        f"max residual {float(np.max(np.abs(g(w)))):g}")
+        f"max residual {float(np.max(resid)):g}",
+        cell=int(np.argmax(resid > tol)))
 
 
 def solve_relative_velocity_bisection(model: PotentialModel, rho1, rho2, s1, s2,
@@ -200,7 +211,7 @@ def dynamic_quantities(model: PotentialModel, p: PrimitiveState,
     theta0 is the reference temperature entering mu_alpha = dW/drho_alpha
     - theta0 s_alpha (the isothermal Fick limit fixes it externally).
     """
-    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w, need_hessian=False)
+    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     mu1 = th.W_rho1 - theta0 * p.s1
     mu2 = th.W_rho2 - theta0 * p.s2
     return DynamicQuantities(

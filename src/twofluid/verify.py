@@ -14,7 +14,10 @@ identities (a-f below), each checked individually.
 Also here: conservation drift bookkeeping for solver trajectories, the
 diffusion-law (Fick) residual for drag-dominated isothermal states, and the
 single-fluid reduction check (two identical phases with no velocity coupling
-against a plain one-component Euler reference).
+against a plain one-component Euler reference).  The reference keeps its own
+Euler equations but shares the solver's ghost-cell extension, Rusanov
+divergence and profile sampling; the two-fluid run takes the external
+potential as a plain callable Omega(x) and the reference its gradient.
 """
 from __future__ import annotations
 
@@ -25,9 +28,11 @@ import numpy as np
 
 from .closures import ClosureParams, drag_and_heat
 from .potential import PotentialModel, evaluate
-from .solver import (Grid1D, SimulationConfig, TimeStepReport,
-                     evolved_from_primitive_profiles, integrate)
-from .state import PrimitiveState, dynamic_quantities, mixture_aggregates
+from .solver import (Grid1D, SimulationConfig, TimeStepReport, _extend,
+                     _rusanov_div, _sample, evolved_from_primitive_profiles,
+                     integrate)
+from .state import (PrimitiveState, dynamic_quantities, evolved_to_primitive,
+                    mixture_aggregates)
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -112,8 +117,7 @@ class _Stencil:
                            s1=field.s1(t, x), s2=field.s2(t, x))
         om1 = field.omega1(t, x)
         om2 = field.omega2(t, x)
-        th = evaluate(self.model, p.rho1, p.rho2, p.s1, p.s2, p.w,
-                      need_hessian=False)
+        th = evaluate(self.model, p.rho1, p.rho2, p.s1, p.s2, p.w)
         forces = drag_and_heat(self.closures, p, th.theta1, th.theta2)
         out = {
             "rho1": p.rho1, "rho2": p.rho2, "u1": p.u1, "u2": p.u2,
@@ -289,7 +293,7 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
     Returns (residual field, residual norm relative to |grad mu|), with the
     gradient taken by periodic central differences of spacing dx.
     """
-    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w, need_hessian=False)
+    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     dev = max(float(np.max(np.abs(th.theta1 - theta0))),
               float(np.max(np.abs(th.theta2 - theta0)))) / theta0
     if dev > theta_bound:
@@ -316,32 +320,21 @@ def _single_fluid_rhs(model, grid: Grid1D, rho, u, s, omega_grad):
     phase 1 of a separable two-phase potential (no velocity coupling)
     supplies h, theta, and the sound speed.
     """
-    th = evaluate(model, rho, rho, s, s, np.zeros_like(rho),
-                  need_hessian=False)
+    th = evaluate(model, rho, rho, s, s, np.zeros_like(rho))
     hspec = th.W_rho1
     theta = th.theta1
     c2 = model.sound_speed_sq(1, rho, s)
     smax = np.abs(u) + np.sqrt(c2)
 
     dx = grid.dx
-    bc = grid.bc
-    def ext(a):
-        if bc == "periodic":
-            return np.concatenate(([a[-1]], a, [a[0]]))
-        return np.concatenate(([a[0]], a, [a[-1]]))
-
-    rhoe, ue, se = ext(rho), ext(u), ext(s)
-    he = ext(hspec)
-    smaxe = ext(smax)
+    rhoe, ue, se, he, smaxe = (_extend(a, grid.bc)
+                               for a in (rho, u, s, hspec, smax))
     lam = np.maximum(smaxe[:-1], smaxe[1:])
 
-    def rus(f, q):
-        flux = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (q[1:] - q[:-1])
-        return (flux[1:] - flux[:-1]) / dx
-
-    d_rho = -rus(rhoe * ue, rhoe)
+    d_rho = -_rusanov_div(rhoe * ue, rhoe, lam, dx)
     ds_dx = (se[2:] - se[:-2]) / (2.0 * dx)
-    d_u = -rus(0.5 * ue ** 2 + he, ue) - omega_grad + theta * ds_dx
+    d_u = (-_rusanov_div(0.5 * ue ** 2 + he, ue, lam, dx) - omega_grad
+           + theta * ds_dx)
     d_s = -u * ds_dx
     return d_rho, d_u, d_s, float(np.max(smax))
 
@@ -351,12 +344,8 @@ def single_fluid_reference(model, grid: Grid1D, rho0, u0, s0, t_end: float,
                            = None, cfl: float = 0.45):
     """Integrate the one-component Euler reference to t_end (Heun in time)."""
     x = grid.centers()
-    def samp(f):
-        return np.broadcast_to(np.asarray(f(x) if callable(f) else f,
-                                          dtype=float), x.shape).copy()
-    rho, u, s = samp(rho0), samp(u0), samp(s0)
-    omega_grad = np.zeros_like(x) if omega is None else np.asarray(
-        omega(x), dtype=float)
+    rho, u, s = _sample(rho0, x), _sample(u0, x), _sample(s0, x)
+    omega_grad = _sample(0.0 if omega is None else omega, x)
     t = 0.0
     while t < t_end - 1e-14 * max(1.0, t_end):
         d1 = _single_fluid_rhs(model, grid, rho, u, s, omega_grad)
@@ -388,35 +377,23 @@ def single_fluid_reduction(model, n: int, t_end: float,
     fluid of density rho0/2; the reference therefore runs at half density and
     its output is doubled.  The reference runs on a finer grid (ref_n,
     default 8n) and is restricted by block averaging before comparison.
+    An external potential is given as ``omega_value`` (the two-fluid run)
+    together with ``omega_grad`` (the reference).
     """
-    from .solver import ExternalPotential, ZERO_POTENTIAL
     grid = Grid1D(x_lo, x_hi, n)
-    x = grid.centers()
-    def samp(f):
-        return np.broadcast_to(np.asarray(f(x) if callable(f) else f,
-                                          dtype=float), x.shape).copy()
+
+    def rho0_half(xx):
+        return 0.5 * _sample(rho0, xx)
 
     if omega_value is None:
-        pot = ZERO_POTENTIAL
-        ref_omega = None
-    else:
-        pot = ExternalPotential(value=omega_value, grad=omega_grad)
-        ref_omega = omega_grad
-
-    cfg = SimulationConfig(grid=grid, model=model, omega1=pot, omega2=pot,
-                           cfl=cfl, t_end=t_end, report_interval=t_end)
+        omega_value, omega_grad = np.zeros_like, None
+    cfg = SimulationConfig(grid=grid, model=model, omega1=omega_value,
+                           omega2=omega_value, cfl=cfl, t_end=t_end,
+                           report_interval=t_end)
     init = evolved_from_primitive_profiles(
-        model, grid,
-        rho1=lambda xx: 0.5 * np.broadcast_to(
-            np.asarray(rho0(xx) if callable(rho0) else rho0, dtype=float),
-            xx.shape),
-        rho2=lambda xx: 0.5 * np.broadcast_to(
-            np.asarray(rho0(xx) if callable(rho0) else rho0, dtype=float),
-            xx.shape),
+        model, grid, rho1=rho0_half, rho2=rho0_half,
         u1=u0, u2=u0, s1=s0, s2=s0)
-    out = integrate(cfg, init)
-    _, cells, _ = out[-1]
-    from .state import evolved_to_primitive
+    _, cells, _ = integrate(cfg, init)[-1]
     p = evolved_to_primitive(model, cells)
     rho_tf = np.asarray(p.rho1 + p.rho2, dtype=float)
     u_tf = np.asarray(mixture_aggregates(p).u, dtype=float)
@@ -424,11 +401,8 @@ def single_fluid_reduction(model, n: int, t_end: float,
     if ref_n is None:
         ref_n = 8 * n
     ref_grid = Grid1D(x_lo, x_hi, ref_n)
-    def rho0_half(xx):
-        base = np.asarray(rho0(xx) if callable(rho0) else rho0, dtype=float)
-        return 0.5 * np.broadcast_to(base, xx.shape)
     rho_ref, u_ref, _ = single_fluid_reference(
-        model, ref_grid, rho0_half, u0, s0, t_end, omega=ref_omega, cfl=cfl)
+        model, ref_grid, rho0_half, u0, s0, t_end, omega=omega_grad, cfl=cfl)
     rho_ref = 2.0 * rho_ref
     rho_ref_c = _block_average(rho_ref, n)
     u_ref_c = _block_average(u_ref, n)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from twofluid import cli
 from twofluid.cli import main
+from twofluid.solver import StepError, integrate
 
 BASE = """
 [potential]
@@ -105,8 +107,7 @@ class TestVerifyGibbs:
 
 
 class TestFickRelax:
-    def test_residual_series(self, tmp_path):
-        text = """
+    TEXT = """
 [potential]
 gamma1 = 2.0
 gamma2 = 2.0
@@ -125,13 +126,34 @@ rho2 = sqrt(2.0 - (1.0 + 0.02*sin(2*pi*x))**2)
 [fick]
 sample_times = 0.15,0.3
 """
-        cfgp = write_config(tmp_path, text)
+
+    def test_residual_series(self, tmp_path):
+        cfgp = write_config(tmp_path, self.TEXT)
         out = tmp_path / "out"
         assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 0
         lines = (out / "fick.csv").read_text().splitlines()
         assert lines[0] == "t,rel_residual,max_w"
         rels = [float(l.split(",")[1]) for l in lines[1:]]
         assert rels[-1] < rels[0] < 0.05
+
+    def test_failure_time_counts_from_start(self, tmp_path, monkeypatch):
+        # the second leg (t = 0.15 to 0.3) fails 0.05 into the leg
+        legs = []
+
+        def failing(config, initial):
+            legs.append(config.t_end)
+            if len(legs) == 2:
+                raise StepError("stage failed", t=0.05, cell=3)
+            return integrate(config, initial)
+
+        monkeypatch.setattr(cli, "integrate", failing)
+        cfgp = write_config(tmp_path, self.TEXT)
+        out = tmp_path / "out"
+        assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 2
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["time"] == pytest.approx(0.2)
+        assert diag["cell"] == 3
+        assert legs == [0.15, pytest.approx(0.15)]
 
 
 class TestReduceCheck:
@@ -140,6 +162,33 @@ class TestReduceCheck:
         out = tmp_path / "out"
         assert main(["reduce-check", "--config", cfgp,
                      "--out", str(out)]) == 1
+
+    def test_numeric_keys_compare_as_numbers(self, tmp_path):
+        text = """
+[potential]
+gamma1 = 2
+gamma2 = 2.0
+cv1 = 1
+k2 = 1.00
+
+[grid]
+n = 16
+
+[initial]
+rho1 = 1.0 + 0.1*exp(-100*(x-0.5)**2)
+
+[run]
+t_end = 0.01
+
+[reduce]
+n_values = 16,32
+ref_factor = 2
+"""
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["reduce-check", "--config", cfgp,
+                     "--out", str(out)]) == 0
+        assert len((out / "reduce.csv").read_text().splitlines()) == 3
 
     def test_comparison_table(self, tmp_path):
         text = """
@@ -178,6 +227,13 @@ class TestErrorPaths:
                             BASE.replace("gamma1 = 2.0", "gamma1 = 0.5"))
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+
+    def test_bad_list_value_exit_1(self, tmp_path):
+        cfgp = write_config(tmp_path,
+                            BASE + "\n[fick]\nsample_times = 0.1,abc\n")
+        out = tmp_path / "out"
+        assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 1
+        assert not (out / "diagnostics.json").exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),

@@ -78,6 +78,21 @@ class TestValidation:
             parse_config(MINIMAL.replace(
                 "gamma1 = 2.0", "law = tabulated\ngamma1 = 2.0"))
 
+    @pytest.mark.parametrize("section, line, match", [
+        ("fick", "sample_times = 0.1,abc", "not a comma-separated list"),
+        ("fick", "sample_times = 0.4,0.2", "strictly increasing"),
+        ("fick", "sample_times = 0.0,0.2", "strictly increasing"),
+        ("gibbs", "h_values = 1e-2,-5e-3", "h_values must be positive"),
+        ("gibbs", "h_values = 1e-2,", "not a comma-separated list"),
+        ("reduce", "n_values = 100,2", "at least 4"),
+        ("reduce", "n_values = 100,2.5", "not a comma-separated list"),
+        ("run", "report_interval = abc", "not a number"),
+        ("run", "report_interval = -0.1", "report_interval must be"),
+    ])
+    def test_bad_list_or_interval_rejected(self, section, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(MINIMAL + f"\n[{section}]\n{line}\n")
+
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("this is not an ini file")

@@ -40,7 +40,7 @@ class TestLegendreTransform:
         p = PrimitiveState(rho1=1.2, rho2=0.8, u1=0.0, u2=0.0,
                            s1=0.1, s2=-0.1)
         lv = legendre_transform(m, p)
-        th = evaluate(m, 1.2, 0.8, 0.1, -0.1, 0.0, need_hessian=False)
+        th = evaluate(m, 1.2, 0.8, 0.1, -0.1, 0.0)
         assert lv.j1 == 0.0 and lv.j2 == 0.0
         assert lv.sigma1 == pytest.approx(-th.W_rho1, rel=1e-13)
         assert lv.sigma2 == pytest.approx(-th.W_rho2, rel=1e-13)

@@ -4,8 +4,7 @@ import pytest
 
 from twofluid.potential import (AdmissibilityError, PotentialModel,
                                 SeparableAddedMass, SeparableAddedMassParams,
-                                evaluate, eval_lagrangian, eval_potential,
-                                fd_check_derivatives)
+                                evaluate, fd_check_derivatives)
 from twofluid.state import PrimitiveState
 
 
@@ -73,21 +72,6 @@ class TestHandValues:
         assert th.W_w == 0.0
         assert th.U == th.W
 
-    def test_lagrangian_hand_value(self):
-        # rho = 1 each, u1 = 1, u2 = 3, no thermal part, a = 1:
-        # L = (1/2)(1 + 9) - W with W = -(1/2)*4 = -2, so L = 7
-        m = SeparableAddedMass(SeparableAddedMassParams(
-            gamma1=2.0, gamma2=2.0, K1=1e-30, K2=1e-30, a=1.0))
-        p = PrimitiveState(rho1=1.0, rho2=1.0, u1=1.0, u2=3.0, s1=0.0, s2=0.0)
-        assert eval_lagrangian(m, p) == pytest.approx(7.0, abs=1e-12)
-
-    def test_lagrangian_at_rest_is_minus_w(self):
-        m = make_model()
-        p = PrimitiveState(rho1=1.1, rho2=0.9, u1=0.0, u2=0.0,
-                           s1=0.1, s2=-0.1)
-        th = eval_potential(m, p)
-        assert eval_lagrangian(m, p) == pytest.approx(-th.W, rel=1e-14)
-
 
 class TestDerivativeConsistency:
     def test_fd_check_generic_state(self):
@@ -107,13 +91,13 @@ class TestDerivativeConsistency:
 
     def test_hessian_symmetric(self):
         m = make_model()
-        th = evaluate(m, 1.2, 0.8, 0.1, -0.2, 0.5)
-        assert np.allclose(th.hess, th.hess.T, rtol=0, atol=1e-12)
+        H = m.hessian(1.2, 0.8, 0.1, -0.2, 0.5)
+        assert np.allclose(H, H.T, rtol=0, atol=1e-12)
 
     def test_second_w_derivative_is_minus_a(self):
         m = make_model(a=0.45)
-        th = evaluate(m, 1.0, 1.0, 0.0, 0.0, 0.3)
-        assert th.W_ww == pytest.approx(-0.45, abs=1e-14)
+        H = m.hessian(1.0, 1.0, 0.0, 0.0, 0.3)
+        assert H[4, 4] == pytest.approx(-0.45, abs=1e-14)
 
     def test_callable_added_mass(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
@@ -129,7 +113,7 @@ class TestInternalEnergyRelation:
         m = make_model(a=1.3)
         rng = np.random.default_rng(11)
         st = random_states(rng, 10**6, w_scale=2.0)
-        th = evaluate(m, **st, need_hessian=False)
+        th = evaluate(m, **st)
         lhs = th.U - th.W
         rhs = -th.W_w * st["w"]
         scale = np.maximum(1.0, np.abs(rhs))

@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams, evaluate
+from twofluid import solver
 from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
                              StepError, assemble_rhs,
                              evolved_from_primitive_profiles, integrate, step)
@@ -127,6 +128,38 @@ class TestIntegrate:
         assert len(out) >= 3
         assert all(dt > 0 for dt in dts)
 
+    def test_reports_land_on_multiples_of_interval(self):
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 50)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3),
+                               t_end=0.5, report_interval=0.1)
+        times = [t for t, _, r in integrate(cfg, smooth_init(m, grid))]
+        assert len(times) == 6
+        for k, t in enumerate(times):
+            assert abs(t - k * 0.1) <= 1e-12
+
+    def test_one_evaluation_per_rhs(self, monkeypatch):
+        calls = {"evaluate": 0, "assemble_rhs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver, name,
+                                counted(name, getattr(solver, name)))
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3),
+                               t_end=0.05, report_interval=0.0)
+        integrate(cfg, smooth_init(m, grid))
+        assert calls["assemble_rhs"] > 3
+        assert calls["evaluate"] == calls["assemble_rhs"]
+
     def test_transmissive_boundaries_run(self):
         m = make_model()
         grid = Grid1D(0.0, 1.0, 32, bc="transmissive")
@@ -160,7 +193,7 @@ class TestDragRelaxationODE:
             e = EvolvedState(rho1=rho1, rho2=rho2, K1=y[0], K2=y[1],
                              s1=y[2], s2=y[3])
             p = evolved_to_primitive(m, e)
-            th = evaluate(m, rho1, rho2, p.s1, p.s2, p.w, need_hessian=False)
+            th = evaluate(m, rho1, rho2, p.s1, p.s2, p.w)
             f = drag_and_heat(cl, p, th.theta1, th.theta2)
             src1, src2 = entropy_sources(f, p, th.theta1, th.theta2)
             return [float(f.f1) / rho1, float(f.f2) / rho2,
@@ -202,6 +235,29 @@ class TestFailureModes:
             integrate(cfg, init)
         assert exc.value.cell is not None
         assert exc.value.t is not None
+
+    def test_recovery_failure_names_cell(self):
+        # the rootless law of test_state: at rho1 = rho2 = 0.5 the recovery
+        # map has no root, at rho1 = rho2 = 2 it has one
+        class Bad(SeparableAddedMass):
+            def dW_dw(self, rho1, rho2, s1, s2, w):
+                w = np.asarray(w, dtype=float)
+                return 0.25 * (w + w ** 2 + 1.0)
+
+            def d2W_dw2(self, rho1, rho2, s1, s2, w):
+                return 0.25 * (1.0 + 2.0 * np.asarray(w, dtype=float))
+
+        bad = Bad(SeparableAddedMassParams(gamma1=2.0, gamma2=2.0))
+        rho = np.full(8, 2.0)
+        rho[5] = 0.5
+        zero = np.zeros(8)
+        cells = EvolvedState(rho1=rho, rho2=rho.copy(), K1=zero, K2=zero,
+                             s1=zero, s2=zero)
+        cfg = SimulationConfig(grid=Grid1D(0.0, 1.0, 8), model=bad)
+        with pytest.raises(StepError, match="velocity recovery") as exc:
+            assemble_rhs(cfg, cells, t=0.25)
+        assert exc.value.cell == 5
+        assert exc.value.t == 0.25
 
     def test_overlong_step_suggests_smaller_cfl(self):
         m = make_model()

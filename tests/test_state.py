@@ -115,6 +115,23 @@ class TestVelocityRecovery:
         with pytest.raises(ConvergenceError):
             solve_relative_velocity(bad, 0.5, 0.5, 0.0, 0.0, 0.0)
 
+    def test_no_convergence_names_first_failing_state(self):
+        # g(w) = w - w^3 / 4 - dK at rho1 = rho2 = 2: dK = 0 is solved by
+        # the starting guess w = dK, the others need several Newton steps
+        class Cubic(SeparableAddedMass):
+            def dW_dw(self, rho1, rho2, s1, s2, w):
+                return 0.25 * np.asarray(w, dtype=float) ** 3
+
+            def d2W_dw2(self, rho1, rho2, s1, s2, w):
+                return 0.75 * np.asarray(w, dtype=float) ** 2
+
+        m = Cubic(SeparableAddedMassParams(gamma1=2.0, gamma2=2.0))
+        dK = np.array([0.0, 0.0, 0.1, 0.0, -0.1])
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            solve_relative_velocity(m, 2.0, 2.0, 0.0, 0.0, dK, max_iter=1)
+        assert exc.value.cell == 2
+        w = solve_relative_velocity(m, 2.0, 2.0, 0.0, 0.0, dK)
+        assert np.max(np.abs(w - 0.25 * w ** 3 - dK)) <= 1e-12
 
 class TestDynamicQuantities:
     def test_rest_state_R(self):
@@ -122,7 +139,7 @@ class TestDynamicQuantities:
         p = PrimitiveState(rho1=1.0, rho2=1.0, u1=0.0, u2=0.0,
                            s1=0.0, s2=0.0)
         from twofluid.potential import evaluate
-        th = evaluate(m, 1.0, 1.0, 0.0, 0.0, 0.0, need_hessian=False)
+        th = evaluate(m, 1.0, 1.0, 0.0, 0.0, 0.0)
         d = dynamic_quantities(m, p)
         assert d.R1 == pytest.approx(-th.W_rho1, rel=1e-14)
         assert d.R2 == pytest.approx(-th.W_rho2, rel=1e-14)
