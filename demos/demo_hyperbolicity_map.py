@@ -1,9 +1,11 @@
 """Map where the mixture system stays hyperbolic as relative velocity grows.
 
 The symmetric form of the governing equations is hyperbolic wherever the
-matrix A = d2G/du2 is positive definite.  At rest (w = 0) the classical
-stability inequalities on W guarantee this; as |w| grows the smallest
-eigenvalue of A decreases and eventually crosses zero at a critical w*.
+matrix A = d2G/du2 is positive definite, i.e. wherever -L_rhorho and L_jj,
+the density and momentum blocks of the Hessian of the Lagrangian, are.  At
+rest (w = 0) the classical stability inequalities on W guarantee this; as
+|w| grows, -L_rhorho turns singular at a critical w*, where an eigenvalue of
+A = [[-L_rhorho^-1, ...], ...] passes through infinity and changes sign.
 This script scans a density box, prints the hyperbolic fraction per w slice,
 and bisects w* at a reference density pair.
 """

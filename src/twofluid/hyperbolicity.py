@@ -14,18 +14,35 @@ and B the (constant, symmetric) negated Hessian of the flux potential
 sigma1 j1 + sigma2 j2.  Positive definiteness of A implies hyperbolicity;
 characteristic speeds solve det(B - lambda A) = 0.
 
-Two routes to A are provided: a per-state route that inverts the Legendre map
-(sigma, j) -> (rho, j) by Newton and differences the gradient of G directly
-in the (sigma, j) variables, and a fast batched route that differences the
-forward maps in (rho, j) and applies the chain rule; the two agree to finite
-difference accuracy and the decoupled (a = 0) case has a closed-form oracle.
+Two routes to A are provided.  The per-state oracle inverts the Legendre map
+(sigma, j) -> (rho, j) by Newton and differences the gradient of G directly in
+the (sigma, j) variables.  The batched route works with the Hessian of L in
+m = (rho1, rho2, j1, j2), taken by the chain rule from ``model.hessian``
+(analytic for the built-in law, finite differences for user laws), in 2x2
+blocks L_rr, L_rj, L_jj.  With them
+
+    A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
+      = U^T diag(-L_rr^-1, L_jj) U,
+
+so A is positive definite exactly when -L_rr and L_jj are: two closed-form
+2x2 Cholesky factorisations per state certify hyperbolicity.  The speeds
+solve the quadratic eigenproblem det(lambda^2 L_jj + lambda (L_rj + L_jr)
++ L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr they are the
+eigenvalues of the symmetric 4x4 matrix
+
+    S = [[-F_j^-1 (L_rj + L_jr) F_j^-T, F_j^-1 F_r], [(.)^T, 0]],
+
+one batched symmetric eigensolve.  The speeds are Galilean covariant, but A
+is positive definite in some frames only (not in the lab frame once a phase
+outruns its sound speed), so a state the lab frame does not certify is tried
+again in the zero-mixture-momentum frame, and its speeds are shifted back.
+The decoupled (a = 0) case has a closed-form oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .potential import RHO_FLOOR, ArrayLike, PotentialModel
 from .state import ConvergenceError, PrimitiveState
@@ -38,9 +55,6 @@ B_MATRIX = -np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
 ])
-
-#: Scale-free positive-definiteness threshold for A.
-POSDEF_RTOL = 1e-10
 
 
 class AsymmetryError(RuntimeError):
@@ -78,16 +92,16 @@ class SpeedResult:
 
 @dataclass(frozen=True, eq=False)
 class StabilityCheck:
-    d2W_dw2: float
-    d2W_drho1sq: float
-    hessian_det2: float
-    ineq1: bool
-    ineq2: bool
-    ineq3: bool
+    d2W_dw2: ArrayLike
+    d2W_drho1sq: ArrayLike
+    hessian_det2: ArrayLike
+    ineq1: ArrayLike
+    ineq2: ArrayLike
+    ineq3: ArrayLike
 
     @property
-    def all_hold(self) -> bool:
-        return self.ineq1 and self.ineq2 and self.ineq3
+    def all_hold(self):
+        return self.ineq1 & self.ineq2 & self.ineq3
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,28 +255,37 @@ def assemble_symmetric_system(model: PotentialModel, p: PrimitiveState,
 
 
 def characteristic_speeds(sys: SymmetricSystem) -> SpeedResult:
-    """Roots of det(B - lambda A) = 0; real and sorted when A is pos. def."""
-    scale = float(np.linalg.norm(sys.A))
-    min_eig = sys.min_eig_A
-    if min_eig <= POSDEF_RTOL * scale:
-        return SpeedResult(hyperbolic=False, speeds=None, min_eig_A=min_eig)
-    lam = scipy.linalg.eigh(sys.B, sys.A, eigvals_only=True)
-    return SpeedResult(hyperbolic=True, speeds=np.sort(lam), min_eig_A=min_eig)
+    """Roots of det(B - lambda A) = 0; real and sorted when A is pos. def.
+
+    A = F F^T by Cholesky (its failure means A is not positive definite),
+    then the speeds are the eigenvalues of F^-1 B F^-T.
+    """
+    try:
+        F = np.linalg.cholesky(sys.A)
+    except np.linalg.LinAlgError:
+        return SpeedResult(hyperbolic=False, speeds=None,
+                           min_eig_A=sys.min_eig_A)
+    Finv = np.linalg.inv(F)
+    lam = np.linalg.eigvalsh(Finv @ sys.B @ Finv.T)
+    return SpeedResult(hyperbolic=True, speeds=lam, min_eig_A=sys.min_eig_A)
 
 
 def check_stability_inequalities(model: PotentialModel,
                                  p: PrimitiveState) -> StabilityCheck:
-    """The three convexity conditions sufficient for small-w hyperbolicity."""
+    """The three convexity conditions sufficient for small-w hyperbolicity.
+
+    Broadcasts over array-valued states.
+    """
     H = model.hessian(p.rho1, p.rho2, p.s1, p.s2, p.w)
-    ww = float(H[4, 4])
-    r11 = float(H[0, 0])
-    det2 = float(H[0, 0] * H[1, 1] - H[0, 1] ** 2)
+    ww = H[4, 4]
+    r11 = H[0, 0]
+    det2 = H[0, 0] * H[1, 1] - H[0, 1] ** 2
     return StabilityCheck(d2W_dw2=ww, d2W_drho1sq=r11, hessian_det2=det2,
                           ineq1=ww < 0.0, ineq2=r11 > 0.0, ineq3=det2 > 0.0)
 
 
-def mixture_rest_state(rho1: float, rho2: float, w: float,
-                       s1: float, s2: float) -> PrimitiveState:
+def mixture_rest_state(rho1: ArrayLike, rho2: ArrayLike, w: ArrayLike,
+                       s1: ArrayLike, s2: ArrayLike) -> PrimitiveState:
     """State with relative velocity w in the zero-mixture-momentum frame."""
     rho = rho1 + rho2
     return PrimitiveState(rho1=rho1, rho2=rho2,
@@ -273,130 +296,219 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
                           s1: float = 0.0, s2: float = 0.0):
     """One :class:`HyperbolicityReport` per grid point over (rho1, rho2, w).
 
-    States are evaluated in the zero-mixture-momentum frame.  Failures are
-    recorded per point, never raised.
+    States are evaluated in the zero-mixture-momentum frame, all in one
+    batched call, and reported in ``ij`` order (w fastest).  ``hyperbolic``
+    is the block-Cholesky certificate; ``min_eig_A`` is NaN where A is
+    undefined (singular L_rr).
     """
-    reports = []
-    for r1 in np.atleast_1d(rho1_vals):
-        for r2 in np.atleast_1d(rho2_vals):
-            for w in np.atleast_1d(w_vals):
-                p = mixture_rest_state(float(r1), float(r2), float(w), s1, s2)
-                ineq = check_stability_inequalities(model, p)
-                try:
-                    A = symmetric_system_batch(model, p.rho1, p.rho2,
-                                               p.u1, p.u2, p.s1, p.s2)
-                    eig_A = np.linalg.eigvalsh(0.5 * (A + A.T))
-                    min_eig = float(eig_A[0])
-                    hyperbolic = min_eig > POSDEF_RTOL * float(np.linalg.norm(A))
-                    speeds = None
-                    if hyperbolic:
-                        speeds = np.sort(scipy.linalg.eigh(
-                            B_MATRIX, 0.5 * (A + A.T), eigvals_only=True))
-                    reports.append(HyperbolicityReport(
-                        rho1=float(r1), rho2=float(r2), w=float(w),
-                        min_eig_A=min_eig, ineq1=ineq.ineq1,
-                        ineq2=ineq.ineq2, ineq3=ineq.ineq3,
-                        speeds=speeds, hyperbolic=hyperbolic))
-                except (ConvergenceError, np.linalg.LinAlgError):
-                    reports.append(HyperbolicityReport(
-                        rho1=float(r1), rho2=float(r2), w=float(w),
-                        min_eig_A=float("nan"), ineq1=ineq.ineq1,
-                        ineq2=ineq.ineq2, ineq3=ineq.ineq3,
-                        speeds=None, hyperbolic=False))
-    return reports
-
-
-def _scaled_min_eig(model, rho1, rho2, w, s1, s2) -> float:
-    # batched route: well conditioned even where the (sigma, j) map is nearly
-    # singular, which is exactly where the crossing sits
-    p = mixture_rest_state(rho1, rho2, w, s1, s2)
-    A = symmetric_system_batch(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
-    A = 0.5 * (A + A.T)
-    return float(np.linalg.eigvalsh(A)[0]) / float(np.linalg.norm(A))
+    grids = np.meshgrid(*[np.atleast_1d(np.asarray(v, dtype=float))
+                          for v in (rho1_vals, rho2_vals, w_vals)],
+                        indexing="ij")
+    r1, r2, w = (g.ravel() for g in grids)
+    p = mixture_rest_state(r1, r2, w, s1, s2)
+    ineq = check_stability_inequalities(model, p)
+    speeds, ok, _ = wave_speeds_batch(model, p.rho1, p.rho2, p.u1, p.u2,
+                                      p.s1, p.s2)
+    min_eig = min_eig_A_batch(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+    return [HyperbolicityReport(
+        rho1=float(r1[i]), rho2=float(r2[i]), w=float(w[i]),
+        min_eig_A=float(min_eig[i]), ineq1=bool(ineq.ineq1[i]),
+        ineq2=bool(ineq.ineq2[i]), ineq3=bool(ineq.ineq3[i]),
+        speeds=speeds[i] if ok[i] else None, hyperbolic=bool(ok[i]))
+        for i in range(r1.size)]
 
 
 def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
                                s1: float = 0.0, s2: float = 0.0,
                                w_max: float = 20.0, n_scan: int = 64,
                                rel_tol: float = 1e-6):
-    """Bisect the w* where min-eig(A) crosses zero at fixed densities.
+    """Bisect the w* where the hyperbolicity certificate fails at fixed densities.
 
-    Scans w upward from 0 in the zero-mixture-momentum frame; returns None if
-    no sign change is found below ``w_max``.
+    Scans w upward from 0 in the zero-mixture-momentum frame (one batched
+    call over the scan points), then bisects on the certificate; returns
+    None if it holds up to ``w_max``.
     """
+    def certified(w):
+        p = mixture_rest_state(rho1, rho2, w, s1, s2)
+        return _certificate(model, p.rho1, p.rho2, p.u1, p.u2,
+                            p.s1, p.s2, 0.0)[0]
+
     ws = np.linspace(0.0, w_max, n_scan + 1)
-    prev_w, prev_m = ws[0], _scaled_min_eig(model, rho1, rho2, ws[0], s1, s2)
-    if prev_m <= 0.0:
+    failed = np.flatnonzero(~certified(ws))
+    if failed.size == 0:
+        return None
+    i = int(failed[0])
+    if i == 0:
         return 0.0
-    for w in ws[1:]:
-        m = _scaled_min_eig(model, rho1, rho2, float(w), s1, s2)
-        if m <= 0.0:
-            lo, hi = prev_w, float(w)
-            while hi - lo > rel_tol * hi:
-                mid = 0.5 * (lo + hi)
-                if _scaled_min_eig(model, rho1, rho2, mid, s1, s2) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        prev_w, prev_m = float(w), m
-    return None
+    lo, hi = float(ws[i - 1]), float(ws[i])
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2,
-                           h: float = 1e-6):
-    """Batched A = Hess G via chain rule through the (rho, j) variables.
+def _lagrangian_hessian(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Hess L in m = (rho1, rho2, j1, j2) at frozen entropies, by the chain rule.
 
-    Differences the forward maps sigma(rho, j), K(rho, j) in (rho, j) and
-    solves A = J_gradG . J_u^{-1} cellwise.  Returns an (..., 4, 4) stack.
+    L = j1^2/(2 rho1) + j2^2/(2 rho2) - W(rho1, rho2, s1, s2, w) with
+    w = j2/rho2 - j1/rho1.  Returns the 2x2 blocks (L_rr, L_rj, L_jj), each
+    stacked as (..., 2, 2), with L_rj[..., i, k] = d2L/drho_i dj_k.
     """
     rho1, rho2, u1, u2, s1, s2 = np.broadcast_arrays(
         *[np.asarray(a, dtype=float) for a in (rho1, rho2, u1, u2, s1, s2)])
-    shape = rho1.shape
-    j1 = rho1 * u1
-    j2 = rho2 * u2
-    m = [rho1, rho2, j1, j2]
-
-    Ju = np.zeros(shape + (4, 4))
-    Jg = np.zeros(shape + (4, 4))
-    # rows for j in u = (sigma1, sigma2, j1, j2) and -rho in gradG are exact
-    Ju[..., 2, 2] = 1.0
-    Ju[..., 3, 3] = 1.0
-    Jg[..., 0, 0] = -1.0
-    Jg[..., 1, 1] = -1.0
-    for i in range(4):
-        hi = h * np.maximum(1.0, np.abs(m[i]))
-        mp = list(m)
-        mp[i] = m[i] + hi
-        mm = list(m)
-        mm[i] = m[i] - hi
-        fp = _forward_maps(model, mp[0], mp[1], mp[2], mp[3], s1, s2)
-        fm = _forward_maps(model, mm[0], mm[1], mm[2], mm[3], s1, s2)
-        inv2h = 1.0 / (2.0 * hi)
-        Ju[..., 0, i] = (fp[0] - fm[0]) * inv2h
-        Ju[..., 1, i] = (fp[1] - fm[1]) * inv2h
-        Jg[..., 2, i] = (fp[2] - fm[2]) * inv2h
-        Jg[..., 3, i] = (fp[3] - fm[3]) * inv2h
-    # A Ju = Jg  =>  Ju^T A^T = Jg^T
-    At = np.linalg.solve(np.swapaxes(Ju, -1, -2), np.swapaxes(Jg, -1, -2))
-    return np.swapaxes(At, -1, -2)
+    w = u2 - u1
+    H = model.hessian(rho1, rho2, s1, s2, w)
+    Ww = model.dW_dw(rho1, rho2, s1, s2, w)
+    Www = H[4, 4]
+    rho, u = (rho1, rho2), (u1, u2)
+    wj = (-1.0 / rho1, 1.0 / rho2)                # dw/dj_a
+    wr = (-u1 * wj[0], -u2 * wj[1])               # dw/drho_a
+    K = (u1 - Ww * wj[0], u2 - Ww * wj[1])        # dL/dj_a
+    Lrr, Lrj, Ljj = (np.empty(rho1.shape + (2, 2)) for _ in range(3))
+    for i in range(2):
+        q = H[i, 4] + Www * wr[i]                 # d(W_w)/drho_i along w(m)
+        for k in range(2):
+            Lrj[..., i, k] = -q * wj[k]
+        for k in range(i, 2):
+            Lrr[..., i, k] = Lrr[..., k, i] = -(H[i, k] + q * wr[k]
+                                                + H[k, 4] * wr[i])
+            Ljj[..., i, k] = Ljj[..., k, i] = -Www * wj[i] * wj[k]
+        # kinetic part and the W_w d2w terms sit on the diagonals
+        Lrr[..., i, i] += u[i] * (2.0 * K[i] - u[i]) / rho[i]
+        Lrj[..., i, i] -= K[i] / rho[i]
+        Ljj[..., i, i] += 1.0 / rho[i]
+    return Lrr, Lrj, Ljj
 
 
-def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2,
-                      imag_rtol: float = 1e-6):
-    """Characteristic speeds per state, batched; (speeds, ok_mask, min_eig_A).
+def _cholesky2(X):
+    """Closed-form Cholesky of stacked symmetric 2x2 blocks ``X`` (..., 2, 2).
 
-    ``ok_mask`` is False where the quartet of speeds has a significant
-    imaginary part (hyperbolicity loss); those speeds hold real parts only.
+    Returns (ok, scaled_min_eig, (l11, l21, l22)).  ``ok`` holds where both
+    pivots are positive, i.e. X is positive definite; the factor entries are
+    meaningful only there.  scaled_min_eig = min-eig(X) / ||X||_2, positive
+    exactly where ``ok`` holds.
     """
+    a, b, c = X[..., 0, 0], X[..., 0, 1], X[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        pivot2 = c - l21 * l21
+        ok = (a > 0.0) & (pivot2 > 0.0)
+        mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        # where ok, min-eig = det / max-eig with det = a * pivot2 (no
+        # cancellation); elsewhere min-eig <= 0
+        scaled = np.where(ok, a * pivot2 / (mid + rad) ** 2,
+                          np.fmin((mid - rad) / (np.abs(mid) + rad), 0.0))
+        return ok, scaled, (l11, l21, np.sqrt(pivot2))
+
+
+def _certificate(model: PotentialModel, rho1, rho2, u1, u2, s1, s2, V):
+    """Block-Cholesky hyperbolicity certificate in the frame moving with V.
+
+    Returns (ok, margin, F_r, F_j, L_rj): ``ok`` where -L_rr and L_jj are
+    positive definite (A = Hess G is then), ``margin`` the smaller of the
+    two blocks' scaled min-eigenvalues (> 0 exactly where ``ok``), and the
+    Cholesky factors of -L_rr and L_jj.
+    """
+    Lrr, Lrj, Ljj = _lagrangian_hessian(model, rho1, rho2, u1 - V, u2 - V,
+                                        s1, s2)
+    ok_r, margin_r, Fr = _cholesky2(-Lrr)
+    ok_j, margin_j, Fj = _cholesky2(Ljj)
+    return ok_r & ok_j, np.minimum(margin_r, margin_j), Fr, Fj, Lrj
+
+
+def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Batched A = Hess G from the Hessian of L; an (..., 4, 4) stack.
+
+    Uses the closed-form inverse of the 2x2 block L_rr; A is not finite
+    where L_rr is singular.
+    """
+    Lrr, Lrj, Ljj = _lagrangian_hessian(model, rho1, rho2, u1, u2, s1, s2)
+    a, b, c = Lrr[..., 0, 0], Lrr[..., 0, 1], Lrr[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.stack([c, -b, -b, a], axis=-1).reshape(Lrr.shape) \
+            / (a * c - b * b)[..., None, None]
+        P = inv @ Lrj
+        Ljr_P = np.swapaxes(Lrj, -1, -2) @ P
+    A = np.empty(Lrr.shape[:-2] + (4, 4))
+    A[..., :2, :2] = -inv
+    A[..., :2, 2:] = P
+    A[..., 2:, :2] = np.swapaxes(P, -1, -2)
+    A[..., 2:, 2:] = Ljj - 0.5 * (Ljr_P + np.swapaxes(Ljr_P, -1, -2))
+    return A
+
+
+def _min_eig_A(model, rho1, rho2, u1, u2, s1, s2):
     A = symmetric_system_batch(model, rho1, rho2, u1, u2, s1, s2)
-    try:
-        M = np.linalg.solve(A, np.broadcast_to(B_MATRIX, A.shape))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular A while computing wave speeds: {exc}")
-    ev = np.linalg.eigvals(M)
-    scale = np.max(np.abs(ev), axis=-1) + 1.0
-    ok = np.max(np.abs(ev.imag), axis=-1) <= imag_rtol * scale
-    Asym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    min_eig = np.linalg.eigvalsh(Asym)[..., 0]
-    return np.sort(ev.real, axis=-1), ok, min_eig
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
+    return np.where(finite, eig[..., 0], np.nan)
+
+
+def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """min-eig(A) per state in the frame :func:`wave_speeds_batch` certifies.
+
+    That is the lab frame, or the zero-mixture-momentum frame where A is not
+    positive definite in the lab frame; NaN where A is undefined (singular
+    L_rr).
+    """
+    eig = _min_eig_A(model, rho1, rho2, u1, u2, s1, s2)
+    retry = ~(eig > 0.0)
+    if np.any(retry):
+        V = (rho1 * u1 + rho2 * u2) / (rho1 + rho2)
+        eig = np.where(retry, _min_eig_A(model, rho1, rho2, u1 - V, u2 - V,
+                                         s1, s2), eig)
+    return eig
+
+
+def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Characteristic speeds per state, batched; (speeds, ok_mask, margin).
+
+    ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
+    positive definite in the lab frame or, failing that, in the
+    zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
+    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
+    Speeds are sorted; they are NaN where the certificate fails.
+    """
+    arrays = np.broadcast_arrays(
+        *[np.asarray(a, dtype=float) for a in (rho1, rho2, u1, u2, s1, s2)])
+    shape = arrays[0].shape
+    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in arrays)
+    V = np.zeros(rho1.size)
+    ok, margin, Fr, Fj, Lrj = _certificate(model, rho1, rho2, u1, u2,
+                                           s1, s2, V)
+    retry = np.flatnonzero(~ok)
+    if retry.size:
+        V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
+                    / (rho1[retry] + rho2[retry]))
+        ok_m, margin_m, Fr_m, Fj_m, Lrj_m = _certificate(
+            model, *(a[retry] for a in (rho1, rho2, u1, u2, s1, s2, V)))
+        ok[retry] = ok_m
+        margin[retry] = np.maximum(margin[retry], margin_m)
+        Lrj[retry] = Lrj_m
+        for f, f_m in zip(Fr + Fj, Fr_m + Fj_m):
+            f[retry] = f_m
+    (h11, h21, h22), (l11, l21, l22) = Fr, Fj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # G = F_j^-1 (lower triangular), C = L_rj + L_jr
+        g11, g22 = 1.0 / l11, 1.0 / l22
+        g21 = -l21 * g11 * g22
+        c11, c22 = 2.0 * Lrj[..., 0, 0], 2.0 * Lrj[..., 1, 1]
+        c12 = Lrj[..., 0, 1] + Lrj[..., 1, 0]
+        t = g21 * c11 + g22 * c12
+        S = np.zeros(rho1.shape + (4, 4))
+        # -G C G^T in the upper-left block, N = G F_r beside it
+        S[..., 0, 0] = -g11 * g11 * c11
+        S[..., 0, 1] = S[..., 1, 0] = -g11 * t
+        S[..., 1, 1] = -(g21 * t + g22 * (g21 * c12 + g22 * c22))
+        S[..., 0, 2] = S[..., 2, 0] = g11 * h11
+        S[..., 1, 2] = S[..., 2, 1] = g21 * h11 + g22 * h21
+        S[..., 1, 3] = S[..., 3, 1] = g22 * h22
+    S[~ok] = 0.0
+    speeds = np.linalg.eigvalsh(S) + V[:, None]
+    speeds[~ok] = np.nan
+    return (speeds.reshape(shape + (4,)), ok.reshape(shape),
+            margin.reshape(shape))

@@ -14,9 +14,13 @@ module; algebraic drag/heat sources are pointwise.  Time stepping is SSP-RK2
 clipped so that reports land exactly on multiples of the report interval.
 
 Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
-a failure becomes a :class:`StepError` naming the first failing cell) and
-evaluates the potential once; the report and the drag/heat cap reuse that
-evaluation.  External potentials Omega_a(x) are plain callables of x.
+a failure becomes a :class:`StepError` naming the first failing cell),
+evaluates the potential once (the report and the drag/heat cap reuse that
+evaluation) and certifies hyperbolicity per cell with the wave speeds; the
+min-eig(A) of the report is computed at report times only.  A stage value
+that is not finite, or a density below the floor, raises a
+:class:`StepError` naming the field and the first bad cell.  External
+potentials Omega_a(x) are plain callables of x.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ class StepError(RuntimeError):
 
 
 class NonHyperbolicError(StepError):
-    """A cell left the hyperbolicity region (min-eig of A nonpositive)."""
+    """A cell left the hyperbolicity region (its certificate failed)."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,15 @@ def _extend(arr, bc: str) -> np.ndarray:
 
 
 def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
-    """Max |lambda| and min-eig(A) per cell; errors on hyperbolicity loss."""
-    speeds, ok, min_eig = hyperbolicity.wave_speeds_batch(
+    """Max |lambda| per cell; errors on hyperbolicity loss."""
+    speeds, ok, margin = hyperbolicity.wave_speeds_batch(
         model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
-    bad = ~ok | (min_eig <= 0.0)
-    if np.any(bad):
-        cell = int(np.argmax(bad))
+    if not np.all(ok):
+        cell = int(np.argmin(ok))
         raise NonHyperbolicError(
             f"cell {cell} left the hyperbolicity region "
-            f"(min-eig(A) = {float(min_eig[cell]):g})", t=t, cell=cell)
-    return np.max(np.abs(speeds), axis=-1), min_eig
+            f"(certificate margin {float(margin[cell]):g})", t=t, cell=cell)
+    return np.max(np.abs(speeds), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +141,6 @@ class RHSResult:
     d_s1: np.ndarray
     d_s2: np.ndarray
     smax: np.ndarray
-    min_eig_A: np.ndarray
     primitive: PrimitiveState
     thermo: ThermoEval
 
@@ -163,7 +165,7 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
         raise StepError(f"velocity recovery failed: {exc}", t=t,
                         cell=exc.cell) from exc
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
-    smax, min_eig = _cell_speeds(model, p, t=t)
+    smax = _cell_speeds(model, p, t=t)
 
     R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - config.omega1(x)
     R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - config.omega2(x)
@@ -196,25 +198,31 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     d_s2 = -p.u2 * ds2_dx + src2
 
     return RHSResult(d_rho1=d_rho1, d_rho2=d_rho2, d_K1=d_K1, d_K2=d_K2,
-                     d_s1=d_s1, d_s2=d_s2, smax=smax, min_eig_A=min_eig,
+                     d_s1=d_s1, d_s2=d_s2, smax=smax,
                      primitive=p, thermo=th)
+
+
+_FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
 
 
 def _advance(cells: EvolvedState, rhs: RHSResult, dt: float,
              t: float | None = None) -> EvolvedState:
-    rho1 = cells.rho1 + dt * rhs.d_rho1
-    rho2 = cells.rho2 + dt * rhs.d_rho2
-    for name, rho in (("rho1", rho1), ("rho2", rho2)):
-        if np.min(rho) < RHO_FLOOR:
-            cell = int(np.argmin(rho))
+    """Forward-Euler stage; a non-finite value or a density below the floor
+    raises :class:`StepError` naming the field and its first bad cell."""
+    new = {f: getattr(cells, f) + dt * getattr(rhs, "d_" + f) for f in _FIELDS}
+    for name, arr in new.items():
+        finite = np.isfinite(arr)
+        if not np.all(finite):
+            cell = int(np.argmin(finite))
+            raise StepError(f"{name} is not finite in cell {cell} after a "
+                            "stage", t=t, cell=cell)
+    for name in ("rho1", "rho2"):
+        if np.min(new[name]) < RHO_FLOOR:
+            cell = int(np.argmin(new[name]))
             raise StepError(
                 f"{name} went nonpositive in cell {cell} after a stage; "
                 "reduce the CFL number", t=t, cell=cell)
-    return EvolvedState(rho1=rho1, rho2=rho2,
-                        K1=cells.K1 + dt * rhs.d_K1,
-                        K2=cells.K2 + dt * rhs.d_K2,
-                        s1=cells.s1 + dt * rhs.d_s1,
-                        s2=cells.s2 + dt * rhs.d_s2)
+    return EvolvedState(**new)
 
 
 def step(config: SimulationConfig, cells: EvolvedState, dt: float,
@@ -255,6 +263,8 @@ def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
     dx = grid.dx
     x = grid.centers()
     p = rhs.primitive
+    min_eig = hyperbolicity.min_eig_A_batch(config.model, p.rho1, p.rho2,
+                                            p.u1, p.u2, p.s1, p.s2)
     energy_density = (0.5 * p.rho1 * p.u1 ** 2 + 0.5 * p.rho2 * p.u2 ** 2
                       + p.rho1 * config.omega1(x)
                       + p.rho2 * config.omega2(x) + rhs.thermo.U)
@@ -267,7 +277,7 @@ def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
         momentum_u=float(np.sum(p.rho1 * p.u1 + p.rho2 * p.u2) * dx),
         energy=float(np.sum(energy_density) * dx),
         entropy=float(np.sum(p.rho1 * p.s1 + p.rho2 * p.s2) * dx),
-        min_eig_A=float(np.min(rhs.min_eig_A)))
+        min_eig_A=float(np.min(min_eig)))
 
 
 def integrate(config: SimulationConfig, initial: EvolvedState

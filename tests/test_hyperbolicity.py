@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX,
+                                    _forward_maps, _lagrangian_hessian,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
                                     check_legendre_identities,
@@ -19,6 +20,14 @@ from twofluid.state import PrimitiveState
 def make_model(a=0.3):
     return SeparableAddedMass(SeparableAddedMassParams(
         gamma1=2.0, gamma2=1.4, a=a))
+
+
+class ValueOnly(PotentialModel):
+    """A law with no analytic derivatives: Hessians come from differences."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return (rho1 ** 2 * np.exp(s1) + 0.7 * rho2 ** 1.4 * np.exp(s2)
+                + 0.3 * rho1 * rho2 - 0.2 * (1.0 + 0.1 * rho1) * w ** 2)
 
 
 def subsonic_states(rng, model, n):
@@ -95,6 +104,104 @@ class TestSymmetricSystem:
         assert np.max(np.abs(sys.A - A_batch)) < 1e-5 * np.linalg.norm(sys.A)
 
 
+class TestLagrangianHessian:
+    @staticmethod
+    def _fd_hessian(model, rho1, rho2, u1, u2, s1, s2, h=1e-5):
+        """Central differences of dL/dm = (sigma1, sigma2, K1, K2)."""
+        m = [rho1, rho2, rho1 * u1, rho2 * u2]
+        J = np.empty(np.shape(rho1) + (4, 4))
+        for i in range(4):
+            hi = h * np.maximum(1.0, np.abs(m[i]))
+            mp, mm = list(m), list(m)
+            mp[i] = m[i] + hi
+            mm[i] = m[i] - hi
+            fp = np.stack(_forward_maps(model, *mp, s1, s2), axis=-1)
+            fm = np.stack(_forward_maps(model, *mm, s1, s2), axis=-1)
+            J[..., i] = (fp - fm) / (2.0 * hi)[..., None]
+        return J
+
+    @pytest.mark.parametrize("law, tol", [
+        (make_model(a=0.4), 1e-8),
+        (SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4,
+            a=lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2))), 1e-6),
+        (ValueOnly(), 3e-5),
+    ], ids=["constant_a", "callable_a", "value_only"])
+    def test_blocks_match_differenced_forward_maps(self, law, tol):
+        rng = np.random.default_rng(3)
+        n = 50
+        args = (rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n),
+                rng.normal(0, 0.3, n), rng.normal(0, 0.3, n),
+                rng.uniform(-0.2, 0.2, n), rng.uniform(-0.2, 0.2, n))
+        Lrr, Lrj, Ljj = _lagrangian_hessian(law, *args)
+        H = np.block([[Lrr, Lrj], [np.swapaxes(Lrj, -1, -2), Ljj]])
+        J = self._fd_hessian(law, *args)
+        rel = np.linalg.norm(H - J, axis=(-2, -1)) / np.linalg.norm(
+            J, axis=(-2, -1))
+        assert np.max(rel) < tol
+        assert np.array_equal(Lrr, np.swapaxes(Lrr, -1, -2))
+        assert np.array_equal(Ljj, np.swapaxes(Ljj, -1, -2))
+
+    @pytest.mark.parametrize("a", [0.4, lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
+                             ids=["constant_a", "callable_a"])
+    def test_analytic_A_matches_newton_oracle(self, a):
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=a))
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            p = mixture_rest_state(*rng.uniform(0.5, 1.5, 2),
+                                   rng.uniform(-0.25, 0.25),
+                                   *rng.uniform(-0.2, 0.2, 2))
+            oracle = assemble_symmetric_system(m, p).A
+            A = symmetric_system_batch(m, p.rho1, p.rho2, p.u1, p.u2,
+                                       p.s1, p.s2)
+            assert np.array_equal(A, A.T)
+            assert np.max(np.abs(A - oracle)) < 1e-7 * np.linalg.norm(oracle)
+
+
+class TestCertificate:
+    def test_matches_newton_min_eig_across_critical_w(self):
+        # the block-Cholesky certificate against the sign of min-eig(A) of
+        # the per-state Newton oracle, on both sides of w*
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=1.0))
+        rng = np.random.default_rng(17)
+        seen = set()
+        for k in range(40):
+            rho1, rho2 = rng.uniform(0.5, 1.5, 2)
+            s1, s2 = rng.uniform(-0.2, 0.2, 2)
+            w_star = critical_relative_velocity(m, rho1, rho2, s1, s2,
+                                                w_max=5.0)
+            factor = (rng.uniform(0.3, 0.95) if k % 2
+                      else rng.uniform(1.05, 1.5))
+            p = mixture_rest_state(rho1, rho2, factor * w_star, s1, s2)
+            # the differenced Newton map is noisier near w*: only the sign
+            # of min-eig is compared, so a looser asymmetry check suffices
+            sys = assemble_symmetric_system(m, p, asym_tol=1e-2)
+            newton_posdef = sys.min_eig_A > 0.0
+            _, ok, margin = wave_speeds_batch(m, p.rho1, p.rho2, p.u1, p.u2,
+                                              p.s1, p.s2)
+            assert bool(ok) == newton_posdef == (factor < 1.0)
+            assert bool(margin > 0.0) == bool(ok)
+            seen.add(bool(ok))
+        assert seen == {True, False}
+
+    def test_margin_positive_exactly_where_certified(self):
+        m = make_model(a=1.0)
+        rng = np.random.default_rng(23)
+        n = 4000
+        rho1 = rng.uniform(0.5, 1.5, n)
+        rho2 = rng.uniform(0.5, 1.5, n)
+        p = mixture_rest_state(rho1, rho2, rng.uniform(-3.0, 3.0, n),
+                               0.0, 0.0)
+        speeds, ok, margin = wave_speeds_batch(m, p.rho1, p.rho2, p.u1, p.u2,
+                                               p.s1, p.s2)
+        assert 0 < np.sum(ok) < n
+        assert np.array_equal(margin > 0.0, ok)
+        assert np.all(np.isfinite(speeds[ok]))
+        assert np.all(np.isnan(speeds[~ok]))
+
+
 class TestCharacteristicSpeeds:
     def test_decoupled_oracle_bulk(self):
         # with no velocity coupling the four speeds are u_a +- c_a
@@ -107,6 +214,12 @@ class TestCharacteristicSpeeds:
         u2 = rng.normal(0, 0.3, n)
         s1 = rng.uniform(-0.2, 0.2, n)
         s2 = rng.uniform(-0.2, 0.2, n)
+        # plus a dilute phase at rest beside a moving dense one: A is
+        # positive definite in the lab frame only (phase 1 moves at -0.91
+        # in the zero-mixture-momentum frame, c1 = 0.45)
+        rho1, rho2, u1, u2, s1, s2 = (np.append(v, extra) for v, extra in
+                                      zip((rho1, rho2, u1, u2, s1, s2),
+                                          (0.1, 1.0, 0.0, 1.0, 0.0, 0.0)))
         speeds, ok, _ = wave_speeds_batch(m, rho1, rho2, u1, u2, s1, s2)
         assert np.all(ok)
         c1 = np.sqrt(m.sound_speed_sq(1, rho1, s1))
@@ -114,7 +227,7 @@ class TestCharacteristicSpeeds:
         expected = np.sort(np.stack(
             [u1 - c1, u1 + c1, u2 - c2, u2 + c2], axis=-1), axis=-1)
         rel = np.abs(speeds - expected) / np.maximum(1.0, np.abs(expected))
-        assert np.max(rel) < 1e-8
+        assert np.max(rel) < 1e-13
 
     def test_reflection_symmetry(self):
         # symmetric phases at rest: speeds come in +- pairs
@@ -141,9 +254,11 @@ class TestCharacteristicSpeeds:
         m = make_model(a=0.4)
         rng = np.random.default_rng(41)
         p = subsonic_states(rng, m, 10**4)
-        speeds, ok, min_eig = wave_speeds_batch(m, p.rho1, p.rho2,
-                                                p.u1, p.u2, p.s1, p.s2)
-        posdef = min_eig > 0
+        speeds, ok, _ = wave_speeds_batch(m, p.rho1, p.rho2,
+                                          p.u1, p.u2, p.s1, p.s2)
+        A = symmetric_system_batch(m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+        posdef = np.linalg.eigvalsh(A)[..., 0] > 0
+        assert np.any(posdef)
         assert np.all(ok[posdef])
         assert np.all(np.isfinite(speeds[posdef]))
 
@@ -197,6 +312,21 @@ class TestRegionMapping:
         above = map_hyperbolic_region(m, [1.2], [0.8], [1.001 * w_star],
                                       0.05, -0.1)[0]
         assert below.min_eig_A > 0.0 > above.min_eig_A
+
+    def test_batched_map_order_and_flags_follow_critical_w(self):
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=0.5))
+        r1s, r2s = np.linspace(0.6, 1.4, 3), np.linspace(0.7, 1.3, 3)
+        ws = np.linspace(0.0, 3.0, 7)
+        reports = map_hyperbolic_region(m, r1s, r2s, ws, 0.05, -0.05)
+        points = [(r1, r2, w) for r1 in r1s for r2 in r2s for w in ws]
+        assert [(r.rho1, r.rho2, r.w) for r in reports] == points
+        for rep in reports:
+            w_star = critical_relative_velocity(m, rep.rho1, rep.rho2,
+                                                0.05, -0.05, w_max=5.0)
+            assert rep.hyperbolic == (rep.w < w_star)
+            assert (rep.speeds is not None) == rep.hyperbolic
+            assert (rep.min_eig_A > 0.0) == rep.hyperbolic
 
     def test_critical_w_reproducible(self):
         m = SeparableAddedMass(SeparableAddedMassParams(

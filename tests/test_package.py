@@ -1,4 +1,8 @@
 """Tests of the package's public namespace."""
+import os
+import subprocess
+import sys
+
 import twofluid
 
 
@@ -12,3 +16,13 @@ def test_star_import():
     namespace = {}
     exec("from twofluid import *", namespace)
     assert set(twofluid.__all__) <= set(namespace)
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
+    code = ("import sys, twofluid, twofluid.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,4 +1,6 @@
 """Tests for the 1D finite-volume integrator."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,6 +8,7 @@ from scipy.integrate import solve_ivp
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams, evaluate
 from twofluid import solver
+from twofluid.hyperbolicity import critical_relative_velocity
 from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
                              StepError, assemble_rhs,
                              evolved_from_primitive_profiles, integrate, step)
@@ -235,6 +238,38 @@ class TestFailureModes:
             integrate(cfg, init)
         assert exc.value.cell is not None
         assert exc.value.t is not None
+
+    def test_non_hyperbolic_names_the_failing_cell(self):
+        # only cell 9 sits past w*: the error must name it, not cell 0
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=1.0))
+        grid = Grid1D(0.0, 1.0, 16)
+        w_star = critical_relative_velocity(m, 1.2, 0.8, w_max=5.0)
+        w = np.full(grid.n, 0.5 * w_star)
+        w[9] = 1.5 * w_star
+        init = evolved_from_primitive_profiles(
+            m, grid, rho1=1.2, rho2=0.8, u1=-0.4 * w, u2=0.6 * w,
+            s1=0.0, s2=0.0)
+        cfg = SimulationConfig(grid=grid, model=m, t_end=0.1)
+        with pytest.raises(NonHyperbolicError) as exc:
+            assemble_rhs(cfg, init, t=0.5)
+        assert exc.value.cell == 9
+        assert exc.value.t == 0.5
+
+    @pytest.mark.parametrize("field", ["rho1", "K2", "s2"])
+    def test_non_finite_stage_value_names_field_and_cell(self, field):
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cells = smooth_init(m, grid)
+        cfg = SimulationConfig(grid=grid, model=m, t_end=1.0)
+        rhs = assemble_rhs(cfg, cells, t=0.3)
+        bad = getattr(rhs, "d_" + field).copy()
+        bad[5] = np.nan
+        rhs = dataclasses.replace(rhs, **{"d_" + field: bad})
+        with pytest.raises(StepError, match=f"{field} is not finite") as exc:
+            step(cfg, cells, 1e-3, t=0.3, rhs0=rhs)
+        assert exc.value.cell == 5
+        assert exc.value.t == 0.3
 
     def test_recovery_failure_names_cell(self):
         # the rootless law of test_state: at rho1 = rho2 = 0.5 the recovery
