@@ -202,7 +202,8 @@ def _run_fick_relax(cfg: ScenarioConfig, outdir: str,
         t_prev = t_s
         p = evolved_to_primitive(sim.model, cells)
         _, rel = fick_residual(sim.model, sim.closures, p, sim.grid.dx,
-                               theta0=sim.theta0, theta_bound=bound)
+                               theta0=sim.theta0, theta_bound=bound,
+                               bc=sim.grid.bc)
         rows.append([t_s, rel, float(np.max(np.abs(p.w)))])
     write_csv(os.path.join(outdir, "fick.csv"),
               ["t", "rel_residual", "max_w"], rows)

@@ -7,6 +7,12 @@ with u the mixture velocity, and the internal heat exchange is
 The inverse temperatures (coldness) in these laws are exactly what makes the
 entropy production sign-definite: production = f1^2/k + q1^2/kappa >= 0.
 Setting k = kappa = 0 recovers the conservative model.
+
+Since u2 - u = rho1 w / rho and u1 - u = -rho2 w / rho, the drag is linear
+in the relative velocity w = u2 - u1 at fixed densities and temperatures:
+f1 = zeta w with zeta = k (rho1/theta2 + rho2/theta1) / rho
+(:func:`drag_coefficient`), which is what lets the solver integrate it
+exactly in time.
 """
 from __future__ import annotations
 
@@ -44,12 +50,17 @@ def _require_positive_temperatures(theta1, theta2):
             raise ValueError(f"{name} must be positive")
 
 
+def drag_coefficient(params: ClosureParams, p: PrimitiveState,
+                     theta1, theta2):
+    """zeta = k (rho1/theta2 + rho2/theta1) / rho, so that f1 = zeta w."""
+    _require_positive_temperatures(theta1, theta2)
+    return params.k * (p.rho1 / theta2 + p.rho2 / theta1) / (p.rho1 + p.rho2)
+
+
 def drag_and_heat(params: ClosureParams, p: PrimitiveState,
                   theta1, theta2) -> DissipationForces:
     """Antisymmetric drag/heat pair; f1 + f2 = 0 and q1 + q2 = 0 exactly."""
-    _require_positive_temperatures(theta1, theta2)
-    u = mixture_aggregates(p).u
-    f1 = params.k * ((p.u2 - u) / theta2 - (p.u1 - u) / theta1)
+    f1 = drag_coefficient(params, p, theta1, theta2) * p.w
     q1 = params.kappa * (1.0 / theta2 - 1.0 / theta1)
     return DissipationForces(f1=f1, f2=-f1, q1=q1, q2=-q1)
 

@@ -26,6 +26,7 @@ RHO_FLOOR = 1e-12
 VAR_NAMES = ("rho1", "rho2", "s1", "s2", "w")
 
 _FD_REL_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_FD2_REL_STEP = float(np.finfo(float).eps) ** (1.0 / 4.0)
 
 
 class AdmissibilityError(ValueError):
@@ -46,13 +47,24 @@ def _fd_step(x: np.ndarray) -> np.ndarray:
     return _FD_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
+def _fd2_step(x: np.ndarray) -> np.ndarray:
+    """Step of the second-difference stencils (balances truncation and
+    round-off for a second derivative)."""
+    return _FD2_REL_STEP * np.maximum(1.0, np.abs(x))
+
+
 class PotentialModel(ABC):
     """Abstract constitutive law.
 
     Subclasses must implement :meth:`value`.  Analytic ``gradient`` /
-    ``hessian`` overrides are used when present; otherwise central finite
-    differences of ``value`` (step eps**(1/3) * max(1, |x|) per variable)
-    supply the derivatives, so user laws without analytic Hessians still work.
+    ``hessian`` / ``dW_dw`` / ``d2W_dw2`` overrides are used when present;
+    otherwise central differences of ``value`` supply the derivatives, so
+    user laws without analytic Hessians still work (``dW_dw`` and
+    ``d2W_dw2`` read an analytic ``gradient`` or ``hessian`` when only that
+    is overridden).  First derivatives use a step eps**(1/3) * max(1, |x|)
+    (10 ``value`` calls per gradient, 2 per ``dW_dw``); second derivatives
+    use direct second-difference stencils with a step eps**(1/4) *
+    max(1, |x|) (51 calls per Hessian, 3 per ``d2W_dw2``).
 
     Models are immutable after construction; all evaluations are pure.
     """
@@ -77,23 +89,42 @@ class PotentialModel(ABC):
     def hessian(self, rho1, rho2, s1, s2, w):
         """Second partials, ``H[i, j] = d2 W / dx_i dx_j`` in VAR_NAMES order."""
         args = [np.asarray(a, dtype=float) for a in (rho1, rho2, s1, s2, w)]
-        rows = []
-        for i, xi in enumerate(args):
-            h = _fd_step(xi)
-            plus = list(args)
-            plus[i] = xi + h
-            minus = list(args)
-            minus[i] = xi - h
-            gp = self.gradient(*plus)
-            gm = self.gradient(*minus)
-            rows.append((gp - gm) / (2.0 * h))
-        return np.stack(np.broadcast_arrays(*rows))
+        steps = [_fd2_step(x) for x in args]
+
+        def at(*shifts):
+            moved = list(args)
+            for i, sign in shifts:
+                moved[i] = args[i] + sign * steps[i]
+            return np.asarray(self.value(*moved), dtype=float)
+
+        centre = at()
+        H = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            H[i][i] = ((at((i, 1)) - 2.0 * centre + at((i, -1)))
+                       / steps[i] ** 2)
+            for j in range(i):
+                H[i][j] = H[j][i] = (
+                    at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                    - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
+                ) / (4.0 * steps[i] * steps[j])
+        return np.stack([np.stack(np.broadcast_arrays(*row)) for row in H])
 
     def dW_dw(self, rho1, rho2, s1, s2, w):
-        return self.gradient(rho1, rho2, s1, s2, w)[4]
+        if type(self).gradient is not PotentialModel.gradient:
+            return self.gradient(rho1, rho2, s1, s2, w)[4]
+        w = np.asarray(w, dtype=float)
+        h = _fd_step(w)
+        return (np.asarray(self.value(rho1, rho2, s1, s2, w + h))
+                - self.value(rho1, rho2, s1, s2, w - h)) / (2.0 * h)
 
     def d2W_dw2(self, rho1, rho2, s1, s2, w):
-        return self.hessian(rho1, rho2, s1, s2, w)[4, 4]
+        if type(self).hessian is not PotentialModel.hessian:
+            return self.hessian(rho1, rho2, s1, s2, w)[4, 4]
+        w = np.asarray(w, dtype=float)
+        h = _fd2_step(w)
+        return (np.asarray(self.value(rho1, rho2, s1, s2, w + h))
+                - 2.0 * self.value(rho1, rho2, s1, s2, w)
+                + self.value(rho1, rho2, s1, s2, w - h)) / h ** 2
 
 
 @dataclass(frozen=True, eq=False)

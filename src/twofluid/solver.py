@@ -9,28 +9,34 @@ so only the entropy gradient and the entropy advection are nonconservative
 products (discretized by central differences of cell values; acceptance-level
 runs are smooth).  Conservative terms use the Rusanov (local Lax-Friedrichs)
 flux with the local max characteristic speed supplied by the hyperbolicity
-module; algebraic drag/heat sources are pointwise.  Time stepping is SSP-RK2
-(Heun) with a CFL limit and an extra cap for stiff drag/heat rates; steps are
-clipped so that reports land exactly on multiples of the report interval.
+module; the heat exchange is a pointwise source.  Time stepping is SSP-RK2
+(Heun) for everything but the drag.  The drag is linear in w and moves only
+Z = K2 - K1; :func:`step` integrates it exactly in time along Z (ETD2RK),
+so a strong drag relaxes to the Fick balance without being resolved.  The CFL
+number sets dt at any drag coefficient; the only extra cap is the heat
+exchange's stiffness (:func:`_source_rate_cap`).  Steps are clipped so that
+reports land exactly on multiples of the report interval.
 
 Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
 a failure becomes a :class:`StepError` naming the first failing cell),
-evaluates the potential once (the report and the drag/heat cap reuse that
-evaluation) and certifies hyperbolicity per cell with the wave speeds; the
-min-eig(A) of the report is computed at report times only.  A stage value
-that is not finite, or a density below the floor, raises a
+evaluates the potential once (the report, the heat cap and the drag update
+reuse that evaluation) and certifies hyperbolicity per cell with the wave
+speeds; the min-eig(A) of the report is computed at report times only.  A
+stage value that is not finite, or a density below the floor, raises a
 :class:`StepError` naming the field and the first bad cell.  External
 potentials Omega_a(x) are plain callables of x.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import hyperbolicity
-from .closures import ClosureParams, drag_and_heat, entropy_sources
+from .closures import (ClosureParams, drag_and_heat, drag_coefficient,
+                       entropy_sources)
 from .potential import RHO_FLOOR, PotentialModel, ThermoEval, evaluate
 from .state import (ConvergenceError, EvolvedState, PrimitiveState,
                     evolved_to_primitive, primitive_to_evolved)
@@ -134,6 +140,14 @@ def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
 
 @dataclass(frozen=True, eq=False)
 class RHSResult:
+    """Rates of one stage.
+
+    ``d_K1``/``d_K2`` and ``d_s1``/``d_s2`` leave the drag out: :func:`step`
+    integrates it exactly in time from ``zeta`` (the drag coefficient,
+    f1 = zeta w) and ``dZ_dw`` (the slope 1 - (1/rho1 + 1/rho2) W_ww of
+    Z = K2 - K1 in w).  The heat exchange is in ``d_s1``/``d_s2``.
+    """
+
     d_rho1: np.ndarray
     d_rho2: np.ndarray
     d_K1: np.ndarray
@@ -143,6 +157,8 @@ class RHSResult:
     smax: np.ndarray
     primitive: PrimitiveState
     thermo: ThermoEval
+    zeta: np.ndarray
+    dZ_dw: np.ndarray
 
 
 def _rusanov_div(f: np.ndarray, q: np.ndarray, lam: np.ndarray,
@@ -170,8 +186,12 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - config.omega1(x)
     R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - config.omega2(x)
 
-    forces = drag_and_heat(config.closures, p, th.theta1, th.theta2)
-    src1, src2 = entropy_sources(forces, p, th.theta1, th.theta2)
+    heat = drag_and_heat(replace(config.closures, k=0.0), p, th.theta1,
+                         th.theta2)
+    src1, src2 = entropy_sources(heat, p, th.theta1, th.theta2)
+    zeta = drag_coefficient(config.closures, p, th.theta1, th.theta2)
+    dZ_dw = 1.0 - (1.0 / p.rho1 + 1.0 / p.rho2) * model.d2W_dw2(
+        p.rho1, p.rho2, p.s1, p.s2, p.w)
 
     bc = grid.bc
     ext = lambda a: _extend(a, bc)
@@ -189,33 +209,41 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     ds1_dx = (s1e[2:] - s1e[:-2]) / (2.0 * dx)
     ds2_dx = (s2e[2:] - s2e[:-2]) / (2.0 * dx)
 
-    d_K1 = (-_rusanov_div(K1e * u1e - R1e, K1e, lam, dx)
-            + th.theta1 * ds1_dx + forces.f1 / p.rho1)
-    d_K2 = (-_rusanov_div(K2e * u2e - R2e, K2e, lam, dx)
-            + th.theta2 * ds2_dx + forces.f2 / p.rho2)
+    d_K1 = -_rusanov_div(K1e * u1e - R1e, K1e, lam, dx) + th.theta1 * ds1_dx
+    d_K2 = -_rusanov_div(K2e * u2e - R2e, K2e, lam, dx) + th.theta2 * ds2_dx
 
     d_s1 = -p.u1 * ds1_dx + src1
     d_s2 = -p.u2 * ds2_dx + src2
 
     return RHSResult(d_rho1=d_rho1, d_rho2=d_rho2, d_K1=d_K1, d_K2=d_K2,
                      d_s1=d_s1, d_s2=d_s2, smax=smax,
-                     primitive=p, thermo=th)
+                     primitive=p, thermo=th, zeta=zeta, dZ_dw=dZ_dw)
 
 
 _FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
 
 
-def _advance(cells: EvolvedState, rhs: RHSResult, dt: float,
-             t: float | None = None) -> EvolvedState:
-    """Forward-Euler stage; a non-finite value or a density below the floor
-    raises :class:`StepError` naming the field and its first bad cell."""
-    new = {f: getattr(cells, f) + dt * getattr(rhs, "d_" + f) for f in _FIELDS}
+def _require_finite(new: dict, t: float | None) -> None:
+    """Raise :class:`StepError` naming the first field of ``new`` that is
+    not finite, and its first bad cell."""
     for name, arr in new.items():
         finite = np.isfinite(arr)
         if not np.all(finite):
             cell = int(np.argmin(finite))
             raise StepError(f"{name} is not finite in cell {cell} after a "
                             "stage", t=t, cell=cell)
+
+
+def _advance(cells: EvolvedState, rates: Tuple[RHSResult, ...], dt: float,
+             t: float | None = None) -> EvolvedState:
+    """Explicit stage, cells plus dt times the mean of the rates; a
+    non-finite value or a density below the floor raises
+    :class:`StepError` naming the field and its first bad cell."""
+    scale = dt / len(rates)
+    new = {f: getattr(cells, f) + scale * sum(getattr(r, "d_" + f)
+                                              for r in rates)
+           for f in _FIELDS}
+    _require_finite(new, t)
     for name in ("rho1", "rho2"):
         if np.min(new[name]) < RHO_FLOOR:
             cell = int(np.argmin(new[name]))
@@ -225,36 +253,173 @@ def _advance(cells: EvolvedState, rhs: RHSResult, dt: float,
     return EvolvedState(**new)
 
 
+def _series_table(n: int = 30) -> np.ndarray:
+    """Taylor coefficients in (-x) of the functions of
+    :func:`_exponential_weights`, one row per power; 30 terms reach
+    round-off below x = 1."""
+    f = [float(math.factorial(j)) for j in range(n + 2)]
+    return np.array([[
+        1.0 / f[j + 1], 1.0 / f[j + 2],
+        *(c for m in (0, 1) for c in (
+            2.0 ** j / (f[j] * (j + m + 1)),
+            (2.0 ** (j + 1) - 1.0) / (f[j + 1] * (j + m + 2)),
+            (2.0 ** (j + 2) - 2.0) / (f[j + 2] * (j + m + 3))))
+    ] for j in range(n)])
+
+
+_SERIES = _series_table()
+
+
+def _series_weights(x: np.ndarray) -> np.ndarray:
+    """Rows of :func:`_exponential_weights` by Taylor series, for x < 1."""
+    # enough terms that the first omitted one, below (2x)^j / j!, is under
+    # round-off
+    bound = 2.0 * float(np.max(x, initial=0.0))
+    terms, size = 1, 1.0
+    while terms < len(_SERIES) and size >= 1e-18:
+        size *= bound / terms
+        terms += 1
+    powers = np.ones((terms, x.size))
+    if terms > 1:
+        np.cumprod(np.broadcast_to(-x.ravel(), powers[1:].shape), axis=0,
+                   out=powers[1:])
+    return (_SERIES[:terms].T @ powers).reshape((8,) + x.shape)
+
+
+def _closed_weights(x: np.ndarray) -> np.ndarray:
+    """Rows of :func:`_exponential_weights` in closed form, for x >= 1."""
+    p1, q1 = -np.expm1(-x) / x, -np.expm1(-2.0 * x) / (2.0 * x)
+    p2, q2 = (1.0 - p1) / x, (1.0 - q1) / (2.0 * x)
+    psi, psi2 = p1 - p2, q1 - q2        # int_0^1 s e^(-xs) ds at x, 2x
+    return np.array([p1, p2,
+                     q1, (p1 - q1) / x, (1.0 - 2.0 * p1 + q1) / x ** 2,
+                     psi2, (psi - psi2) / x, (0.5 - 2.0 * psi + psi2) / x ** 2])
+
+
+def _exponential_weights(x) -> Tuple[np.ndarray, np.ndarray]:
+    """(phi, M) of the drag update for the decay exponent x = r dt >= 0.
+
+    phi = (phi_1, phi_2) with phi_1(x) = (1 - e^-x) / x and phi_2(x) =
+    (1 - phi_1) / x, so phi_k(0) = 1/k!.  M[m, i] = int_0^1 s^m y_i(s) ds
+    for m = 0, 1, where y_0 = e^(-2xs), y_1 = s e^(-xs) phi_1(xs) and
+    y_2 = (s phi_1(xs))^2 are the three terms of the square of
+    z e^(-xs) + g s phi_1(xs).  Below x = 1 Taylor series replace the
+    cancelling closed forms.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < 1.0
+    if np.all(small):
+        out = _series_weights(x)
+    elif not np.any(small):
+        out = _closed_weights(x)
+    else:
+        out = np.where(small, _series_weights(np.where(small, x, 0.0)),
+                       _closed_weights(np.where(small, 1.0, x)))
+    return out[:2], out[2:].reshape((2, 3) + x.shape)
+
+
+def _drag_dissipation(z0, g, dt, M, c0, c1):
+    """int_0^dt c(t) Z(t)^2 dt along Z(t) = z0 e^(-r t) + g t phi_1(r t),
+    the solution of dZ/dt = -r Z + g, with c linear in time from c0 to c1;
+    ``M`` is from :func:`_exponential_weights` at r dt.  The integrand is
+    nonnegative; the result is clipped at 0 against round-off."""
+    hg = dt * g
+    terms = (z0 ** 2, 2.0 * z0 * hg, hg ** 2)
+    m0, m1 = (sum(t * Mm[i] for i, t in enumerate(terms)) for Mm in M)
+    return np.maximum(dt * (c0 * m0 + (c1 - c0) * m1), 0.0)
+
+
+def _z_forcing(cells: EvolvedState, rhs: RHSResult, rate) -> np.ndarray:
+    """G = dZ/dt + rate Z for Z = K2 - K1: the rate of Z less the drag
+    -rate Z frozen for the step.  The drag moves Z at -(1/rho1 + 1/rho2)
+    zeta w; for a law with W_w linear in w this is -r Z with the stage's own
+    rate r, so G gains (rate - r) Z across a stage."""
+    p = rhs.primitive
+    drag = (1.0 / p.rho1 + 1.0 / p.rho2) * rhs.zeta * p.w
+    return rhs.d_K2 - rhs.d_K1 - drag + rate * (cells.K2 - cells.K1)
+
+
+def _relax(cells: EvolvedState, z, heat, t: float | None) -> EvolvedState:
+    """Move Z = K2 - K1 to ``z`` by K1 += alpha/rho1, K2 -= alpha/rho2,
+    which keeps the impulse rho1 K1 + rho2 K2, and add the drag heating
+    ``heat`` = (ds1, ds2); the densities are left as they are."""
+    alpha = (cells.K2 - cells.K1 - z) / (1.0 / cells.rho1 + 1.0 / cells.rho2)
+    new = {"K1": cells.K1 + alpha / cells.rho1,
+           "K2": cells.K2 - alpha / cells.rho2,
+           "s1": cells.s1 + heat[0], "s2": cells.s2 + heat[1]}
+    _require_finite(new, t)
+    return EvolvedState(rho1=cells.rho1, rho2=cells.rho2, **new)
+
+
 def step(config: SimulationConfig, cells: EvolvedState, dt: float,
          t: float | None = None,
          rhs0: RHSResult | None = None) -> EvolvedState:
-    """One SSP-RK2 (Heun) step; admissibility rechecked after each stage."""
+    """One step: exponential (ETD2RK) in the drag, Heun (SSP-RK2) otherwise.
+
+    The drag leaves the impulse rho1 K1 + rho2 K2 alone and moves only
+    Z = K2 - K1, at -r Z with r = (1/rho1 + 1/rho2) zeta / dZ_dw frozen per
+    cell at the step's start.  With G the rest of the rate of Z
+    (:func:`_z_forcing`, at stage n and at stage a),
+
+        Z_a     = e^(-r dt) Z_n + dt phi_1(r dt) G_n,
+        Z_(n+1) = Z_a + dt phi_2(r dt) (G_a - G_n),
+
+    each reached from the Heun value by an impulse-conserving move of K1
+    and K2 (:func:`_relax`); every other rate (transport, heat exchange) is
+    Heun.  With r = 0 this is Heun; for r dt >> 1, Z tends to G / r, the
+    Fick balance, so dt need not resolve the drag.
+
+    The drag dissipates zeta w^2 = (zeta / dZ_dw^2) Z^2, integrated along
+    the exponential path of Z (:func:`_drag_dissipation`): with G_n over the
+    stage; over the whole step with (G_n + G_a)/2 and zeta / dZ_dw^2 linear
+    in time from n to a, in one integral (averaging the two stage integrals
+    would halve the heat in the stiff limit).  It heats the phases as the
+    entropy equations split it, rho_a theta_a ds_a = (rho_b / rho) zeta w^2
+    dt with b the other phase; over the whole step the split takes the mean
+    of its values at n and a (the temperatures rise as the heat goes in).
+    The heating is nonnegative.  Admissibility is rechecked after each
+    stage.
+    """
     if rhs0 is None:
         rhs0 = assemble_rhs(config, cells, t=t)
-    stage1 = _advance(cells, rhs0, dt, t=t)
-    rhs1 = assemble_rhs(config, stage1, t=t)
-    stage2 = _advance(stage1, rhs1, dt, t=t)
-    return EvolvedState(
-        rho1=0.5 * (cells.rho1 + stage2.rho1),
-        rho2=0.5 * (cells.rho2 + stage2.rho2),
-        K1=0.5 * (cells.K1 + stage2.K1),
-        K2=0.5 * (cells.K2 + stage2.K2),
-        s1=0.5 * (cells.s1 + stage2.s1),
-        s2=0.5 * (cells.s2 + stage2.s2))
+    stage = _advance(cells, (rhs0,), dt, t=t)
+
+    p0 = rhs0.primitive
+    rate = (1.0 / p0.rho1 + 1.0 / p0.rho2) * rhs0.zeta / rhs0.dZ_dw
+    phi, M = _exponential_weights(rate * dt)
+    z0 = cells.K2 - cells.K1
+
+    def coefficients(rhs):
+        p, th = rhs.primitive, rhs.thermo
+        rho = p.rho1 + p.rho2
+        return (rhs.zeta / rhs.dZ_dw ** 2,
+                p.rho2 / (rho * p.rho1 * th.theta1),
+                p.rho1 / (rho * p.rho2 * th.theta2))
+
+    c0, e01, e02 = coefficients(rhs0)
+    g0 = _z_forcing(cells, rhs0, rate)
+    z_a = np.exp(-rate * dt) * z0 + dt * phi[0] * g0
+    q = _drag_dissipation(z0, g0, dt, M, c0, c0)
+    stage = _relax(stage, z_a, (q * e01, q * e02), t)
+
+    rhs1 = assemble_rhs(config, stage, t=t)
+    c1, e11, e12 = coefficients(rhs1)
+    g1 = _z_forcing(stage, rhs1, rate)
+    heun = _advance(cells, (rhs0, rhs1), dt, t=t)
+    q = _drag_dissipation(z0, 0.5 * (g0 + g1), dt, M, c0, c1)
+    return _relax(heun, z_a + dt * phi[1] * (g1 - g0),
+                  (0.5 * q * (e01 + e11), 0.5 * q * (e02 + e12)), t)
 
 
 def _source_rate_cap(config: SimulationConfig, rhs: RHSResult) -> float:
-    """Stiffness bound for the algebraic drag/heat sources."""
-    k, kappa = config.closures.k, config.closures.kappa
+    """Stiffness bound of the explicit heat exchange; the drag needs none,
+    :func:`step` integrates it exactly in time."""
+    kappa = config.closures.kappa
+    if kappa == 0.0:
+        return 0.0
     p, theta1, theta2 = rhs.primitive, rhs.thermo.theta1, rhs.thermo.theta2
-    rate = 0.0
-    if k > 0.0:
-        rate += k * float(np.max((1.0 / p.rho1 + 1.0 / p.rho2)
-                                 * np.maximum(1.0 / theta1, 1.0 / theta2)))
-    if kappa > 0.0:
-        rate += kappa * float(np.max(np.maximum(
-            1.0 / (p.rho1 * theta1 ** 2), 1.0 / (p.rho2 * theta2 ** 2))))
-    return rate
+    return kappa * float(np.max(np.maximum(
+        1.0 / (p.rho1 * theta1 ** 2), 1.0 / (p.rho2 * theta2 ** 2))))
 
 
 def make_report(config: SimulationConfig, cells: EvolvedState, t: float,

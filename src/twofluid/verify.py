@@ -285,13 +285,14 @@ def conservation_drift(trajectory: List[Tuple[float, object, TimeStepReport]]
 
 def fick_residual(model: PotentialModel, closures: ClosureParams,
                   p: PrimitiveState, dx: float, theta0: float,
-                  theta_bound: float = 0.05):
+                  theta_bound: float = 0.05, bc: str = "periodic"):
     """Residual of the diffusion law grad(mu) = rho f / (rho1 rho2).
 
     Valid for drag-dominated near-isothermal states; raises if any
     temperature strays from theta0 by more than theta_bound relative.
     Returns (residual field, residual norm relative to |grad mu|), with the
-    gradient taken by periodic central differences of spacing dx.
+    gradient taken by central differences of spacing dx over the solver's
+    ghost cells for the boundary mode ``bc``.
     """
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     dev = max(float(np.max(np.abs(th.theta1 - theta0))),
@@ -302,7 +303,8 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
             f"deviation {dev:g} exceeds {theta_bound:g}")
     dyn = dynamic_quantities(model, p, theta0=theta0)
     mu = np.asarray(dyn.mu, dtype=float)
-    grad_mu = (np.roll(mu, -1) - np.roll(mu, 1)) / (2.0 * dx)
+    mue = _extend(mu, bc)
+    grad_mu = (mue[2:] - mue[:-2]) / (2.0 * dx)
     forces = drag_and_heat(closures, p, th.theta1, th.theta2)
     f = -np.asarray(forces.f1, dtype=float)
     agg = mixture_aggregates(p)

@@ -136,6 +136,18 @@ sample_times = 0.15,0.3
         rels = [float(l.split(",")[1]) for l in lines[1:]]
         assert rels[-1] < rels[0] < 0.05
 
+    def test_transmissive_residual_uses_ghost_cells(self, tmp_path):
+        # a periodic difference across the two open ends read 0.48 and 0.65
+        text = (self.TEXT.replace("n = 64", "n = 64\nbc = transmissive")
+                .replace("sample_times = 0.15,0.3", "sample_times = 0.05,0.1"))
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 0
+        lines = (out / "fick.csv").read_text().splitlines()
+        rels = [float(l.split(",")[1]) for l in lines[1:]]
+        assert len(rels) == 2
+        assert max(rels) <= 0.05
+
     def test_failure_time_counts_from_start(self, tmp_path, monkeypatch):
         # the second leg (t = 0.15 to 0.3) fails 0.05 into the leg
         legs = []

@@ -158,3 +158,52 @@ class TestFallbackDerivatives:
         m = FDOnlyLaw()
         H = m.hessian(1.2, 0.8, 0.1, -0.2, 0.5)
         assert np.allclose(H, H.T, rtol=0, atol=1e-5)
+
+
+class CountingValueOnly(PotentialModel):
+    """Value-only view of the built-in law that counts ``value`` calls."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def value(self, rho1, rho2, s1, s2, w):
+        self.calls += 1
+        return self.law.value(rho1, rho2, s1, s2, w)
+
+
+class TestFallbackCost:
+    def setup_method(self):
+        self.law = make_model()
+        self.m = CountingValueOnly(self.law)
+        st = random_states(np.random.default_rng(3), 50)
+        self.args = [st[k] for k in ("rho1", "rho2", "s1", "s2", "w")]
+
+    def test_hessian_direct_stencil(self):
+        H = self.m.hessian(*self.args)
+        assert self.m.calls <= 51
+        ref = self.law.hessian(*self.args)
+        err = np.max(np.abs(H - ref), axis=(0, 1))
+        assert np.all(err <= 1e-7 * np.max(np.abs(ref), axis=(0, 1)))
+
+    def test_w_derivatives_difference_w_only(self):
+        d2 = self.m.d2W_dw2(*self.args)
+        assert self.m.calls <= 3
+        assert np.allclose(d2, self.law.d2W_dw2(*self.args), rtol=0,
+                           atol=1e-6)
+        self.m.calls = 0
+        d1 = self.m.dW_dw(*self.args)
+        assert self.m.calls <= 2
+        assert np.allclose(d1, self.law.dW_dw(*self.args), rtol=0,
+                           atol=1e-9)
+
+    def test_w_derivatives_read_an_analytic_gradient(self):
+        # a law with only an analytic gradient keeps it for dW_dw
+        class GradientOnly(CountingValueOnly):
+            def gradient(self, rho1, rho2, s1, s2, w):
+                return self.law.gradient(rho1, rho2, s1, s2, w)
+
+        m = GradientOnly(self.law)
+        assert np.array_equal(m.dW_dw(*self.args),
+                              self.law.gradient(*self.args)[4])
+        assert m.calls == 0

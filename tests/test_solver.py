@@ -13,6 +13,9 @@ from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
                              StepError, assemble_rhs,
                              evolved_from_primitive_profiles, integrate, step)
 from twofluid.state import EvolvedState, PrimitiveState, evolved_to_primitive
+from twofluid.verify import fick_residual
+
+FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
 
 
 def make_model(a=0.2):
@@ -175,41 +178,58 @@ class TestIntegrate:
         assert out[-1][0] == pytest.approx(0.05)
 
 
+def uniform_ode_state(m, cl, init, t_end, **solver_options):
+    """Oracle for uniform fields: the spatial terms vanish and the evolution
+    reduces to an ODE in (K1, K2, s1, s2) driven by drag and heat exchange.
+    Returns the primitive state at t_end."""
+    rho1, rho2 = float(init.rho1[0]), float(init.rho2[0])
+
+    def rhs(t, y):
+        e = EvolvedState(rho1=rho1, rho2=rho2, K1=y[0], K2=y[1],
+                         s1=y[2], s2=y[3])
+        p = evolved_to_primitive(m, e)
+        th = evaluate(m, rho1, rho2, p.s1, p.s2, p.w)
+        f = drag_and_heat(cl, p, th.theta1, th.theta2)
+        src1, src2 = entropy_sources(f, p, th.theta1, th.theta2)
+        return [float(f.f1) / rho1, float(f.f2) / rho2,
+                float(src1), float(src2)]
+
+    y0 = [float(init.K1[0]), float(init.K2[0]),
+          float(init.s1[0]), float(init.s2[0])]
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-10, atol=1e-12,
+                    **solver_options)
+    return evolved_to_primitive(m, EvolvedState(
+        rho1=rho1, rho2=rho2, K1=sol.y[0, -1], K2=sol.y[1, -1],
+        s1=sol.y[2, -1], s2=sol.y[3, -1]))
+
+
 class TestDragRelaxationODE:
-    def test_matches_ode_oracle(self):
-        # uniform fields: spatial terms vanish and the evolution reduces to
-        # an ODE in (K1, K2, s1, s2) driven by drag and heat exchange
+    def mild_drag_run(self):
+        """Numerical and oracle states of a uniform relaxation at t = 0.5."""
         m = make_model(a=0.15)
         cl = ClosureParams(k=2.0, kappa=0.8)
-        rho1, rho2 = 1.2, 0.8
         # fine grid only to shrink the CFL time step; fields stay uniform
         grid = Grid1D(0.0, 1.0, 64)
         init = evolved_from_primitive_profiles(
-            m, grid, rho1=rho1, rho2=rho2, u1=0.0, u2=0.6, s1=0.0, s2=0.1)
+            m, grid, rho1=1.2, rho2=0.8, u1=0.0, u2=0.6, s1=0.0, s2=0.1)
         cfg = SimulationConfig(grid=grid, model=m, closures=cl, t_end=0.5,
                                report_interval=0.5)
         out = integrate(cfg, init)
         _, cells, _ = out[-1]
-        p_num = evolved_to_primitive(m, cells)
+        return (evolved_to_primitive(m, cells),
+                uniform_ode_state(m, cl, init, 0.5))
 
-        def rhs(t, y):
-            e = EvolvedState(rho1=rho1, rho2=rho2, K1=y[0], K2=y[1],
-                             s1=y[2], s2=y[3])
-            p = evolved_to_primitive(m, e)
-            th = evaluate(m, rho1, rho2, p.s1, p.s2, p.w)
-            f = drag_and_heat(cl, p, th.theta1, th.theta2)
-            src1, src2 = entropy_sources(f, p, th.theta1, th.theta2)
-            return [float(f.f1) / rho1, float(f.f2) / rho2,
-                    float(src1), float(src2)]
-
-        y0 = [float(init.K1[0]), float(init.K2[0]),
-              float(init.s1[0]), float(init.s2[0])]
-        sol = solve_ivp(rhs, (0.0, 0.5), y0, rtol=1e-10, atol=1e-12)
-        e_ref = EvolvedState(rho1=rho1, rho2=rho2, K1=sol.y[0, -1],
-                             K2=sol.y[1, -1], s1=sol.y[2, -1],
-                             s2=sol.y[3, -1])
-        p_ref = evolved_to_primitive(m, e_ref)
+    def test_matches_ode_oracle(self):
+        p_num, p_ref = self.mild_drag_run()
         assert float(np.max(np.abs(p_num.w - p_ref.w))) < 1e-5
+
+    def test_drag_heating_matches_ode_oracle(self):
+        # the heating coefficients follow the stage values, so the entropies
+        # keep the second-order accuracy of the rest of the step
+        p_num, p_ref = self.mild_drag_run()
+        for name in ("s1", "s2"):
+            assert float(np.max(np.abs(getattr(p_num, name)
+                                       - getattr(p_ref, name)))) < 1e-6
 
     def test_w_decays_monotonically(self):
         m = make_model(a=0.1)
@@ -224,6 +244,96 @@ class TestDragRelaxationODE:
               for _, c, _ in out]
         assert all(b <= a_ + 1e-12 for a_, b in zip(ws, ws[1:]))
         assert ws[-1] < 0.2 * ws[0]
+
+
+class TestStiffDrag:
+    """The drag is integrated exactly in time: dt follows the CFL number at
+    any drag coefficient, without giving up the physics."""
+
+    def stiff_uniform(self):
+        m = make_model(a=0.15)
+        cl = ClosureParams(k=1000.0, kappa=0.8)
+        grid = Grid1D(0.0, 1.0, 64)
+        init = evolved_from_primitive_profiles(
+            m, grid, rho1=1.2, rho2=0.8, u1=0.0, u2=0.6, s1=0.0, s2=0.1)
+        return m, cl, grid, init
+
+    def test_stiff_relaxation_energy_entropy_and_oracle(self):
+        m, cl, grid, init = self.stiff_uniform()
+        cfg = SimulationConfig(grid=grid, model=m, closures=cl, t_end=0.5,
+                               report_interval=0.0)
+        out = integrate(cfg, init)
+        energy = np.array([r.energy for _, _, r in out])
+        assert np.max(np.abs(energy - energy[0])) <= 1e-3 * abs(energy[0])
+        ent = np.array([r.entropy for _, _, r in out])
+        assert np.min(np.diff(ent)) >= 0.0
+        p_num = evolved_to_primitive(m, out[-1][1])
+        p_ref = uniform_ode_state(m, cl, init, 0.5, method="Radau")
+        for name in ("s1", "s2"):
+            assert float(np.max(np.abs(getattr(p_num, name)
+                                       - getattr(p_ref, name)))) <= 1e-3
+
+    def test_stiff_relaxation_early_w_matches_oracle(self):
+        # by t = 0.5 w has relaxed to 0; at t = 0.01 it is still 9e-5
+        m, cl, grid, init = self.stiff_uniform()
+        cfg = SimulationConfig(grid=grid, model=m, closures=cl, t_end=0.01,
+                               report_interval=0.01)
+        p_num = evolved_to_primitive(m, integrate(cfg, init)[-1][1])
+        p_ref = uniform_ode_state(m, cl, init, 0.01, method="Radau")
+        assert float(np.max(np.abs(p_num.w - p_ref.w))) <= 1e-5
+
+    def test_step_count_independent_of_drag(self, monkeypatch):
+        # acceptance-11 geometry: the CFL number sets dt at k = 200 and 2000
+        m = SeparableAddedMass(SeparableAddedMassParams(gamma1=2.0,
+                                                        gamma2=2.0))
+        grid = Grid1D(0.0, 1.0, 128)
+        rho1 = lambda x: 1.0 + 0.02 * np.sin(2 * np.pi * x)
+        init = evolved_from_primitive_profiles(
+            m, grid, rho1=rho1, rho2=lambda x: np.sqrt(2.0 - rho1(x) ** 2),
+            u1=0.0, u2=0.0, s1=0.0, s2=0.0)
+        steps = []
+        counted = solver.step
+
+        def counting(*args, **kwargs):
+            steps[-1] += 1
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counting)
+        for k in (200.0, 2000.0):
+            steps.append(0)
+            cl = ClosureParams(k=k, kappa=5.0)
+            cfg = SimulationConfig(grid=grid, model=m, closures=cl,
+                                   t_end=0.6, report_interval=0.2)
+            out = integrate(cfg, init)
+        assert steps[0] == steps[1]
+        rels = [fick_residual(m, cl, evolved_to_primitive(m, c), grid.dx,
+                              theta0=1.0)[1] for _, c, _ in out[1:]]
+        assert rels[0] > rels[1] > rels[2]
+
+    def test_without_dissipation_is_heun(self):
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 32)
+        init = smooth_init(m, grid)
+        cfg = SimulationConfig(grid=grid, model=m, t_end=0.05,
+                               report_interval=0.0)
+        out = integrate(cfg, init)
+
+        def euler(cells, dt):
+            rhs = assemble_rhs(cfg, cells)
+            return {f: getattr(cells, f) + dt * getattr(rhs, "d_" + f)
+                    for f in FIELDS}
+
+        cells = init
+        for _, _, report in out[1:]:
+            end = EvolvedState(**euler(EvolvedState(
+                **euler(cells, report.dt)), report.dt))
+            cells = EvolvedState(**{f: 0.5 * (getattr(cells, f)
+                                              + getattr(end, f))
+                                    for f in FIELDS})
+        for f in FIELDS:
+            ref = getattr(cells, f)
+            assert np.max(np.abs(getattr(out[-1][1], f) - ref)) <= (
+                1e-13 * np.max(np.abs(ref)))
 
 
 class TestFailureModes:
