@@ -38,8 +38,8 @@ from .hyperbolicity import map_hyperbolic_region
 from .potential import AdmissibilityError, evaluate
 from .solver import StepError, evolved_from_primitive_profiles, integrate
 from .state import ConvergenceError, evolved_to_primitive
-from .verify import (balance_subidentities, fick_residual, gibbs_residual,
-                     random_trig_fields, single_fluid_reduction)
+from .verify import (fick_residual, gibbs_residual, random_trig_fields,
+                     single_fluid_reduction)
 
 _FMT = "%.17g"
 
@@ -158,15 +158,13 @@ def _run_verify_gibbs(cfg: ScenarioConfig, outdir: str,
         field = random_trig_fields(rng)
         point = (float(rng.uniform(t_lo, t_hi)),
                  float(rng.uniform(x_lo, x_hi)))
-        combos = []
-        for h in h_values:
-            g = gibbs_residual(model, closures, field, point, h)
-            ids = balance_subidentities(model, closures, field, point, h)
-            res_rows.append([float(i), point[0], point[1], h, g.E, g.M1,
-                             g.M2, g.B1, g.B2, g.S, g.combination,
-                             ids["a"], ids["b"], ids["c"], ids["d"],
-                             ids["e"], ids["f"]])
-            combos.append(abs(g.combination))
+        g = gibbs_residual(model, closures, field, point, h_values)
+        cols = [g.E, g.M1, g.M2, g.B1, g.B2, g.S, g.combination,
+                *g.subidentities.values()]
+        for j, h in enumerate(h_values):
+            res_rows.append([float(i), *point, h,
+                             *(float(c[j]) for c in cols)])
+        combos = np.abs(g.combination).tolist()
         ratios = [combos[j] / max(combos[j + 1], 1e-300)
                   for j in range(len(combos) - 1)]
         order = (math.log2(min(ratios)) if ratios else math.nan)

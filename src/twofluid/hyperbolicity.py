@@ -441,42 +441,20 @@ def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     return A
 
 
-def _min_eig_A(model, rho1, rho2, u1, u2, s1, s2):
-    A = symmetric_system_batch(model, rho1, rho2, u1, u2, s1, s2)
-    finite = np.all(np.isfinite(A), axis=(-2, -1))
-    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
-    return np.where(finite, eig[..., 0], np.nan)
+def _flat_states(*arrays):
+    """Broadcast the state arrays together; (shape, flat float arrays)."""
+    arrays = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in arrays])
+    return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """min-eig(A) per state in the frame :func:`wave_speeds_batch` certifies.
+def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """The certificate in the lab frame, retried in the zero-mixture-momentum
+    frame for the states that fail it there.
 
-    That is the lab frame, or the zero-mixture-momentum frame where A is not
-    positive definite in the lab frame; NaN where A is undefined (singular
-    L_rr).
+    Takes flat state arrays; returns (V, ok, margin, F_r, F_j, L_rj) as for
+    :func:`_certificate`, with V the velocity of the frame each state's
+    values come from (0 for the lab frame).
     """
-    eig = _min_eig_A(model, rho1, rho2, u1, u2, s1, s2)
-    retry = ~(eig > 0.0)
-    if np.any(retry):
-        V = (rho1 * u1 + rho2 * u2) / (rho1 + rho2)
-        eig = np.where(retry, _min_eig_A(model, rho1, rho2, u1 - V, u2 - V,
-                                         s1, s2), eig)
-    return eig
-
-
-def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """Characteristic speeds per state, batched; (speeds, ok_mask, margin).
-
-    ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
-    positive definite in the lab frame or, failing that, in the
-    zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
-    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
-    Speeds are sorted; they are NaN where the certificate fails.
-    """
-    arrays = np.broadcast_arrays(
-        *[np.asarray(a, dtype=float) for a in (rho1, rho2, u1, u2, s1, s2)])
-    shape = arrays[0].shape
-    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in arrays)
     V = np.zeros(rho1.size)
     ok, margin, Fr, Fj, Lrj = _certificate(model, rho1, rho2, u1, u2,
                                            s1, s2, V)
@@ -491,6 +469,38 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
         Lrj[retry] = Lrj_m
         for f, f_m in zip(Fr + Fj, Fr_m + Fj_m):
             f[retry] = f_m
+    return V, ok, margin, Fr, Fj, Lrj
+
+
+def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """min-eig(A) per state in the frame :func:`wave_speeds_batch` certifies.
+
+    That is the lab frame, or the zero-mixture-momentum frame where the
+    certificate fails in the lab frame; NaN where A is undefined (singular
+    L_rr).
+    """
+    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
+                                                       s1, s2)
+    V = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)[0]
+    A = symmetric_system_batch(model, rho1, rho2, u1 - V, u2 - V, s1, s2)
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
+    return np.where(finite, eig[..., 0], np.nan).reshape(shape)
+
+
+def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Characteristic speeds per state, batched; (speeds, ok_mask, margin).
+
+    ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
+    positive definite in the lab frame or, failing that, in the
+    zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
+    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
+    Speeds are sorted; they are NaN where the certificate fails.
+    """
+    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
+                                                       s1, s2)
+    V, ok, margin, Fr, Fj, Lrj = _certified_frame(model, rho1, rho2, u1, u2,
+                                                  s1, s2)
     (h11, h21, h22), (l11, l21, l22) = Fr, Fj
     with np.errstate(divide="ignore", invalid="ignore"):
         # G = F_j^-1 (lower triangular), C = L_rj + L_jr

@@ -9,10 +9,14 @@ equations that holds for ANY smooth fields, not only solutions.  It is
 therefore checked on manufactured space-time fields: all derivatives are
 replaced by central differences of step h, so the residual of the exact
 identity must vanish at O(h^2).  The identity decomposes into six simpler
-identities (a-f below), each checked individually.
+identities (a-f below), each checked individually.  One stencil serves both:
+the field is evaluated at the five nodes (t, x), (t +- h, x), (t, x +- h)
+for every step h at once, as arrays, in one thermodynamic and one closure
+call, and every derivative is a difference of rows of those arrays.
 
 Also here: conservation drift bookkeeping for solver trajectories, the
-diffusion-law (Fick) residual for drag-dominated isothermal states, and the
+diffusion-law (Fick) residual for drag-dominated near-isothermal states
+(balanced with the local temperatures), and the
 single-fluid reduction check (two identical phases with no velocity coupling
 against a plain one-component Euler reference).  The reference keeps its own
 Euler equations but shares the solver's ghost-cell extension, Rusanov
@@ -22,17 +26,16 @@ potential as a plain callable Omega(x) and the reference its gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .closures import ClosureParams, drag_and_heat
-from .potential import PotentialModel, evaluate
+from .potential import ArrayLike, PotentialModel, evaluate
 from .solver import (Grid1D, SimulationConfig, TimeStepReport, _extend,
                      _rusanov_div, _sample, evolved_from_primitive_profiles,
                      integrate)
-from .state import (PrimitiveState, dynamic_quantities, evolved_to_primitive,
-                    mixture_aggregates)
+from .state import PrimitiveState, evolved_to_primitive, mixture_aggregates
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -70,8 +73,11 @@ def random_trig_fields(rng: np.random.Generator,
         ph2 = float(rng.uniform(0.0, 2.0 * np.pi))
         c1 = float(rng.uniform(0.3, 1.0)) * scale
         c2 = float(rng.uniform(0.3, 1.0)) * scale
-        return lambda t, x: (base + c1 * np.sin(kx * x + ph)
-                             + c2 * np.cos(kt * t + kx * x + ph2))
+
+        def f(t, x):
+            return (base + c1 * np.sin(kx * x + ph)
+                    + c2 * np.cos(kt * t + kx * x + ph2))
+        return f
 
     return ManufacturedField(
         rho1=trig(rho_base, amp), rho2=trig(rho_base, amp),
@@ -82,119 +88,116 @@ def random_trig_fields(rng: np.random.Generator,
 
 @dataclass(frozen=True, eq=False)
 class GibbsResidual:
-    E: float
-    M1: float
-    M2: float
-    B1: float
-    B2: float
-    S: float
-    combination: float
+    """E, M_a, B_a, S, the identity combination and the six sub-identities.
 
-
-class _Stencil:
-    """Pointwise quantities on the 5-point central stencil around (t, x).
-
-    Any derived scalar is computed at each stencil node from the field
-    values there; time and space derivatives of composites are then the
-    usual second-order central differences.
+    Floats for one step h; arrays over h for a sequence of steps.
+    ``subidentities`` maps "a" to "f" as in :func:`balance_subidentities`.
     """
+    E: ArrayLike
+    M1: ArrayLike
+    M2: ArrayLike
+    B1: ArrayLike
+    B2: ArrayLike
+    S: ArrayLike
+    combination: ArrayLike
+    subidentities: Dict[str, ArrayLike]
 
-    def __init__(self, model: PotentialModel, closures: ClosureParams,
-                 field: ManufacturedField, t: float, x: float, h: float):
-        self.h = h
-        self.model = model
-        self.closures = closures
-        nodes = {"c": (t, x), "tp": (t + h, x), "tm": (t - h, x),
-                 "xp": (t, x + h), "xm": (t, x - h)}
-        self.vals: Dict[str, Dict[str, float]] = {
-            key: self._point(field, tt, xx) for key, (tt, xx) in nodes.items()}
 
-    def _point(self, field: ManufacturedField, t, x) -> Dict[str, float]:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        p = PrimitiveState(rho1=field.rho1(t, x), rho2=field.rho2(t, x),
-                           u1=field.u1(t, x), u2=field.u2(t, x),
-                           s1=field.s1(t, x), s2=field.s2(t, x))
-        om1 = field.omega1(t, x)
-        om2 = field.omega2(t, x)
-        th = evaluate(self.model, p.rho1, p.rho2, p.s1, p.s2, p.w)
-        forces = drag_and_heat(self.closures, p, th.theta1, th.theta2)
-        out = {
-            "rho1": p.rho1, "rho2": p.rho2, "u1": p.u1, "u2": p.u2,
-            "s1": p.s1, "s2": p.s2, "om1": om1, "om2": om2,
-            "W_rho1": th.W_rho1, "W_rho2": th.W_rho2,
-            "theta1": th.theta1, "theta2": th.theta2,
-            "U": th.U, "i_star": th.i_star, "w": p.w,
-            "f1": forces.f1, "f2": forces.f2,
-            "K1": p.u1 + th.W_w / p.rho1,
-            "K2": p.u2 - th.W_w / p.rho2,
-            "R1": 0.5 * p.u1 ** 2 - th.W_rho1 - om1,
-            "R2": 0.5 * p.u2 ** 2 - th.W_rho2 - om2,
-        }
-        return {k: float(v) for k, v in out.items()}
-
-    def at(self, expr: Callable[[Dict[str, float]], float],
-           node: str = "c") -> float:
-        return expr(self.vals[node])
-
-    def ddt(self, expr) -> float:
-        return (self.at(expr, "tp") - self.at(expr, "tm")) / (2.0 * self.h)
-
-    def ddx(self, expr) -> float:
-        return (self.at(expr, "xp") - self.at(expr, "xm")) / (2.0 * self.h)
-
-    def material(self, expr, u_name: str) -> float:
-        """d/dt following component u_name: time derivative plus advection."""
-        return self.ddt(expr) + self.at(lambda v: v[u_name]) * self.ddx(expr)
+#: Stencil nodes in units of h: centre, t + h, t - h, x + h, x - h.
+_T_NODES = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+_X_NODES = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
 
 
 def gibbs_residual(model: PotentialModel, closures: ClosureParams,
                    field: ManufacturedField, point: Tuple[float, float],
-                   h: float) -> GibbsResidual:
-    """Evaluate E, M_a, B_a, S and the identity combination at one point.
+                   h: float | Sequence[float]) -> GibbsResidual:
+    """Evaluate E, M_a, B_a, S, the combination and sub-identities at a point.
 
-    All derivatives are central differences of step h in both t and x; the
-    combination therefore measures only the finite-difference commutation
-    error and must shrink at O(h^2).
+    ``h`` is one step (the fields are then floats) or a sequence of steps
+    (arrays over h).  All derivatives are central differences of step h in
+    both t and x; the combination therefore measures only the
+    finite-difference commutation error and must shrink at O(h^2).
     """
-    t, x = point
-    st = _Stencil(model, closures, field, t, x, h)
-    c = st.vals["c"]
+    h = np.asarray(h, dtype=float)
+    nodes = (5,) + (1,) * h.ndim
+    t = point[0] + h * _T_NODES.reshape(nodes)
+    x = point[1] + h * _X_NODES.reshape(nodes)
+    rho1, rho2, u1, u2, s1, s2, om1, om2 = np.broadcast_arrays(
+        t, *(f(t, x) for f in (field.rho1, field.rho2, field.u1, field.u2,
+                               field.s1, field.s2, field.omega1,
+                               field.omega2)))[1:]
+    p = PrimitiveState(rho1=rho1, rho2=rho2, u1=u1, u2=u2, s1=s1, s2=s2)
+    th = evaluate(model, rho1, rho2, s1, s2, p.w)
+    forces = drag_and_heat(closures, p, th.theta1, th.theta2)
+    K1, K2 = u1 + th.W_w / rho1, u2 - th.W_w / rho2
+    R1 = 0.5 * u1 ** 2 - th.W_rho1 - om1
+    R2 = 0.5 * u2 ** 2 - th.W_rho2 - om2
+    i_star = th.i_star
+    two_h = 2.0 * h
 
-    B = {}
-    M = {}
-    for a in ("1", "2"):
-        u = f"u{a}"
-        B[a] = (st.ddt(lambda v: v[f"rho{a}"])
-                + st.ddx(lambda v: v[f"rho{a}"] * v[u]))
-        M[a] = (c[f"rho{a}"] * st.material(lambda v: v[f"K{a}"], u)
-                + c[f"rho{a}"] * c[f"K{a}"] * st.ddx(lambda v: v[u])
-                - c[f"rho{a}"] * st.ddx(lambda v: v[f"R{a}"])
-                - c[f"rho{a}"] * c[f"theta{a}"] * st.ddx(lambda v: v[f"s{a}"])
-                - c[f"f{a}"])
+    def ddt(q):
+        return (q[1] - q[2]) / two_h
 
-    S = sum(c[f"rho{a}"] * c[f"theta{a}"]
-            * st.material(lambda v, a=a: v[f"s{a}"], f"u{a}")
-            + c[f"f{a}"] * c[f"u{a}"] for a in ("1", "2"))
+    def ddx(q):
+        return (q[3] - q[4]) / two_h
 
-    E = (st.ddt(lambda v: v["rho1"] * (0.5 * v["u1"] ** 2 + v["om1"])
-                + v["rho2"] * (0.5 * v["u2"] ** 2 + v["om2"]) + v["U"])
-         + st.ddx(lambda v: v["rho1"] * v["u1"] * (v["K1"] * v["u1"] - v["R1"])
-                  + v["rho2"] * v["u2"] * (v["K2"] * v["u2"] - v["R2"]))
-         - c["rho1"] * st.ddt(lambda v: v["om1"])
-         - c["rho2"] * st.ddt(lambda v: v["om2"]))
+    def material(q, u):
+        """d/dt following velocity u: time derivative plus advection."""
+        return ddt(q) + u[0] * ddx(q)
 
-    combination = (E
-                   - (M["1"] * c["u1"] + (c["K1"] * c["u1"] - c["R1"]) * B["1"])
-                   - (M["2"] * c["u2"] + (c["K2"] * c["u2"] - c["R2"]) * B["2"])
-                   - S)
-    return GibbsResidual(E=E, M1=M["1"], M2=M["2"], B1=B["1"], B2=B["2"],
-                         S=S, combination=combination)
+    B, M, S, parts = [], [], [], {key: [] for key in "bcdef"}
+    for rho, u, s, om, K, R, theta, W_rho, f, sign in (
+            (rho1, u1, s1, om1, K1, R1, th.theta1, th.W_rho1, forces.f1, -1.0),
+            (rho2, u2, s2, om2, K2, R2, th.theta2, th.W_rho2, forces.f2, 1.0)):
+        rc, uc, i_rc = rho[0], u[0], i_star[0] / rho[0]
+        Ba = ddt(rho) + ddx(rho * u)
+        B.append(Ba)
+        M.append(rc * material(K, u) + rc * K[0] * ddx(u) - rc * ddx(R)
+                 - rc * theta[0] * ddx(s) - f[0])
+        S.append(rc * theta[0] * material(s, u) + f[0] * uc)
+        parts["b"].append(ddt(rho * om) + ddx(rho * om * u)
+                          - rc * ddx(om) * uc - Ba * om[0] - rc * ddt(om))
+        parts["c"].append(
+            ddt(0.5 * rho * u ** 2) + ddx(rho * u * 0.5 * u ** 2)
+            - Ba * 0.5 * uc ** 2
+            - (rc * material(u, u) + rc * uc * ddx(u)
+               - rc * ddx(0.5 * u ** 2)) * uc)
+        parts["d"].append(W_rho[0] * ddt(rho) + ddx(W_rho * rho * u)
+                          - rc * ddx(W_rho) * uc - W_rho[0] * Ba)
+        parts["e"].append(rc * theta[0] * ddt(s)
+                          + rc * theta[0] * ddx(s) * uc
+                          - rc * theta[0] * material(s, u))
+        parts["f"].append(
+            ddx(sign * (i_star / rho) * u * rho * u)
+            - (rc * material(sign * i_star / rho, u)
+               + rc * sign * i_rc * ddx(u)) * uc
+            - sign * i_rc * uc * Ba)
+
+    S = sum(S)
+    E = (ddt(rho1 * (0.5 * u1 ** 2 + om1) + rho2 * (0.5 * u2 ** 2 + om2)
+             + th.U)
+         + ddx(rho1 * u1 * (K1 * u1 - R1) + rho2 * u2 * (K2 * u2 - R2))
+         - rho1[0] * ddt(om1) - rho2[0] * ddt(om2))
+    combination = (E - (M[0] * u1[0] + (K1[0] * u1[0] - R1[0]) * B[0])
+                   - (M[1] * u2[0] + (K2[0] * u2[0] - R2[0]) * B[1]) - S)
+    work = forces.f1[0] * u1[0] + forces.f2[0] * u2[0]
+    sub = {"a": work - (forces.f1[0] * u1[0] + forces.f2[0] * u2[0])}
+    sub.update((key, sum(terms)) for key, terms in parts.items())
+    sub["f"] = ddt(i_star) * p.w[0] + sub["f"]
+
+    def out(q):
+        return float(q) if h.ndim == 0 else q
+
+    return GibbsResidual(
+        E=out(E), M1=out(M[0]), M2=out(M[1]), B1=out(B[0]), B2=out(B[1]),
+        S=out(S), combination=out(combination),
+        subidentities={key: out(v) for key, v in sub.items()})
 
 
 def balance_subidentities(model: PotentialModel, closures: ClosureParams,
-                        field: ManufacturedField, point: Tuple[float, float],
-                        h: float) -> Dict[str, float]:
+                          field: ManufacturedField,
+                          point: Tuple[float, float],
+                          h: float | Sequence[float]) -> Dict[str, ArrayLike]:
     """The six algebraic identities whose sum is the Gibbs identity.
 
     a: drag-work cancellation (no derivatives; exact to round-off);
@@ -205,64 +208,7 @@ def balance_subidentities(model: PotentialModel, closures: ClosureParams,
     f: relative-velocity coupling terms (i* = -dW/dw).
     Each residual vanishes at O(h^2) for smooth fields.
     """
-    t, x = point
-    st = _Stencil(model, closures, field, t, x, h)
-    c = st.vals["c"]
-    out: Dict[str, float] = {}
-
-    work = c["f1"] * c["u1"] + c["f2"] * c["u2"]
-    out["a"] = work - (c["f1"] * c["u1"] + c["f2"] * c["u2"])
-
-    B = {a: st.ddt(lambda v, a=a: v[f"rho{a}"])
-         + st.ddx(lambda v, a=a: v[f"rho{a}"] * v[f"u{a}"])
-         for a in ("1", "2")}
-
-    out["b"] = sum(
-        st.ddt(lambda v, a=a: v[f"rho{a}"] * v[f"om{a}"])
-        + st.ddx(lambda v, a=a: v[f"rho{a}"] * v[f"om{a}"] * v[f"u{a}"])
-        - c[f"rho{a}"] * st.ddx(lambda v, a=a: v[f"om{a}"]) * c[f"u{a}"]
-        - B[a] * c[f"om{a}"]
-        - c[f"rho{a}"] * st.ddt(lambda v, a=a: v[f"om{a}"])
-        for a in ("1", "2"))
-
-    out["c"] = sum(
-        st.ddt(lambda v, a=a: 0.5 * v[f"rho{a}"] * v[f"u{a}"] ** 2)
-        + st.ddx(lambda v, a=a:
-                 v[f"rho{a}"] * v[f"u{a}"] * 0.5 * v[f"u{a}"] ** 2)
-        - B[a] * 0.5 * c[f"u{a}"] ** 2
-        - (c[f"rho{a}"] * st.material(lambda v, a=a: v[f"u{a}"], f"u{a}")
-           + c[f"rho{a}"] * c[f"u{a}"] * st.ddx(lambda v, a=a: v[f"u{a}"])
-           - c[f"rho{a}"] * st.ddx(lambda v, a=a: 0.5 * v[f"u{a}"] ** 2)
-           ) * c[f"u{a}"]
-        for a in ("1", "2"))
-
-    out["d"] = sum(
-        c[f"W_rho{a}"] * st.ddt(lambda v, a=a: v[f"rho{a}"])
-        + st.ddx(lambda v, a=a:
-                 v[f"W_rho{a}"] * v[f"rho{a}"] * v[f"u{a}"])
-        - c[f"rho{a}"] * st.ddx(lambda v, a=a: v[f"W_rho{a}"]) * c[f"u{a}"]
-        - c[f"W_rho{a}"] * B[a]
-        for a in ("1", "2"))
-
-    out["e"] = sum(
-        c[f"rho{a}"] * c[f"theta{a}"] * st.ddt(lambda v, a=a: v[f"s{a}"])
-        + c[f"rho{a}"] * c[f"theta{a}"]
-        * st.ddx(lambda v, a=a: v[f"s{a}"]) * c[f"u{a}"]
-        - c[f"rho{a}"] * c[f"theta{a}"]
-        * st.material(lambda v, a=a: v[f"s{a}"], f"u{a}")
-        for a in ("1", "2"))
-
-    sign = {"1": -1.0, "2": 1.0}
-    out["f"] = st.ddt(lambda v: v["i_star"]) * c["w"] + sum(
-        st.ddx(lambda v, a=a: sign[a] * (v["i_star"] / v[f"rho{a}"])
-               * v[f"u{a}"] * v[f"rho{a}"] * v[f"u{a}"])
-        - (c[f"rho{a}"] * st.material(
-            lambda v, a=a: sign[a] * v["i_star"] / v[f"rho{a}"], f"u{a}")
-           + c[f"rho{a}"] * sign[a] * (c["i_star"] / c[f"rho{a}"])
-           * st.ddx(lambda v, a=a: v[f"u{a}"])) * c[f"u{a}"]
-        - sign[a] * (c["i_star"] / c[f"rho{a}"]) * c[f"u{a}"] * B[a]
-        for a in ("1", "2"))
-    return out
+    return gibbs_residual(model, closures, field, point, h).subidentities
 
 
 def conservation_drift(trajectory: List[Tuple[float, object, TimeStepReport]]
@@ -289,10 +235,11 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
     """Residual of the diffusion law grad(mu) = rho f / (rho1 rho2).
 
     Valid for drag-dominated near-isothermal states; raises if any
-    temperature strays from theta0 by more than theta_bound relative.
-    Returns (residual field, residual norm relative to |grad mu|), with the
-    gradient taken by central differences of spacing dx over the solver's
-    ghost cells for the boundary mode ``bc``.
+    temperature strays from theta0 by more than theta_bound relative.  The
+    balance uses the local temperatures, grad(mu) = d(W_rho2 - W_rho1)
+    - (theta2 ds2 - theta1 ds1), with every difference central of spacing dx
+    over the solver's ghost cells for the boundary mode ``bc``.  Returns
+    (residual field, residual norm relative to |grad mu|).
     """
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     dev = max(float(np.max(np.abs(th.theta1 - theta0))),
@@ -301,10 +248,9 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
         raise ValueError(
             f"state is not near-isothermal: max relative temperature "
             f"deviation {dev:g} exceeds {theta_bound:g}")
-    dyn = dynamic_quantities(model, p, theta0=theta0)
-    mu = np.asarray(dyn.mu, dtype=float)
-    mue = _extend(mu, bc)
-    grad_mu = (mue[2:] - mue[:-2]) / (2.0 * dx)
+    d_W, d_s1, d_s2 = ((e[2:] - e[:-2]) / (2.0 * dx) for e in (
+        _extend(q, bc) for q in (th.W_rho2 - th.W_rho1, p.s1, p.s2)))
+    grad_mu = d_W - (th.theta2 * d_s2 - th.theta1 * d_s1)
     forces = drag_and_heat(closures, p, th.theta1, th.theta2)
     f = -np.asarray(forces.f1, dtype=float)
     agg = mixture_aggregates(p)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from twofluid import cli
+from twofluid import cli, verify
 from twofluid.cli import main
 from twofluid.solver import StepError, integrate
 
@@ -93,6 +93,26 @@ class TestVerifyGibbs:
                 == (out2 / "residuals.csv").read_bytes())
         assert ((out1 / "convergence.csv").read_bytes()
                 == (out2 / "convergence.csv").read_bytes())
+
+    def test_one_evaluation_per_field(self, tmp_path, monkeypatch):
+        # all stencil nodes at every h come from one call of each
+        calls = {"evaluate": 0, "drag_and_heat": 0}
+
+        def counting(name):
+            original = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counting(name))
+        cfgp = write_config(tmp_path, BASE + "\n[gibbs]\nn_fields = 1\n")
+        out = tmp_path / "out"
+        assert main(["verify-gibbs", "--config", cfgp, "--out", str(out)]) == 0
+        assert calls == {"evaluate": 1, "drag_and_heat": 1}
+        assert len((out / "residuals.csv").read_text().splitlines()) == 4
 
     def test_seed_changes_output(self, tmp_path):
         cfgp = write_config(tmp_path, BASE)

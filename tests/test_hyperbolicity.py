@@ -10,8 +10,8 @@ from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX,
                                     check_stability_inequalities,
                                     critical_relative_velocity,
                                     legendre_transform, map_hyperbolic_region,
-                                    mixture_rest_state, symmetric_system_batch,
-                                    wave_speeds_batch)
+                                    min_eig_A_batch, mixture_rest_state,
+                                    symmetric_system_batch, wave_speeds_batch)
 from twofluid.potential import (PotentialModel, SeparableAddedMass,
                                 SeparableAddedMassParams, evaluate)
 from twofluid.state import PrimitiveState
@@ -200,6 +200,27 @@ class TestCertificate:
         assert np.array_equal(margin > 0.0, ok)
         assert np.all(np.isfinite(speeds[ok]))
         assert np.all(np.isnan(speeds[~ok]))
+
+
+    def test_min_eig_A_in_the_frame_that_certifies(self):
+        # a lab-certified state, one certified only at zero mixture momentum
+        # (boosted by 1.7) and one past w* certified in neither
+        m = make_model(a=0.3)
+        rho1, rho2, s1, s2 = 1.1, 0.9, 0.05, -0.05
+        w_star = critical_relative_velocity(m, rho1, rho2, s1, s2)
+        rest = mixture_rest_state(rho1, rho2,
+                                  np.array([0.2, 0.2, 1.5 * w_star]), s1, s2)
+        boost = np.array([0.0, 1.7, 0.5])
+        u1, u2 = rest.u1 + boost, rest.u2 + boost
+        _, ok, _ = wave_speeds_batch(m, rho1, rho2, u1, u2, s1, s2)
+        min_eig = min_eig_A_batch(m, rho1, rho2, u1, u2, s1, s2)
+        V = np.array([0.0, 1.7, 0.5])
+        A = symmetric_system_batch(m, rho1, rho2, u1 - V, u2 - V, s1, s2)
+        assert ok.tolist() == [True, True, False]
+        assert np.allclose(min_eig, np.linalg.eigvalsh(A)[:, 0], rtol=1e-12)
+        assert np.array_equal(min_eig > 0.0, ok)
+        lab = symmetric_system_batch(m, rho1, rho2, u1[1], u2[1], s1, s2)
+        assert np.linalg.eigvalsh(lab)[0] < 0.0
 
 
 class TestCharacteristicSpeeds:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twofluid.closures import ClosureParams
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
@@ -66,6 +68,46 @@ class TestGibbsResidual:
         r1 = abs(gibbs_residual(m, cl, field, (0.2, 0.7), 1e-2).combination)
         r2 = abs(gibbs_residual(m, cl, field, (0.2, 0.7), 5e-3).combination)
         assert r1 / r2 == pytest.approx(4.0, rel=0.1)
+
+
+def callable_a(rho1, rho2):
+    return 0.2 + 0.1 * rho1 * rho2 / (rho1 + rho2)
+
+
+class TestBatchedSteps:
+    @pytest.mark.parametrize("a", [0.3, callable_a],
+                             ids=["constant_a", "callable_a"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           t=st.floats(0.0, 1.0), x=st.floats(0.0, 1.0),
+           hs=st.lists(st.floats(1e-3, 2e-2), min_size=3, max_size=3))
+    def test_batched_h_matches_single_h(self, a, seed, t, x, hs):
+        m = make_model(a=a)
+        cl = ClosureParams(k=0.7, kappa=0.4)
+        field = random_trig_fields(np.random.default_rng(seed))
+        batch = gibbs_residual(m, cl, field, (t, x), hs)
+        for j, h in enumerate(hs):
+            one = gibbs_residual(m, cl, field, (t, x), h)
+            scale = max(abs(v) for v in (one.E, one.M1, one.M2, one.B1,
+                                         one.B2, one.S))
+            for name in ("E", "M1", "M2", "B1", "B2", "S", "combination"):
+                assert (abs(getattr(batch, name)[j] - getattr(one, name))
+                        <= 1e-12 * scale)
+            for key, value in one.subidentities.items():
+                assert abs(batch.subidentities[key][j] - value) <= 1e-12 * scale
+            assert one.subidentities["a"] == 0.0
+            assert batch.subidentities["a"][j] == 0.0
+            assert abs(one.subidentities["e"]) <= 1e-13 * scale
+
+    def test_sequence_gives_arrays_scalar_gives_floats(self):
+        field = random_trig_fields(np.random.default_rng(3))
+        args = (make_model(), ClosureParams(k=0.7, kappa=0.4), field,
+                (0.2, 0.6))
+        one = gibbs_residual(*args, 1e-2)
+        many = gibbs_residual(*args, [1e-2, 5e-3])
+        assert type(one.combination) is float
+        assert all(type(v) is float for v in one.subidentities.values())
+        assert many.combination.shape == (2,)
+        assert balance_subidentities(*args, 1e-2) == one.subidentities
 
 
 class TestBalanceSubidentities:
@@ -155,27 +197,39 @@ class TestFickResidual:
         with pytest.raises(ValueError, match="isothermal"):
             fick_residual(m, ClosureParams(k=10.0), p, 1.0 / n, theta0=1.0)
 
-    def test_stronger_drag_smaller_residual(self):
+    @staticmethod
+    def relaxation_residuals(k, n, t_end, report_interval):
+        """Fick residuals at the reports of a drag relaxation from a
+        near-isothermal density wave (the acceptance-11 geometry)."""
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=2.0, gamma2=2.0))
-        grid = Grid1D(0.0, 1.0, 64)
+        cl = ClosureParams(k=k, kappa=5.0)
+        grid = Grid1D(0.0, 1.0, n)
         delta = 0.02
-        rels = []
-        for k in (50.0, 200.0):
-            cl = ClosureParams(k=k, kappa=5.0)
-            cfg = SimulationConfig(grid=grid, model=m, closures=cl,
-                                   t_end=0.3, report_interval=0.3)
-            init = evolved_from_primitive_profiles(
-                m, grid,
-                rho1=lambda x: 1.0 + delta * np.sin(2 * np.pi * x),
-                rho2=lambda x: np.sqrt(
-                    2.0 - (1.0 + delta * np.sin(2 * np.pi * x)) ** 2),
-                u1=0.0, u2=0.0, s1=0.0, s2=0.0)
-            _, cells, _ = integrate(cfg, init)[-1]
-            p = evolved_to_primitive(m, cells)
-            _, rel = fick_residual(m, cl, p, grid.dx, theta0=1.0)
-            rels.append(rel)
+        cfg = SimulationConfig(grid=grid, model=m, closures=cl,
+                               t_end=t_end, report_interval=report_interval)
+        init = evolved_from_primitive_profiles(
+            m, grid,
+            rho1=lambda x: 1.0 + delta * np.sin(2 * np.pi * x),
+            rho2=lambda x: np.sqrt(
+                2.0 - (1.0 + delta * np.sin(2 * np.pi * x)) ** 2),
+            u1=0.0, u2=0.0, s1=0.0, s2=0.0)
+        return [fick_residual(m, cl, evolved_to_primitive(m, cells),
+                              grid.dx, theta0=1.0)[1]
+                for _, cells, _ in integrate(cfg, init)[1:]]
+
+    def test_stronger_drag_smaller_residual(self):
+        rels = [self.relaxation_residuals(k, 64, 0.3, 0.3)[-1]
+                for k in (50.0, 200.0)]
         assert rels[1] < rels[0]
+
+    def test_very_stiff_drag_residual_decreases(self):
+        # at k = 20000 a residual built with the fixed theta0 instead of the
+        # local temperatures rose in time here
+        rels = self.relaxation_residuals(20000.0, 128, 0.6, 0.2)
+        assert len(rels) == 3
+        assert rels[0] > rels[1] > rels[2]
+        assert max(rels) <= 0.05
 
 
 class TestSingleFluidReduction:
