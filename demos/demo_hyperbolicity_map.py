@@ -7,7 +7,8 @@ rest (w = 0) the classical stability inequalities on W guarantee this; as
 |w| grows, -L_rhorho turns singular at a critical w*, where an eigenvalue of
 A = [[-L_rhorho^-1, ...], ...] passes through infinity and changes sign.
 This script scans a density box, prints the hyperbolic fraction per w slice,
-and bisects w* at a reference density pair.
+and locates w* at a reference density pair by repeated batched scans of the
+certificate.
 """
 import numpy as np
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
@@ -31,6 +32,13 @@ from .solver import Grid1D, SimulationConfig
 
 class ConfigError(ValueError):
     """Configuration rejected (syntax, unknown key, or range violation)."""
+
+
+def _finite_float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
 
 
 _EXPR_NAMES = {
@@ -101,15 +109,15 @@ class ScenarioConfig:
                 f"[{section}] {key} = {val!r} is not {what}") from exc
 
     def getfloat(self, section: str, key: str) -> float:
-        return self._convert(section, key, float, "a number")
+        return self._convert(section, key, _finite_float, "a number")
 
     def getint(self, section: str, key: str) -> int:
         return self._convert(section, key, int, "an integer")
 
     def getfloats(self, section: str, key: str):
-        return self._convert(section, key,
-                             lambda v: [float(x) for x in v.split(",")],
-                             "a comma-separated list of numbers")
+        return self._convert(
+            section, key, lambda v: [_finite_float(x) for x in v.split(",")],
+            "a comma-separated list of numbers")
 
     def getints(self, section: str, key: str):
         return self._convert(section, key,
@@ -140,38 +148,19 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig) -> None:
+    """Config-only checks here; the range checks of the parameters are the
+    constructors' own, run by building the simulation once."""
     if cfg.get("potential", "law") != "separable_added_mass":
         raise ConfigError(
             f"unknown constitutive law {cfg.get('potential', 'law')!r}")
-    for g in ("gamma1", "gamma2"):
-        if cfg.getfloat("potential", g) <= 1.0:
-            raise ConfigError(f"{g} must exceed 1")
-    for key in ("cv1", "cv2", "k1", "k2"):
-        if cfg.getfloat("potential", key) <= 0.0:
-            raise ConfigError(f"{key} must be positive")
-    if cfg.getfloat("potential", "a") < 0.0:
-        raise ConfigError("a must be nonnegative")
-    for key in ("k", "kappa"):
-        if cfg.getfloat("closures", key) < 0.0:
-            raise ConfigError(f"{key} must be nonnegative")
-    if cfg.getint("grid", "n") < 4:
-        raise ConfigError("n must be at least 4")
-    if cfg.getfloat("grid", "x_hi") <= cfg.getfloat("grid", "x_lo"):
-        raise ConfigError("x_hi must exceed x_lo")
-    if cfg.get("grid", "bc") not in ("periodic", "transmissive"):
-        raise ConfigError("bc must be periodic or transmissive")
-    cflv = cfg.getfloat("run", "cfl")
-    if not (0.0 < cflv <= 0.9):
-        raise ConfigError("cfl must lie in (0, 0.9]")
-    if cfg.getfloat("run", "t_end") < 0.0:
-        raise ConfigError("t_end must be nonnegative")
+    try:
+        build_simulation(cfg)
+        initial_profiles(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if (cfg.get("run", "report_interval")
             and cfg.getfloat("run", "report_interval") < 0.0):
         raise ConfigError("report_interval must be nonnegative")
-    for key in ("rho1", "rho2", "u1", "u2", "s1", "s2"):
-        profile_expression(cfg.get("initial", key))
-    for key in ("omega1", "omega2"):
-        profile_expression(cfg.get("run", key))
     if min(cfg.getfloats("gibbs", "h_values")) <= 0.0:
         raise ConfigError("h_values must be positive")
     times = cfg.getfloats("fick", "sample_times")
@@ -183,12 +172,11 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 
 def build_model(cfg: ScenarioConfig) -> SeparableAddedMass:
-    p = cfg.raw["potential"]
+    num = lambda key: cfg.getfloat("potential", key)
     return SeparableAddedMass(SeparableAddedMassParams(
-        gamma1=float(p["gamma1"]), gamma2=float(p["gamma2"]),
-        cv1=float(p["cv1"]), cv2=float(p["cv2"]),
-        K1=float(p["k1"]), K2=float(p["k2"]),
-        s01=float(p["s01"]), s02=float(p["s02"]), a=float(p["a"])))
+        gamma1=num("gamma1"), gamma2=num("gamma2"), cv1=num("cv1"),
+        cv2=num("cv2"), K1=num("k1"), K2=num("k2"), s01=num("s01"),
+        s02=num("s02"), a=num("a")))
 
 
 def build_closures(cfg: ScenarioConfig) -> ClosureParams:

@@ -322,31 +322,28 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
                                s1: float = 0.0, s2: float = 0.0,
                                w_max: float = 20.0, n_scan: int = 64,
                                rel_tol: float = 1e-6):
-    """Bisect the w* where the hyperbolicity certificate fails at fixed densities.
+    """The w* where the hyperbolicity certificate fails at fixed densities.
 
-    Scans w upward from 0 in the zero-mixture-momentum frame (one batched
-    call over the scan points), then bisects on the certificate; returns
-    None if it holds up to ``w_max``.
+    States are taken in the zero-mixture-momentum frame.  Each pass
+    evaluates the certificate at ``n_scan + 1`` evenly spaced w in [lo, hi]
+    in one batched call and keeps the first sub-interval on which it fails,
+    starting from [0, ``w_max``], until that interval is narrower than
+    ``rel_tol`` times its upper end; returns its midpoint, 0.0 if the
+    certificate already fails at w = 0, and None if it holds up to
+    ``w_max``.
     """
-    def certified(w):
-        p = mixture_rest_state(rho1, rho2, w, s1, s2)
-        return _certificate(model, p.rho1, p.rho2, p.u1, p.u2,
-                            p.s1, p.s2, 0.0)[0]
-
-    ws = np.linspace(0.0, w_max, n_scan + 1)
-    failed = np.flatnonzero(~certified(ws))
-    if failed.size == 0:
-        return None
-    i = int(failed[0])
-    if i == 0:
-        return 0.0
-    lo, hi = float(ws[i - 1]), float(ws[i])
+    lo, hi = 0.0, float(w_max)
     while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
+        ws = np.linspace(lo, hi, n_scan + 1)
+        p = mixture_rest_state(rho1, rho2, ws, s1, s2)
+        failed = np.flatnonzero(~_certificate(model, p.rho1, p.rho2, p.u1,
+                                              p.u2, p.s1, p.s2, 0.0)[0])
+        # after the first pass ws[0] = lo is certified and ws[-1] = hi fails
+        if failed.size == 0:
+            return None
+        if failed[0] == 0:
+            return 0.0
+        lo, hi = float(ws[failed[0] - 1]), float(ws[failed[0]])
     return 0.5 * (lo + hi)
 
 

@@ -65,11 +65,11 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("grid needs at least 4 cells")
+            raise ValueError("n must be at least 4")
         if self.x_hi <= self.x_lo:
             raise ValueError("x_hi must exceed x_lo")
         if self.bc not in ("periodic", "transmissive"):
-            raise ValueError(f"unknown boundary mode {self.bc!r}")
+            raise ValueError("bc must be periodic or transmissive")
 
     @property
     def dx(self) -> float:
@@ -168,6 +168,11 @@ def _rusanov_div(f: np.ndarray, q: np.ndarray, lam: np.ndarray,
     return (flux[1:] - flux[:-1]) / dx
 
 
+def _central_diff(e: np.ndarray, dx: float) -> np.ndarray:
+    """Central difference of cell values with one ghost on each side."""
+    return (e[2:] - e[:-2]) / (2.0 * dx)
+
+
 def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
                  t: float | None = None) -> RHSResult:
     model = config.model
@@ -206,8 +211,8 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     d_rho1 = -_rusanov_div(rho1e * u1e, rho1e, lam, dx)
     d_rho2 = -_rusanov_div(rho2e * u2e, rho2e, lam, dx)
 
-    ds1_dx = (s1e[2:] - s1e[:-2]) / (2.0 * dx)
-    ds2_dx = (s2e[2:] - s2e[:-2]) / (2.0 * dx)
+    ds1_dx = _central_diff(s1e, dx)
+    ds2_dx = _central_diff(s2e, dx)
 
     d_K1 = -_rusanov_div(K1e * u1e - R1e, K1e, lam, dx) + th.theta1 * ds1_dx
     d_K2 = -_rusanov_div(K2e * u2e - R2e, K2e, lam, dx) + th.theta2 * ds2_dx

@@ -32,9 +32,9 @@ import numpy as np
 
 from .closures import ClosureParams, drag_and_heat
 from .potential import ArrayLike, PotentialModel, evaluate
-from .solver import (Grid1D, SimulationConfig, TimeStepReport, _extend,
-                     _rusanov_div, _sample, evolved_from_primitive_profiles,
-                     integrate)
+from .solver import (Grid1D, SimulationConfig, TimeStepReport,
+                     _central_diff, _extend, _rusanov_div, _sample,
+                     evolved_from_primitive_profiles, integrate)
 from .state import PrimitiveState, evolved_to_primitive, mixture_aggregates
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -248,8 +248,8 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
         raise ValueError(
             f"state is not near-isothermal: max relative temperature "
             f"deviation {dev:g} exceeds {theta_bound:g}")
-    d_W, d_s1, d_s2 = ((e[2:] - e[:-2]) / (2.0 * dx) for e in (
-        _extend(q, bc) for q in (th.W_rho2 - th.W_rho1, p.s1, p.s2)))
+    d_W, d_s1, d_s2 = (_central_diff(_extend(q, bc), dx)
+                       for q in (th.W_rho2 - th.W_rho1, p.s1, p.s2))
     grad_mu = d_W - (th.theta2 * d_s2 - th.theta1 * d_s1)
     forces = drag_and_heat(closures, p, th.theta1, th.theta2)
     f = -np.asarray(forces.f1, dtype=float)
@@ -280,7 +280,7 @@ def _single_fluid_rhs(model, grid: Grid1D, rho, u, s, omega_grad):
     lam = np.maximum(smaxe[:-1], smaxe[1:])
 
     d_rho = -_rusanov_div(rhoe * ue, rhoe, lam, dx)
-    ds_dx = (se[2:] - se[:-2]) / (2.0 * dx)
+    ds_dx = _central_diff(se, dx)
     d_u = (-_rusanov_div(0.5 * ue ** 2 + he, ue, lam, dx) - omega_grad
            + theta * ds_dx)
     d_s = -u * ds_dx

@@ -1,4 +1,6 @@
 """Tests for config parsing and validation."""
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ class TestValidation:
     def test_bad_list_or_interval_rejected(self, section, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(MINIMAL + f"\n[{section}]\n{line}\n")
+
+    @pytest.mark.parametrize("section, line", [
+        ("run", "t_end = inf"),
+        ("run", "t_end = nan"),
+        ("closures", "k = nan"),
+        ("potential", "a = inf"),
+        ("gibbs", "h_values = 1e-2,inf"),
+    ])
+    def test_non_finite_number_rejected(self, section, line):
+        key, val = line.split(" = ")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"[{section}] {key} = '{val}'")):
+            parse_config(f"[{section}]\n{line}\n")
 
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX,
+from twofluid import hyperbolicity
+from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
                                     _forward_maps, _lagrangian_hessian,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
@@ -28,6 +29,13 @@ class ValueOnly(PotentialModel):
     def value(self, rho1, rho2, s1, s2, w):
         return (rho1 ** 2 * np.exp(s1) + 0.7 * rho2 ** 1.4 * np.exp(s2)
                 + 0.3 * rho1 * rho2 - 0.2 * (1.0 + 0.1 * rho1) * w ** 2)
+
+
+class ConcaveInRho1(PotentialModel):
+    """A law violating the stability inequalities at rest (W_rho1rho1 < 0)."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return -rho1 ** 2 + rho2 ** 2 - 0.1 * w ** 2
 
 
 def subsonic_states(rng, model, n):
@@ -363,6 +371,69 @@ class TestRegionMapping:
                 gamma1=2.0, gamma2=1.4, a=a))
             stars.append(critical_relative_velocity(m, 1.0, 1.0, w_max=20.0))
         assert stars[0] > stars[1] > stars[2]
+
+
+class TestCriticalW:
+    @staticmethod
+    def _bisection_oracle(model, rho1, rho2, s1, s2, w_max=20.0, n_scan=64,
+                          rel_tol=1e-6):
+        """w* by one batched scan, then scalar bisection on the certificate."""
+        def certified(w):
+            p = mixture_rest_state(rho1, rho2, w, s1, s2)
+            return _certificate(model, p.rho1, p.rho2, p.u1, p.u2,
+                                p.s1, p.s2, 0.0)[0]
+
+        ws = np.linspace(0.0, w_max, n_scan + 1)
+        failed = np.flatnonzero(~certified(ws))
+        if failed.size == 0:
+            return None
+        i = int(failed[0])
+        if i == 0:
+            return 0.0
+        lo, hi = float(ws[i - 1]), float(ws[i])
+        while hi - lo > rel_tol * hi:
+            mid = 0.5 * (lo + hi)
+            if certified(mid):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("a", [0.2, 1.0,
+                                   lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
+                             ids=["a_0.2", "a_1.0", "callable_a"])
+    def test_matches_bisection_oracle(self, a):
+        m = make_model(a=a)
+        for rho1 in np.linspace(0.5, 1.5, 8):
+            for rho2 in np.linspace(0.5, 1.5, 8):
+                w_star = critical_relative_velocity(m, rho1, rho2, 0.05, -0.1)
+                ref = self._bisection_oracle(m, rho1, rho2, 0.05, -0.1)
+                assert abs(w_star - ref) <= 1e-6 * ref
+
+    def test_none_below_w_max_and_zero_when_unstable_at_rest(self):
+        m = make_model(a=0.2)
+        w_star = critical_relative_velocity(m, 1.0, 1.0)
+        assert critical_relative_velocity(m, 1.0, 1.0,
+                                          w_max=0.99 * w_star) is None
+        assert critical_relative_velocity(ConcaveInRho1(), 1.0, 1.0) == 0.0
+
+    def test_few_certificate_calls(self, monkeypatch):
+        # the hyper_scan benchmark grid with the default arguments
+        calls = []
+        certificate = hyperbolicity._certificate
+
+        def counted(*args):
+            calls.append(1)
+            return certificate(*args)
+
+        monkeypatch.setattr(hyperbolicity, "_certificate", counted)
+        m = make_model(a=0.2)
+        for rho1 in np.linspace(0.5, 1.5, 16):
+            for rho2 in np.linspace(0.5, 1.5, 16):
+                calls.clear()
+                assert critical_relative_velocity(m, rho1, rho2, 0.05,
+                                                  -0.05) is not None
+                assert len(calls) <= 5
 
 
 class TestBMatrixStructure:
