@@ -60,10 +60,14 @@ def _atomic_write(path: str, data: str) -> None:
 
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence[float]]) -> None:
+    """Floats with 17 significant digits, anything else as ``str``; the
+    first row's types set every row's format."""
+    rows = list(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _FMT % v if isinstance(v, float) else str(v) for v in row))
+    if rows:
+        fmt = ",".join(_FMT if isinstance(v, float) else "%s"
+                       for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -104,9 +108,8 @@ def _run_simulate(cfg: ScenarioConfig, outdir: str,
         th = evaluate(sim.model, p.rho1, p.rho2, p.s1, p.s2, p.w)
         cols = [x, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2,
                 cells.K1, cells.K2, th.theta1, th.theta2]
-        rows = [[float(c[i]) for c in cols] for i in range(sim.grid.n)]
         write_csv(os.path.join(outdir, f"snapshot_{idx:04d}.csv"),
-                  header, rows)
+                  header, np.column_stack(cols).tolist())
     rep_fields = ["t", "dt", "max_speed", "mass1", "mass2", "momentum_K",
                   "momentum_u", "energy", "entropy", "min_eig_A"]
     write_csv(os.path.join(outdir, "timeseries.csv"), rep_fields,

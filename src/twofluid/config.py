@@ -149,15 +149,25 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def _validate(cfg: ScenarioConfig) -> None:
     """Config-only checks here; the range checks of the parameters are the
-    constructors' own, run by building the simulation once."""
+    constructors' own, run by building each section once.  A constructor's
+    message starts with the field name, which lowercased is the key; the
+    error names the section, key and value the way ``_convert`` does."""
     if cfg.get("potential", "law") != "separable_added_mass":
         raise ConfigError(
             f"unknown constitutive law {cfg.get('potential', 'law')!r}")
-    try:
-        build_simulation(cfg)
-        initial_profiles(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for section, build in (("potential", build_model),
+                           ("closures", build_closures),
+                           ("grid", _build_grid), ("run", build_simulation)):
+        try:
+            build(cfg)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            key = str(exc).split()[0].lower()
+            where = (f"[{section}] {key} = {cfg.get(section, key)!r}"
+                     if key in cfg.raw[section] else f"[{section}]")
+            raise ConfigError(f"{where}: {exc}") from exc
+    initial_profiles(cfg)
     if (cfg.get("run", "report_interval")
             and cfg.getfloat("run", "report_interval") < 0.0):
         raise ConfigError("report_interval must be nonnegative")
@@ -184,14 +194,18 @@ def build_closures(cfg: ScenarioConfig) -> ClosureParams:
                          kappa=cfg.getfloat("closures", "kappa"))
 
 
-def build_simulation(cfg: ScenarioConfig) -> SimulationConfig:
-    grid = Grid1D(x_lo=cfg.getfloat("grid", "x_lo"),
+def _build_grid(cfg: ScenarioConfig) -> Grid1D:
+    return Grid1D(x_lo=cfg.getfloat("grid", "x_lo"),
                   x_hi=cfg.getfloat("grid", "x_hi"),
                   n=cfg.getint("grid", "n"),
                   bc=cfg.get("grid", "bc"))
+
+
+def build_simulation(cfg: ScenarioConfig) -> SimulationConfig:
     interval = cfg.get("run", "report_interval")
     return SimulationConfig(
-        grid=grid, model=build_model(cfg), closures=build_closures(cfg),
+        grid=_build_grid(cfg), model=build_model(cfg),
+        closures=build_closures(cfg),
         omega1=profile_expression(cfg.get("run", "omega1")),
         omega2=profile_expression(cfg.get("run", "omega2")),
         cfl=cfg.getfloat("run", "cfl"),

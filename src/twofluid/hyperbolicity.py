@@ -32,11 +32,20 @@ eigenvalues of the symmetric 4x4 matrix
 
     S = [[-F_j^-1 (L_rj + L_jr) F_j^-T, F_j^-1 F_r], [(.)^T, 0]],
 
-one batched symmetric eigensolve.  The speeds are Galilean covariant, but A
-is positive definite in some frames only (not in the lab frame once a phase
-outruns its sound speed), so a state the lab frame does not certify is tried
-again in the zero-mixture-momentum frame, and its speeds are shifted back.
-The decoupled (a = 0) case has a closed-form oracle.
+one batched symmetric eigensolve (:func:`wave_speeds_batch`, the full
+sorted speeds for the map and the reports).  The solver needs only the
+extreme speeds per state; :func:`_extreme_speeds` takes them from the 2x2
+blocks without an eigensolve: in a certified frame two speeds are positive
+and two negative, so the smaller eigenvalue of the 2x2 matrix
+lambda^2 L_jj + lambda (L_rj + L_jr) + L_rr changes sign once on each side
+of 0, at the extreme root there.  The quartic's extreme roots in closed
+form, polished by two Newton steps on that eigenvalue, match the
+eigensolve to round-off, double roots included.  The speeds are Galilean
+covariant, but A is positive definite in some frames only (not in the lab
+frame once a phase outruns its sound speed), so a state the lab frame does
+not certify is tried again in the zero-mixture-momentum frame, and its
+speeds are shifted back.  The decoupled (a = 0) case has a closed-form
+oracle.
 """
 from __future__ import annotations
 
@@ -405,16 +414,16 @@ def _cholesky2(X):
 def _certificate(model: PotentialModel, rho1, rho2, u1, u2, s1, s2, V):
     """Block-Cholesky hyperbolicity certificate in the frame moving with V.
 
-    Returns (ok, margin, F_r, F_j, L_rj): ``ok`` where -L_rr and L_jj are
+    Returns (ok, margin, L_rr, L_rj, L_jj): ``ok`` where -L_rr and L_jj are
     positive definite (A = Hess G is then), ``margin`` the smaller of the
     two blocks' scaled min-eigenvalues (> 0 exactly where ``ok``), and the
-    Cholesky factors of -L_rr and L_jj.
+    blocks of Hess L in that frame.
     """
     Lrr, Lrj, Ljj = _lagrangian_hessian(model, rho1, rho2, u1 - V, u2 - V,
                                         s1, s2)
-    ok_r, margin_r, Fr = _cholesky2(-Lrr)
-    ok_j, margin_j, Fj = _cholesky2(Ljj)
-    return ok_r & ok_j, np.minimum(margin_r, margin_j), Fr, Fj, Lrj
+    ok_r, margin_r, _ = _cholesky2(-Lrr)
+    ok_j, margin_j, _ = _cholesky2(Ljj)
+    return ok_r & ok_j, np.minimum(margin_r, margin_j), Lrr, Lrj, Ljj
 
 
 def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -448,25 +457,23 @@ def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     """The certificate in the lab frame, retried in the zero-mixture-momentum
     frame for the states that fail it there.
 
-    Takes flat state arrays; returns (V, ok, margin, F_r, F_j, L_rj) as for
-    :func:`_certificate`, with V the velocity of the frame each state's
+    Takes flat state arrays; returns (V, ok, margin, L_rr, L_rj, L_jj) as
+    for :func:`_certificate`, with V the velocity of the frame each state's
     values come from (0 for the lab frame).
     """
     V = np.zeros(rho1.size)
-    ok, margin, Fr, Fj, Lrj = _certificate(model, rho1, rho2, u1, u2,
-                                           s1, s2, V)
+    ok, margin, *blocks = _certificate(model, rho1, rho2, u1, u2, s1, s2, V)
     retry = np.flatnonzero(~ok)
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
                     / (rho1[retry] + rho2[retry]))
-        ok_m, margin_m, Fr_m, Fj_m, Lrj_m = _certificate(
+        ok_m, margin_m, *blocks_m = _certificate(
             model, *(a[retry] for a in (rho1, rho2, u1, u2, s1, s2, V)))
         ok[retry] = ok_m
         margin[retry] = np.maximum(margin[retry], margin_m)
-        Lrj[retry] = Lrj_m
-        for f, f_m in zip(Fr + Fj, Fr_m + Fj_m):
-            f[retry] = f_m
-    return V, ok, margin, Fr, Fj, Lrj
+        for b, b_m in zip(blocks, blocks_m):
+            b[retry] = b_m
+    return (V, ok, margin, *blocks)
 
 
 def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -496,9 +503,10 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     """
     shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
                                                        s1, s2)
-    V, ok, margin, Fr, Fj, Lrj = _certified_frame(model, rho1, rho2, u1, u2,
-                                                  s1, s2)
-    (h11, h21, h22), (l11, l21, l22) = Fr, Fj
+    V, ok, margin, Lrr, Lrj, Ljj = _certified_frame(model, rho1, rho2, u1, u2,
+                                                    s1, s2)
+    h11, h21, h22 = _cholesky2(-Lrr)[2]
+    l11, l21, l22 = _cholesky2(Ljj)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         # G = F_j^-1 (lower triangular), C = L_rj + L_jr
         g11, g22 = 1.0 / l11, 1.0 / l22
@@ -519,3 +527,78 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     speeds[~ok] = np.nan
     return (speeds.reshape(shape + (4,)), ok.reshape(shape),
             margin.reshape(shape))
+
+
+def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Smallest and largest characteristic speed per state, without an
+    eigensolve; (extremes, ok_mask, margin).
+
+    ``extremes[..., 0]`` is the smallest and ``extremes[..., 1]`` the
+    largest speed, NaN where the certificate fails; ``ok_mask`` and
+    ``margin`` are those of :func:`wave_speeds_batch`.  In the certifying
+    frame the speeds are the roots of det M(lambda), M(lambda) = lambda^2
+    L_jj + lambda (L_rj + L_jr) + L_rr, two positive and two negative
+    (Sylvester's law of inertia), so the smaller eigenvalue nu(lambda) of
+    M changes sign once on each half-line, at the extreme root there; that
+    zero stays simple where det M has a double root.  The extreme roots
+    are taken in closed form (Euler's resolvent cubic of the depressed
+    quartic, whose roots are >= 0, in trigonometric form) and polished by
+    two Newton steps on nu.
+    """
+    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
+                                                       s1, s2)
+    V, ok, margin, Lrr, Lrj, Ljj = _certified_frame(model, rho1, rho2, u1, u2,
+                                                    s1, s2)
+    # Q[k, e]: the coefficient of lambda^k in entry e = (11, 22, 12) of M
+    Q = np.empty((3, 3, rho1.size))
+    Q[0] = Lrr[:, 0, 0], Lrr[:, 1, 1], Lrr[:, 0, 1]
+    Q[1] = 2.0 * Lrj[:, 0, 0], 2.0 * Lrj[:, 1, 1], Lrj[:, 0, 1] + Lrj[:, 1, 0]
+    Q[2] = Ljj[:, 0, 0], Ljj[:, 1, 1], Ljj[:, 0, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # det M = M11 M22 - M12^2: P[i, k] is its part from lambda^i in the
+        # first factor and lambda^k in the second
+        P = Q[:, None, 0] * Q[None, :, 1] - Q[:, None, 2] * Q[None, :, 2]
+        # the monic quartic, depressed by lambda = y - b to
+        # y^4 + p y^2 + q y + r
+        a3, a2, a1, a0 = np.stack([P[1, 2] + P[2, 1],
+                                   P[0, 2] + P[1, 1] + P[2, 0],
+                                   P[0, 1] + P[1, 0], P[0, 0]]) / P[2, 2]
+        b = 0.25 * a3
+        bb = b * b
+        p = a2 - 6.0 * bb
+        q = a1 - 2.0 * b * a2 + 8.0 * b * bb
+        r = a0 - b * a1 + bb * (a2 - 3.0 * bb)
+        # Euler's resolvent z^3 + (p/2) z^2 + (p^2 - 4r)/16 z - q^2/64 has
+        # roots z0 >= z1 >= z2 >= 0, and the roots of the depressed quartic
+        # are +-sqrt(z0) +-sqrt(z1) +-sqrt(z2) with the product of the
+        # three terms -q/8.  With z = x - p/6: x^3 + e1 x + e0 = 0, three
+        # real roots m cos(phi - 2 pi k / 3) in that order.
+        e1 = -(p * p + 12.0 * r) / 48.0
+        e0 = p * (36.0 * r - p * p) / 864.0 - q * q / 64.0
+        m = 2.0 * np.sqrt(np.maximum(-e1 / 3.0, 0.0))
+        phi = np.arccos(np.clip(-4.0 * e0 / np.maximum(m * m * m, 1e-300),
+                                -1.0, 1.0)) / 3.0
+        t = np.sqrt(np.maximum(
+            m * np.cos(phi - np.array([[0.0], [2.0 * np.pi / 3.0],
+                                       [4.0 * np.pi / 3.0]])) - p / 6.0,
+            0.0))
+        t2 = np.where(q > 0.0, -t[2], t[2])
+        lam = np.stack([t2 - t[0] - t[1], t2 + t[0] + t[1]]) - b
+        # Newton on nu = mid - rad, both extremes at once; at rad = 0
+        # (M a multiple of I) nu' is the smaller eigenvalue of M'
+        side = np.array([[-1.0], [1.0]])
+        Q0, Q1, Q2 = (X[:, None] for X in Q)
+        for _ in range(2):
+            M = (Q2 * lam + Q1) * lam + Q0
+            dM = 2.0 * Q2 * lam + Q1
+            half, dhalf = 0.5 * (M[0] - M[1]), 0.5 * (dM[0] - dM[1])
+            rad = np.hypot(half, M[2])
+            nu = 0.5 * (M[0] + M[1]) - rad
+            drad = np.where(rad > 0.0, (half * dhalf + M[2] * dM[2]) / rad,
+                            np.hypot(dhalf, dM[2]))
+            new = lam - nu / (0.5 * (dM[0] + dM[1]) - drad)
+            # a step must stay finite and on its half-line
+            lam = np.where(np.isfinite(new) & (side * new > 0.0), new, lam)
+    ext = lam.T + V[:, None]
+    ext[~ok] = np.nan
+    return ext.reshape(shape + (2,)), ok.reshape(shape), margin.reshape(shape)

@@ -20,11 +20,15 @@ reports land exactly on multiples of the report interval.
 Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
 a failure becomes a :class:`StepError` naming the first failing cell),
 evaluates the potential once (the report, the heat cap and the drag update
-reuse that evaluation) and certifies hyperbolicity per cell with the wave
-speeds; the min-eig(A) of the report is computed at report times only.  A
+reuse that evaluation) and certifies hyperbolicity per cell; the Rusanov
+speed and the CFL step take the extreme speeds in closed form
+(:func:`hyperbolicity._extreme_speeds`), so no stage makes an eigensolve,
+and the min-eig(A) of the report is computed at report times only.  A
 stage value that is not finite, or a density below the floor, raises a
-:class:`StepError` naming the field and the first bad cell.  External
-potentials Omega_a(x) are plain callables of x.
+:class:`StepError` naming the field and the first bad cell; the states a
+step builds from densities checked that way skip the constructors'
+admissibility re-check.  External potentials Omega_a(x) are plain
+callables of x.
 """
 from __future__ import annotations
 
@@ -39,7 +43,8 @@ from .closures import (ClosureParams, drag_and_heat, drag_coefficient,
                        entropy_sources)
 from .potential import RHO_FLOOR, PotentialModel, ThermoEval, evaluate
 from .state import (ConvergenceError, EvolvedState, PrimitiveState,
-                    evolved_to_primitive, primitive_to_evolved)
+                    _from_checked_densities, evolved_to_primitive,
+                    primitive_to_evolved)
 
 
 class StepError(RuntimeError):
@@ -127,15 +132,16 @@ def _extend(arr, bc: str) -> np.ndarray:
 
 
 def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
-    """Max |lambda| per cell; errors on hyperbolicity loss."""
-    speeds, ok, margin = hyperbolicity.wave_speeds_batch(
+    """Max |lambda| per cell, from the extreme speeds alone; errors on
+    hyperbolicity loss."""
+    extremes, ok, margin = hyperbolicity._extreme_speeds(
         model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
     if not np.all(ok):
         cell = int(np.argmin(ok))
         raise NonHyperbolicError(
             f"cell {cell} left the hyperbolicity region "
             f"(certificate margin {float(margin[cell]):g})", t=t, cell=cell)
-    return np.max(np.abs(speeds), axis=-1)
+    return np.max(np.abs(extremes), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +261,7 @@ def _advance(cells: EvolvedState, rates: Tuple[RHSResult, ...], dt: float,
             raise StepError(
                 f"{name} went nonpositive in cell {cell} after a stage; "
                 "reduce the CFL number", t=t, cell=cell)
-    return EvolvedState(**new)
+    return _from_checked_densities(EvolvedState, **new)
 
 
 def _series_table(n: int = 30) -> np.ndarray:
@@ -353,7 +359,8 @@ def _relax(cells: EvolvedState, z, heat, t: float | None) -> EvolvedState:
            "K2": cells.K2 - alpha / cells.rho2,
            "s1": cells.s1 + heat[0], "s2": cells.s2 + heat[1]}
     _require_finite(new, t)
-    return EvolvedState(rho1=cells.rho1, rho2=cells.rho2, **new)
+    return _from_checked_densities(EvolvedState, rho1=cells.rho1,
+                                   rho2=cells.rho2, **new)
 
 
 def step(config: SimulationConfig, cells: EvolvedState, dt: float,

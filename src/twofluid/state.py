@@ -82,12 +82,21 @@ class MixtureAggregates:
     u: ArrayLike
 
 
+def _from_checked_densities(cls, **fields):
+    """A ``cls`` state built from ``fields`` whose densities have already
+    passed :func:`require_admissible` (or an equal check): the
+    constructor's re-check is skipped."""
+    state = object.__new__(cls)
+    state.__dict__.update(fields)
+    return state
+
+
 def primitive_to_evolved(model: PotentialModel, p: PrimitiveState) -> EvolvedState:
     """K1 = u1 + (1/rho1) dW/dw, K2 = u2 - (1/rho2) dW/dw."""
     Ww = model.dW_dw(p.rho1, p.rho2, p.s1, p.s2, p.w)
-    return EvolvedState(rho1=p.rho1, rho2=p.rho2,
-                        K1=p.u1 + Ww / p.rho1, K2=p.u2 - Ww / p.rho2,
-                        s1=p.s1, s2=p.s2)
+    return _from_checked_densities(
+        EvolvedState, rho1=p.rho1, rho2=p.rho2, K1=p.u1 + Ww / p.rho1,
+        K2=p.u2 - Ww / p.rho2, s1=p.s1, s2=p.s2)
 
 
 def _bracket_w(model, rho1, rho2, s1, s2, invsum, dK):
@@ -199,8 +208,9 @@ def evolved_to_primitive(model: PotentialModel, e: EvolvedState) -> PrimitiveSta
     w = solve_relative_velocity(model, e.rho1, e.rho2, e.s1, e.s2, dK, tol=tol)
     Ww = model.dW_dw(e.rho1, e.rho2, e.s1, e.s2, w)
     u1 = e.K1 - Ww / e.rho1
-    return PrimitiveState(rho1=e.rho1, rho2=e.rho2, u1=u1, u2=u1 + w,
-                          s1=e.s1, s2=e.s2)
+    return _from_checked_densities(PrimitiveState, rho1=e.rho1,
+                                   rho2=e.rho2, u1=u1, u2=u1 + w,
+                                   s1=e.s1, s2=e.s2)
 
 
 def dynamic_quantities(model: PotentialModel, p: PrimitiveState,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 import json
+import math
 import os
 
 import numpy as np
@@ -38,6 +39,41 @@ def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def value_by_value_csv(header, rows):
+    """The CSV text of the former writer, which formatted each value on
+    its own: floats with 17 significant digits, anything else by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            "%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_matches_value_by_value_formatting(self, tmp_path):
+        # the column types of map.csv: floats (numpy ones too), bools, ints
+        rng = np.random.default_rng(3)
+        rows = [[float(v) for v in rng.normal(0.0, 10.0 ** k, 3)]
+                + [np.float64(rng.normal()), bool(k % 2), k % 3 == 0,
+                   math.nan, -math.inf, 1e-300 * k, k - 4]
+                for k in range(8)]
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), header, rows)
+        assert path.read_text() == value_by_value_csv(header, rows)
+        cli.write_csv(str(path), header, [])
+        assert path.read_text() == value_by_value_csv(header, [])
+
+    def test_snapshot_rows_match_value_by_value_formatting(self, tmp_path):
+        cfgp = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        text = (out / "snapshot_0001.csv").read_text()
+        lines = text.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert text == value_by_value_csv(lines[0].split(","), rows)
 
 
 class TestSimulate:

@@ -108,6 +108,20 @@ class TestValidation:
                            match=re.escape(f"[{section}] {key} = '{val}'")):
             parse_config(f"[{section}]\n{line}\n")
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("potential", "k1 = -1", "K1 must be positive"),
+        ("potential", "gamma2 = 0.5", "gamma2 must exceed 1"),
+        ("grid", "n = 2", "n must be at least 4"),
+        ("run", "cfl = 2", "cfl must lie in (0, 0.9]"),
+        ("closures", "k = -3", "k must be nonnegative"),
+    ])
+    def test_range_error_names_section_key_and_value(self, section, line,
+                                                      message):
+        key, val = line.split(" = ")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[{section}]\n{line}\n")
+        assert str(exc.value) == f"[{section}] {key} = '{val}': {message}"
+
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("this is not an ini file")

@@ -1,9 +1,11 @@
 """Tests for the Legendre transform, symmetric system, and speed analysis."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from twofluid import hyperbolicity
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
+                                    _certified_frame, _extreme_speeds,
                                     _forward_maps, _lagrangian_hessian,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
@@ -290,6 +292,92 @@ class TestCharacteristicSpeeds:
         assert np.any(posdef)
         assert np.all(ok[posdef])
         assert np.all(np.isfinite(speeds[posdef]))
+
+
+def random_lab_states(rng, n):
+    """Lab-frame states over a wide density range with |u| of order 1: some
+    are certified in the lab frame, some only at zero mixture momentum,
+    some in neither."""
+    return (rng.uniform(0.03, 3.0, n), rng.uniform(0.03, 3.0, n),
+            rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n),
+            rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n))
+
+
+class TestExtremeSpeeds:
+    """The closed-form extreme speeds against the full sorted speeds of
+    :func:`wave_speeds_batch` (one symmetric eigensolve per state)."""
+
+    @staticmethod
+    def assert_matches_eigensolve(m, *state):
+        ext, ok, margin = _extreme_speeds(m, *state)
+        speeds, ok_ref, margin_ref = wave_speeds_batch(m, *state)
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(margin, margin_ref)
+        assert np.all(np.isnan(ext[~ok]))
+        ref = speeds[..., [0, -1]][ok]
+        scale = np.max(np.abs(speeds[ok]), axis=-1, keepdims=True)
+        assert np.max(np.abs(ext[ok] - ref) / scale) <= 1e-12
+        return ok
+
+    def test_acceptance_05_states(self):
+        m = make_model(a=0.0)
+        rng = np.random.default_rng(11)
+        n = 1000
+        state = (rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n),
+                 rng.normal(0, 0.3, n), rng.normal(0, 0.3, n),
+                 rng.uniform(-0.2, 0.2, n), rng.uniform(-0.2, 0.2, n))
+        assert np.all(self.assert_matches_eigensolve(m, *state))
+
+    @pytest.mark.parametrize(
+        "a", [0.0, 0.4, 1.0, lambda r1, r2: 0.3 + 0.2 * r1 * r2 / (r1 + r2)],
+        ids=["a_0", "a_0.4", "a_1", "callable_a"])
+    def test_random_states(self, a):
+        ok = self.assert_matches_eigensolve(
+            make_model(a=a), *random_lab_states(np.random.default_rng(43),
+                                                20000))
+        assert 0 < np.sum(ok) < ok.size
+
+    @pytest.mark.parametrize("a", [0.0, 0.2])
+    def test_identical_phases_double_roots(self, a):
+        # equal phases at equal states: each speed is a double root
+        m = SeparableAddedMass(SeparableAddedMassParams(gamma1=1.6,
+                                                        gamma2=1.6, a=a))
+        rng = np.random.default_rng(47)
+        rho, u, s = (rng.uniform(0.1, 3.0, 5000), rng.normal(0.0, 1.0, 5000),
+                     rng.uniform(-0.3, 0.3, 5000))
+        ok = self.assert_matches_eigensolve(m, rho, rho, u, u, s, s)
+        assert np.all(ok)
+
+    def test_states_certified_only_at_zero_mixture_momentum(self):
+        m = make_model(a=0.4)
+        state = random_lab_states(np.random.default_rng(53), 20000)
+        V, ok = _certified_frame(m, *state)[:2]
+        only_zmm = ok & (V != 0.0)
+        assert np.sum(only_zmm) > 100
+        self.assert_matches_eigensolve(m, *(x[only_zmm] for x in state))
+
+    def test_shapes_follow_the_state(self):
+        m = make_model()
+        ext, ok, margin = _extreme_speeds(m, np.full((2, 3), 1.0), 0.9, 0.0,
+                                          0.1, 0.0, 0.0)
+        assert ext.shape == (2, 3, 2) and ok.shape == margin.shape == (2, 3)
+        ext, ok, _ = _extreme_speeds(m, 1.0, 0.9, 0.0, 0.1, 0.0, 0.0)
+        assert ext.shape == (2,) and ok.shape == ()
+
+    @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
+           u1=st.floats(-2.0, 2.0), u2=st.floats(-2.0, 2.0),
+           s1=st.floats(-0.3, 0.3), s2=st.floats(-0.3, 0.3),
+           a=st.floats(0.0, 1.0))
+    def test_two_speeds_of_each_sign_in_the_certifying_frame(
+            self, rho1, rho2, u1, u2, s1, s2, a):
+        m = make_model(a=a)
+        state = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
+        V, ok = _certified_frame(m, *state)[:2]
+        assume(ok[0])
+        speeds = wave_speeds_batch(m, *state)[0][0] - V[0]
+        assert np.sum(speeds > 0.0) == 2 and np.sum(speeds < 0.0) == 2
+        ext = _extreme_speeds(m, *state)[0][0] - V[0]
+        assert ext[0] < 0.0 < ext[1]
 
 
 class TestStabilityInequalities:

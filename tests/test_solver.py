@@ -7,8 +7,9 @@ from scipy.integrate import solve_ivp
 
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams, evaluate
-from twofluid import solver
-from twofluid.hyperbolicity import critical_relative_velocity
+from twofluid import solver, state
+from twofluid.hyperbolicity import (critical_relative_velocity,
+                                    wave_speeds_batch)
 from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
                              StepError, assemble_rhs,
                              evolved_from_primitive_profiles, integrate, step)
@@ -165,6 +166,44 @@ class TestIntegrate:
         integrate(cfg, smooth_init(m, grid))
         assert calls["assemble_rhs"] > 3
         assert calls["evaluate"] == calls["assemble_rhs"]
+
+    def test_no_constructor_check_after_the_initial_state(self,
+                                                          monkeypatch):
+        # every stage state is built from densities _advance has checked
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3),
+                               t_end=0.25, report_interval=0.0)
+        init = smooth_init(m, grid)
+        calls = []
+        check = state.require_admissible
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(state, "require_admissible", counted)
+        out = integrate(cfg, init)
+        assert len(out) - 1 >= 10
+        assert calls == []
+
+    def test_no_eigensolve_in_the_rhs(self, monkeypatch):
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 32)
+        cells = smooth_init(m, grid)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3))
+        p = evolved_to_primitive(m, cells)
+        speeds = wave_speeds_batch(m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called in the RHS")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rhs = assemble_rhs(cfg, cells, t=0.0)
+        ref = np.max(np.abs(speeds), axis=-1)
+        assert np.max(np.abs(rhs.smax - ref)) <= 1e-12 * np.max(ref)
 
     def test_transmissive_boundaries_run(self):
         m = make_model()
