@@ -9,7 +9,10 @@ silently fall back to a default.
 List keys (``[gibbs] h_values``, ``[fick] sample_times``, ``[reduce]
 n_values``) are comma-separated and checked at parse time: step sizes are
 positive, sample times positive and strictly increasing (``fick-relax``
-integrates once through them), and every grid size is at least 4.
+integrates once through them), and every grid size is at least 4.  So are
+the scenario ranges: every count (``n_fields``, ``n_rho1``, ``n_rho2``,
+``n_w``, ``ref_factor``) is at least 1, ``t_lo <= t_hi`` and
+``theta_bound`` is positive.
 
 Initial profiles and external potentials are given as expressions in x
 (e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
@@ -179,6 +182,21 @@ def _validate(cfg: ScenarioConfig) -> None:
                           "increasing")
     if min(cfg.getints("reduce", "n_values")) < 4:
         raise ConfigError("every entry of n_values must be at least 4")
+    for section, key in (("gibbs", "n_fields"), ("hyperbolicity", "n_rho1"),
+                         ("hyperbolicity", "n_rho2"), ("hyperbolicity", "n_w"),
+                         ("reduce", "ref_factor")):
+        if cfg.getint(section, key) < 1:
+            raise _range_error(cfg, section, key, "must be at least 1")
+    if cfg.getfloat("gibbs", "t_hi") < cfg.getfloat("gibbs", "t_lo"):
+        raise _range_error(cfg, "gibbs", "t_hi", "must not be below t_lo")
+    if cfg.getfloat("fick", "theta_bound") <= 0.0:
+        raise _range_error(cfg, "fick", "theta_bound", "must be positive")
+
+
+def _range_error(cfg: ScenarioConfig, section: str, key: str,
+                 rule: str) -> ConfigError:
+    return ConfigError(f"[{section}] {key} = {cfg.get(section, key)!r}: "
+                       f"{key} {rule}")
 
 
 def build_model(cfg: ScenarioConfig) -> SeparableAddedMass:

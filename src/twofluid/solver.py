@@ -23,12 +23,18 @@ evaluates the potential once (the report, the heat cap and the drag update
 reuse that evaluation) and certifies hyperbolicity per cell; the Rusanov
 speed and the CFL step take the extreme speeds in closed form
 (:func:`hyperbolicity._extreme_speeds`), so no stage makes an eigensolve,
-and the min-eig(A) of the report is computed at report times only.  A
-stage value that is not finite, or a density below the floor, raises a
-:class:`StepError` naming the field and the first bad cell; the states a
-step builds from densities checked that way skip the constructors'
-admissibility re-check.  External potentials Omega_a(x) are plain
-callables of x.
+and the min-eig(A) of the report is computed at report times only.
+
+A stage is one (6, n) array, a row per field in the order (rho1, rho2, K1,
+K2, s1, s2) and a column per cell, and its rates are another.  The state,
+the fluxes of its four conservative rows and the cell speeds get their
+ghost cells in one call; the four Rusanov divergences are one call, and so
+are the two entropy gradients.  A stage value that is not finite, or a
+density below the floor, raises a :class:`StepError` naming the first such
+field in that order and its first bad cell; the states a step builds from
+densities checked that way are row views of the stack and skip the
+constructors' admissibility re-check.  External potentials Omega_a(x) are
+plain callables of x.
 """
 from __future__ import annotations
 
@@ -124,11 +130,13 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
 
 
 def _extend(arr, bc: str) -> np.ndarray:
-    """Cell values with one ghost cell on each side."""
+    """Cell values, one row or a stack of rows, with one ghost cell on each
+    side of the last axis."""
     arr = np.asarray(arr, dtype=float)
+    first, last = arr[..., :1], arr[..., -1:]
     if bc == "periodic":
-        return np.concatenate(([arr[-1]], arr, [arr[0]]))
-    return np.concatenate(([arr[0]], arr, [arr[-1]]))
+        return np.concatenate((last, arr, first), axis=-1)
+    return np.concatenate((first, arr, last), axis=-1)
 
 
 def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
@@ -144,22 +152,27 @@ def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
     return np.max(np.abs(extremes), axis=-1)
 
 
+_FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
+
+
+def _stack(cells: EvolvedState) -> np.ndarray:
+    """A new (6, n) array of the fields of ``cells``, in ``_FIELDS`` order."""
+    return np.stack([getattr(cells, f) for f in _FIELDS])
+
+
 @dataclass(frozen=True, eq=False)
 class RHSResult:
     """Rates of one stage.
 
-    ``d_K1``/``d_K2`` and ``d_s1``/``d_s2`` leave the drag out: :func:`step`
-    integrates it exactly in time from ``zeta`` (the drag coefficient,
-    f1 = zeta w) and ``dZ_dw`` (the slope 1 - (1/rho1 + 1/rho2) W_ww of
-    Z = K2 - K1 in w).  The heat exchange is in ``d_s1``/``d_s2``.
+    ``rates`` has one row per evolved field, in the order of ``_FIELDS``
+    (rho1, rho2, K1, K2, s1, s2), and one column per cell.  The K and s rows
+    leave the drag out: :func:`step` integrates it exactly in time from
+    ``zeta`` (the drag coefficient, f1 = zeta w) and ``dZ_dw`` (the slope
+    1 - (1/rho1 + 1/rho2) W_ww of Z = K2 - K1 in w).  The heat exchange is
+    in the s rows.
     """
 
-    d_rho1: np.ndarray
-    d_rho2: np.ndarray
-    d_K1: np.ndarray
-    d_K2: np.ndarray
-    d_s1: np.ndarray
-    d_s2: np.ndarray
+    rates: np.ndarray
     smax: np.ndarray
     primitive: PrimitiveState
     thermo: ThermoEval
@@ -169,18 +182,22 @@ class RHSResult:
 
 def _rusanov_div(f: np.ndarray, q: np.ndarray, lam: np.ndarray,
                  dx: float) -> np.ndarray:
-    """d/dx of the Rusanov flux for cell values with one ghost on each side."""
-    flux = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (q[1:] - q[:-1])
-    return (flux[1:] - flux[:-1]) / dx
+    """d/dx of the Rusanov flux for cell values, one row or a stack of rows,
+    with one ghost on each side of the last axis."""
+    flux = (0.5 * (f[..., :-1] + f[..., 1:])
+            - 0.5 * lam * (q[..., 1:] - q[..., :-1]))
+    return (flux[..., 1:] - flux[..., :-1]) / dx
 
 
 def _central_diff(e: np.ndarray, dx: float) -> np.ndarray:
-    """Central difference of cell values with one ghost on each side."""
-    return (e[2:] - e[:-2]) / (2.0 * dx)
+    """Central difference of cell values, one row or a stack of rows, with
+    one ghost on each side of the last axis."""
+    return (e[..., 2:] - e[..., :-2]) / (2.0 * dx)
 
 
 def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
                  t: float | None = None) -> RHSResult:
+    """Rates of the stage ``cells``, a row per field of ``_FIELDS``."""
     model = config.model
     grid = config.grid
     dx = grid.dx
@@ -204,45 +221,30 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     dZ_dw = 1.0 - (1.0 / p.rho1 + 1.0 / p.rho2) * model.d2W_dw2(
         p.rho1, p.rho2, p.s1, p.s2, p.w)
 
-    bc = grid.bc
-    ext = lambda a: _extend(a, bc)
-    rho1e, rho2e = ext(p.rho1), ext(p.rho2)
-    u1e, u2e = ext(p.u1), ext(p.u2)
-    K1e, K2e = ext(cells.K1), ext(cells.K2)
-    s1e, s2e = ext(cells.s1), ext(cells.s2)
-    R1e, R2e = ext(R1), ext(R2)
-    smaxe = ext(smax)
-    lam = np.maximum(smaxe[:-1], smaxe[1:])
-
-    d_rho1 = -_rusanov_div(rho1e * u1e, rho1e, lam, dx)
-    d_rho2 = -_rusanov_div(rho2e * u2e, rho2e, lam, dx)
-
-    ds1_dx = _central_diff(s1e, dx)
-    ds2_dx = _central_diff(s2e, dx)
-
-    d_K1 = -_rusanov_div(K1e * u1e - R1e, K1e, lam, dx) + th.theta1 * ds1_dx
-    d_K2 = -_rusanov_div(K2e * u2e - R2e, K2e, lam, dx) + th.theta2 * ds2_dx
-
-    d_s1 = -p.u1 * ds1_dx + src1
-    d_s2 = -p.u2 * ds2_dx + src2
-
-    return RHSResult(d_rho1=d_rho1, d_rho2=d_rho2, d_K1=d_K1, d_K2=d_K2,
-                     d_s1=d_s1, d_s2=d_s2, smax=smax,
-                     primitive=p, thermo=th, zeta=zeta, dZ_dw=dZ_dw)
+    stage = _stack(cells)
+    u = np.stack((p.u1, p.u2))
+    fluxes = np.concatenate((stage[:2] * u, stage[2:4] * u - (R1, R2)))
+    ext = _extend(np.concatenate((stage, fluxes, smax[np.newaxis])), grid.bc)
+    lam = np.maximum(ext[-1, :-1], ext[-1, 1:])
+    ds_dx = _central_diff(ext[4:6], dx)
+    rates = np.concatenate((-_rusanov_div(ext[6:10], ext[:4], lam, dx),
+                            -u * ds_dx + (src1, src2)))
+    rates[2:4] += np.stack((th.theta1, th.theta2)) * ds_dx
+    return RHSResult(rates=rates, smax=smax, primitive=p, thermo=th,
+                     zeta=zeta, dZ_dw=dZ_dw)
 
 
-_FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
+def _require(ok: np.ndarray, message: str, t: float | None) -> None:
+    """Raise :class:`StepError` unless ``ok`` holds everywhere; ``ok`` has
+    rows in ``_FIELDS`` order, and ``message`` is formatted with the field
+    and the cell of its first failure."""
+    if not np.all(ok):
+        row, cell = divmod(int(np.argmin(ok)), ok.shape[-1])
+        raise StepError(message.format(_FIELDS[row], cell), t=t, cell=cell)
 
 
-def _require_finite(new: dict, t: float | None) -> None:
-    """Raise :class:`StepError` naming the first field of ``new`` that is
-    not finite, and its first bad cell."""
-    for name, arr in new.items():
-        finite = np.isfinite(arr)
-        if not np.all(finite):
-            cell = int(np.argmin(finite))
-            raise StepError(f"{name} is not finite in cell {cell} after a "
-                            "stage", t=t, cell=cell)
+def _require_finite(new: np.ndarray, t: float | None) -> None:
+    _require(np.isfinite(new), "{} is not finite in cell {} after a stage", t)
 
 
 def _advance(cells: EvolvedState, rates: Tuple[RHSResult, ...], dt: float,
@@ -251,17 +253,11 @@ def _advance(cells: EvolvedState, rates: Tuple[RHSResult, ...], dt: float,
     non-finite value or a density below the floor raises
     :class:`StepError` naming the field and its first bad cell."""
     scale = dt / len(rates)
-    new = {f: getattr(cells, f) + scale * sum(getattr(r, "d_" + f)
-                                              for r in rates)
-           for f in _FIELDS}
+    new = _stack(cells) + scale * sum(r.rates for r in rates)
     _require_finite(new, t)
-    for name in ("rho1", "rho2"):
-        if np.min(new[name]) < RHO_FLOOR:
-            cell = int(np.argmin(new[name]))
-            raise StepError(
-                f"{name} went nonpositive in cell {cell} after a stage; "
-                "reduce the CFL number", t=t, cell=cell)
-    return _from_checked_densities(EvolvedState, **new)
+    _require(new[:2] >= RHO_FLOOR, "{} went nonpositive in cell {} after a "
+             "stage; reduce the CFL number", t)
+    return _from_checked_densities(EvolvedState, **dict(zip(_FIELDS, new)))
 
 
 def _series_table(n: int = 30) -> np.ndarray:
@@ -347,20 +343,19 @@ def _z_forcing(cells: EvolvedState, rhs: RHSResult, rate) -> np.ndarray:
     rate r, so G gains (rate - r) Z across a stage."""
     p = rhs.primitive
     drag = (1.0 / p.rho1 + 1.0 / p.rho2) * rhs.zeta * p.w
-    return rhs.d_K2 - rhs.d_K1 - drag + rate * (cells.K2 - cells.K1)
+    return rhs.rates[3] - rhs.rates[2] - drag + rate * (cells.K2 - cells.K1)
 
 
 def _relax(cells: EvolvedState, z, heat, t: float | None) -> EvolvedState:
     """Move Z = K2 - K1 to ``z`` by K1 += alpha/rho1, K2 -= alpha/rho2,
     which keeps the impulse rho1 K1 + rho2 K2, and add the drag heating
     ``heat`` = (ds1, ds2); the densities are left as they are."""
+    new = _stack(cells)
     alpha = (cells.K2 - cells.K1 - z) / (1.0 / cells.rho1 + 1.0 / cells.rho2)
-    new = {"K1": cells.K1 + alpha / cells.rho1,
-           "K2": cells.K2 - alpha / cells.rho2,
-           "s1": cells.s1 + heat[0], "s2": cells.s2 + heat[1]}
+    new[2:4] += (alpha / cells.rho1, -alpha / cells.rho2)
+    new[4:] += heat
     _require_finite(new, t)
-    return _from_checked_densities(EvolvedState, rho1=cells.rho1,
-                                   rho2=cells.rho2, **new)
+    return _from_checked_densities(EvolvedState, **dict(zip(_FIELDS, new)))
 
 
 def step(config: SimulationConfig, cells: EvolvedState, dt: float,

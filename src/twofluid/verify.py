@@ -248,8 +248,8 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
         raise ValueError(
             f"state is not near-isothermal: max relative temperature "
             f"deviation {dev:g} exceeds {theta_bound:g}")
-    d_W, d_s1, d_s2 = (_central_diff(_extend(q, bc), dx)
-                       for q in (th.W_rho2 - th.W_rho1, p.s1, p.s2))
+    d_W, d_s1, d_s2 = _central_diff(
+        _extend(np.stack((th.W_rho2 - th.W_rho1, p.s1, p.s2)), bc), dx)
     grad_mu = d_W - (th.theta2 * d_s2 - th.theta1 * d_s1)
     forces = drag_and_heat(closures, p, th.theta1, th.theta2)
     f = -np.asarray(forces.f1, dtype=float)
@@ -261,50 +261,46 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
     return residual, rel
 
 
-def _single_fluid_rhs(model, grid: Grid1D, rho, u, s, omega_grad):
-    """RHS of the one-component Euler system in (rho, u, s) form.
+def _single_fluid_rhs(model, grid: Grid1D, y, omega_grad):
+    """Rates of the one-component Euler system in (rho, u, s) form, for the
+    stack ``y`` of those rows, and the largest cell speed.
 
     u_t + (u^2/2 + h + Omega)_x = theta s_x with h the specific enthalpy;
     phase 1 of a separable two-phase potential (no velocity coupling)
     supplies h, theta, and the sound speed.
     """
+    rho, u, s = y
     th = evaluate(model, rho, rho, s, s, np.zeros_like(rho))
-    hspec = th.W_rho1
-    theta = th.theta1
-    c2 = model.sound_speed_sq(1, rho, s)
-    smax = np.abs(u) + np.sqrt(c2)
+    smax = np.abs(u) + np.sqrt(model.sound_speed_sq(1, rho, s))
 
     dx = grid.dx
-    rhoe, ue, se, he, smaxe = (_extend(a, grid.bc)
-                               for a in (rho, u, s, hspec, smax))
-    lam = np.maximum(smaxe[:-1], smaxe[1:])
-
-    d_rho = -_rusanov_div(rhoe * ue, rhoe, lam, dx)
-    ds_dx = _central_diff(se, dx)
-    d_u = (-_rusanov_div(0.5 * ue ** 2 + he, ue, lam, dx) - omega_grad
-           + theta * ds_dx)
-    d_s = -u * ds_dx
-    return d_rho, d_u, d_s, float(np.max(smax))
+    ext = _extend(np.stack((rho, u, rho * u, 0.5 * u ** 2 + th.W_rho1, s,
+                            smax)), grid.bc)
+    lam = np.maximum(ext[-1, :-1], ext[-1, 1:])
+    d_rho, d_u = -_rusanov_div(ext[2:4], ext[:2], lam, dx)
+    ds_dx = _central_diff(ext[4], dx)
+    rates = np.stack((d_rho, d_u - omega_grad + th.theta1 * ds_dx,
+                      -u * ds_dx))
+    return rates, float(np.max(smax))
 
 
 def single_fluid_reference(model, grid: Grid1D, rho0, u0, s0, t_end: float,
                            omega: Callable[[np.ndarray], np.ndarray] | None
                            = None, cfl: float = 0.45):
-    """Integrate the one-component Euler reference to t_end (Heun in time)."""
+    """Integrate the one-component Euler reference to t_end (Heun in time);
+    returns the rows rho, u, s."""
     x = grid.centers()
-    rho, u, s = _sample(rho0, x), _sample(u0, x), _sample(s0, x)
+    y = np.stack([_sample(f, x) for f in (rho0, u0, s0)])
     omega_grad = _sample(0.0 if omega is None else omega, x)
     t = 0.0
     while t < t_end - 1e-14 * max(1.0, t_end):
-        d1 = _single_fluid_rhs(model, grid, rho, u, s, omega_grad)
-        dt = min(cfl * grid.dx / max(d1[3], 1e-30), t_end - t)
-        r1, u1, s1 = rho + dt * d1[0], u + dt * d1[1], s + dt * d1[2]
-        d2 = _single_fluid_rhs(model, grid, r1, u1, s1, omega_grad)
-        rho = 0.5 * (rho + r1 + dt * d2[0])
-        u = 0.5 * (u + u1 + dt * d2[1])
-        s = 0.5 * (s + s1 + dt * d2[2])
+        d1, smax = _single_fluid_rhs(model, grid, y, omega_grad)
+        dt = min(cfl * grid.dx / max(smax, 1e-30), t_end - t)
+        y1 = y + dt * d1
+        d2, _ = _single_fluid_rhs(model, grid, y1, omega_grad)
+        y = 0.5 * (y + y1 + dt * d2)
         t += dt
-    return rho, u, s
+    return y
 
 
 def _block_average(fine: np.ndarray, n_coarse: int) -> np.ndarray:

@@ -40,6 +40,16 @@ class TestDefaults:
         assert np.all(prof["rho1"](x) == 1.0)
 
 
+def range_case(section, lines, rule):
+    """A case of a key out of range, set on the last of ``lines``: the error
+    names its section, key and value."""
+    key, val = lines.splitlines()[-1].split(" = ")
+    return pytest.param(
+        section, lines,
+        re.escape(f"[{section}] {key} = '{val}': {key} {rule}"),
+        id=f"{section}-{key} = {val}")
+
+
 class TestValidation:
     def test_gamma_range(self):
         with pytest.raises(ConfigError, match="gamma1 must exceed 1"):
@@ -90,6 +100,15 @@ class TestValidation:
         ("reduce", "n_values = 100,2.5", "not a comma-separated list"),
         ("run", "report_interval = abc", "not a number"),
         ("run", "report_interval = -0.1", "report_interval must be"),
+        range_case("gibbs", "n_fields = 0", "must be at least 1"),
+        range_case("gibbs", "t_lo = 0.5\nt_hi = 0.2",
+                   "must not be below t_lo"),
+        range_case("hyperbolicity", "n_w = -1", "must be at least 1"),
+        range_case("hyperbolicity", "n_rho1 = 0", "must be at least 1"),
+        range_case("hyperbolicity", "n_rho2 = 0", "must be at least 1"),
+        range_case("reduce", "ref_factor = 0", "must be at least 1"),
+        range_case("fick", "theta_bound = -1", "must be positive"),
+        range_case("fick", "theta_bound = 0", "must be positive"),
     ])
     def test_bad_list_or_interval_rejected(self, section, line, match):
         with pytest.raises(ConfigError, match=match):

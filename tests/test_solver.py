@@ -3,10 +3,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
-from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams, evaluate
+from twofluid.potential import (RHO_FLOOR, SeparableAddedMass,
+                                SeparableAddedMassParams, evaluate)
 from twofluid import solver, state
 from twofluid.hyperbolicity import (critical_relative_velocity,
                                     wave_speeds_batch)
@@ -62,16 +64,30 @@ class TestConfigValidation:
             SimulationConfig(grid=g, model=make_model(), cfl=0.0, t_end=1.0)
 
 
+def callable_a(r1, r2):
+    return 0.3 * r1 * r2 / (r1 + r2)
+
+
 class TestConstantState:
-    def test_rhs_zero(self):
-        m = make_model()
-        grid = Grid1D(0.0, 1.0, 16)
+    @given(rho1=st.floats(0.1, 3.0), rho2=st.floats(0.1, 3.0),
+           u1=st.floats(-1.0, 1.0), u2=st.floats(-1.0, 1.0),
+           s1=st.floats(-0.3, 0.3), s2=st.floats(-0.3, 0.3),
+           a=st.one_of(st.floats(0.0, 1.0), st.just(callable_a)),
+           k=st.floats(0.0, 10.0),
+           bc=st.sampled_from(["periodic", "transmissive"]))
+    def test_rhs_zero(self, rho1, rho2, u1, u2, s1, s2, a, k, bc):
+        assume(u1 != u2)
+        m = make_model(a=a)
+        point = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
+        assume(wave_speeds_batch(m, *point)[1][0])
+        grid = Grid1D(0.0, 1.0, 16, bc=bc)
         init = evolved_from_primitive_profiles(
-            m, grid, rho1=1.0, rho2=0.8, u1=0.2, u2=0.2, s1=0.0, s2=0.1)
-        cfg = SimulationConfig(grid=grid, model=m, t_end=1.0)
+            m, grid, rho1=rho1, rho2=rho2, u1=u1, u2=u2, s1=s1, s2=s2)
+        cfg = SimulationConfig(grid=grid, model=m, t_end=1.0,
+                               closures=ClosureParams(k=k))
         rhs = assemble_rhs(cfg, init)
-        for name in ("d_rho1", "d_rho2", "d_K1", "d_K2", "d_s1", "d_s2"):
-            assert np.max(np.abs(getattr(rhs, name))) == 0.0
+        assert rhs.rates.shape == (6, grid.n)
+        assert np.all(rhs.rates == 0.0)
 
     def test_step_is_fixed_point(self):
         m = make_model()
@@ -359,8 +375,8 @@ class TestStiffDrag:
 
         def euler(cells, dt):
             rhs = assemble_rhs(cfg, cells)
-            return {f: getattr(cells, f) + dt * getattr(rhs, "d_" + f)
-                    for f in FIELDS}
+            return {f: getattr(cells, f) + dt * rate
+                    for f, rate in zip(FIELDS, rhs.rates)}
 
         cells = init
         for _, _, report in out[1:]:
@@ -405,19 +421,46 @@ class TestFailureModes:
         assert exc.value.cell == 9
         assert exc.value.t == 0.5
 
-    @pytest.mark.parametrize("field", ["rho1", "K2", "s2"])
-    def test_non_finite_stage_value_names_field_and_cell(self, field):
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"rho1": 5}, id="rho1"),
+        pytest.param({"K2": 5}, id="K2"),
+        pytest.param({"s2": 5}, id="s2"),
+        # two bad rows: the field first in field order is named, though the
+        # other one's bad cell comes first
+        pytest.param({"s1": 3, "K2": 5}, id="K2-s1"),
+    ])
+    def test_non_finite_stage_value_names_field_and_cell(self, bad):
         m = make_model()
         grid = Grid1D(0.0, 1.0, 16)
         cells = smooth_init(m, grid)
         cfg = SimulationConfig(grid=grid, model=m, t_end=1.0)
         rhs = assemble_rhs(cfg, cells, t=0.3)
-        bad = getattr(rhs, "d_" + field).copy()
-        bad[5] = np.nan
-        rhs = dataclasses.replace(rhs, **{"d_" + field: bad})
-        with pytest.raises(StepError, match=f"{field} is not finite") as exc:
+        rates = rhs.rates.copy()
+        for field, cell in bad.items():
+            rates[FIELDS.index(field), cell] = np.nan
+        rhs = dataclasses.replace(rhs, rates=rates)
+        named = min(bad, key=FIELDS.index)
+        with pytest.raises(StepError, match=f"{named} is not finite") as exc:
             step(cfg, cells, 1e-3, t=0.3, rhs0=rhs)
-        assert exc.value.cell == 5
+        assert exc.value.cell == bad[named]
+        assert exc.value.t == 0.3
+
+    def test_density_below_floor_names_field_and_cell(self):
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cells = smooth_init(m, grid)
+        cfg = SimulationConfig(grid=grid, model=m, t_end=1.0)
+        rhs = assemble_rhs(cfg, cells, t=0.3)
+        dt = 1e-3
+        rates = rhs.rates.copy()
+        # the stage takes rho2 to half the floor in cell 7
+        rates[1, 7] = (0.5 * RHO_FLOOR - cells.rho2[7]) / dt
+        rhs = dataclasses.replace(rhs, rates=rates)
+        with pytest.raises(StepError, match="rho2 went nonpositive in cell "
+                                            "7 after a stage; reduce the CFL"
+                           ) as exc:
+            step(cfg, cells, dt, t=0.3, rhs0=rhs)
+        assert exc.value.cell == 7
         assert exc.value.t == 0.3
 
     def test_recovery_failure_names_cell(self):
