@@ -46,9 +46,16 @@ frame once a phase outruns its sound speed), so a state the lab frame does
 not certify is tried again in the zero-mixture-momentum frame, and its
 speeds are shifted back.  The decoupled (a = 0) case has a closed-form
 oracle.
+
+The critical relative velocity w*, where the certificate first fails in
+the zero-mixture-momentum frame, comes in closed form for a law W = W0 -
+a w^2 / 2 (``model.quadratic_in_w``, as the built-in law): L_jj does not
+depend on w there and L_rr is affine in w^2.  Any other law gets a batched
+scan of the certificate, the oracle of the closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,14 +340,36 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
                                rel_tol: float = 1e-6):
     """The w* where the hyperbolicity certificate fails at fixed densities.
 
-    States are taken in the zero-mixture-momentum frame.  Each pass
-    evaluates the certificate at ``n_scan + 1`` evenly spaced w in [lo, hi]
-    in one batched call and keeps the first sub-interval on which it fails,
-    starting from [0, ``w_max``], until that interval is narrower than
-    ``rel_tol`` times its upper end; returns its midpoint, 0.0 if the
-    certificate already fails at w = 0, and None if it holds up to
-    ``w_max``.
+    States are taken in the zero-mixture-momentum frame.  Returns 0.0 if
+    the certificate already fails at w = 0, and None if it holds up to
+    ``w_max``.  For a law with ``model.quadratic_in_w`` w* is taken in
+    closed form, and ``n_scan`` and ``rel_tol`` do not apply.  For any
+    other law each pass of a scan evaluates the certificate at
+    ``n_scan + 1`` evenly spaced w in [lo, hi] in one batched call and
+    keeps the first sub-interval on which it fails, starting from
+    [0, ``w_max``], until that interval is narrower than ``rel_tol`` times
+    its upper end, and returns its midpoint.
     """
+    if model.quadratic_in_w:
+        # L_jj is constant and -L_rr = N0 + w^2 N2: with F F^T = N0,
+        # -L_rr = F (I + w^2 M) F^T for M = F^-1 N2 F^-T, so the certificate
+        # first fails at w^2 = -1 / min-eig(M), well conditioned also where
+        # det(-L_rr), a quadratic in w^2, has a double root
+        p = mixture_rest_state(rho1, rho2, np.array([0.0, 1.0]), s1, s2)
+        Lrr, _, Ljj = _lagrangian_hessian(model, p.rho1, p.rho2, p.u1, p.u2,
+                                          p.s1, p.s2)
+        ok, _, (l11, l21, l22) = _cholesky2(-Lrr[0])
+        if not (ok and _cholesky2(Ljj[0])[0]):
+            return 0.0
+        N2 = Lrr[0] - Lrr[1]
+        # G = F^-1 (lower triangular); M = G N2 G^T
+        g11, g22 = 1.0 / l11, 1.0 / l22
+        g21 = -l21 * g11 * g22
+        t = g21 * N2[0, 0] + g22 * N2[0, 1]
+        m11, m12 = g11 * g11 * N2[0, 0], g11 * t
+        m22 = g21 * t + g22 * (g21 * N2[0, 1] + g22 * N2[1, 1])
+        mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
+        return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
     lo, hi = 0.0, float(w_max)
     while hi - lo > rel_tol * hi:
         ws = np.linspace(lo, hi, n_scan + 1)

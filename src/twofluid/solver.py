@@ -34,12 +34,14 @@ density below the floor, raises a :class:`StepError` naming the first such
 field in that order and its first bad cell; the states a step builds from
 densities checked that way are row views of the stack and skip the
 constructors' admissibility re-check.  External potentials Omega_a(x) are
-plain callables of x.
+plain callables of x, sampled at the cell centers once per
+:class:`SimulationConfig`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -107,6 +109,12 @@ class SimulationConfig:
             raise ValueError("cfl must lie in (0, 0.9]")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
+
+    @cached_property
+    def omega_at_centers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(Omega1, Omega2) at the cell centers, sampled once per config."""
+        x = self.grid.centers()
+        return self.omega1(x), self.omega2(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +209,6 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     model = config.model
     grid = config.grid
     dx = grid.dx
-    x = grid.centers()
 
     try:
         p = evolved_to_primitive(model, cells)
@@ -211,8 +218,9 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     smax = _cell_speeds(model, p, t=t)
 
-    R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - config.omega1(x)
-    R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - config.omega2(x)
+    omega1, omega2 = config.omega_at_centers
+    R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - omega1
+    R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - omega2
 
     heat = drag_and_heat(replace(config.closures, k=0.0), p, th.theta1,
                          th.theta2)
@@ -431,15 +439,14 @@ def _source_rate_cap(config: SimulationConfig, rhs: RHSResult) -> float:
 
 def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
                 dt: float, rhs: RHSResult) -> TimeStepReport:
-    grid = config.grid
-    dx = grid.dx
-    x = grid.centers()
+    dx = config.grid.dx
+    omega1, omega2 = config.omega_at_centers
     p = rhs.primitive
     min_eig = hyperbolicity.min_eig_A_batch(config.model, p.rho1, p.rho2,
                                             p.u1, p.u2, p.s1, p.s2)
     energy_density = (0.5 * p.rho1 * p.u1 ** 2 + 0.5 * p.rho2 * p.u2 ** 2
-                      + p.rho1 * config.omega1(x)
-                      + p.rho2 * config.omega2(x) + rhs.thermo.U)
+                      + p.rho1 * omega1 + p.rho2 * omega2
+                      + rhs.thermo.U)
     return TimeStepReport(
         t=t, dt=dt,
         max_speed=float(np.max(rhs.smax)),

@@ -487,9 +487,15 @@ class TestCriticalW:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    @pytest.mark.parametrize("a", [0.2, 1.0,
+    @staticmethod
+    def _certified(model, rho1, rho2, w, s1, s2):
+        p = mixture_rest_state(rho1, rho2, w, s1, s2)
+        return bool(_certificate(model, p.rho1, p.rho2, p.u1, p.u2,
+                                 p.s1, p.s2, 0.0)[0])
+
+    @pytest.mark.parametrize("a", [0.0, 0.2, 1.0,
                                    lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
-                             ids=["a_0.2", "a_1.0", "callable_a"])
+                             ids=["a_0", "a_0.2", "a_1.0", "callable_a"])
     def test_matches_bisection_oracle(self, a):
         m = make_model(a=a)
         for rho1 in np.linspace(0.5, 1.5, 8):
@@ -498,15 +504,54 @@ class TestCriticalW:
                 ref = self._bisection_oracle(m, rho1, rho2, 0.05, -0.1)
                 assert abs(w_star - ref) <= 1e-6 * ref
 
+    @pytest.mark.parametrize("a", [0.2,
+                                   lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
+                             ids=["constant_a", "callable_a"])
+    def test_closed_form_is_the_certificate_boundary(self, a):
+        # the hyper_scan benchmark grid
+        m = make_model(a=a)
+        for rho1 in np.linspace(0.5, 1.5, 16):
+            for rho2 in np.linspace(0.5, 1.5, 16):
+                w_star = critical_relative_velocity(m, rho1, rho2, 0.05, -0.05)
+                assert self._certified(m, rho1, rho2, (1.0 - 1e-9) * w_star,
+                                       0.05, -0.05)
+                assert not self._certified(m, rho1, rho2,
+                                           (1.0 + 1e-9) * w_star, 0.05, -0.05)
+                assert critical_relative_velocity(
+                    m, rho1, rho2, 0.05, -0.05, w_max=0.999 * w_star) is None
+
+    @given(rho1=st.floats(0.05, 5.0), rho2=st.floats(0.05, 5.0),
+           s1=st.floats(-1.0, 1.0), s2=st.floats(-1.0, 1.0),
+           a=st.floats(0.0, 5.0),
+           gamma1=st.floats(1.0, 3.0, exclude_min=True),
+           gamma2=st.floats(1.0, 3.0, exclude_min=True))
+    def test_closed_form_matches_oracle_on_random_states(
+            self, rho1, rho2, s1, s2, a, gamma1, gamma2):
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=gamma1, gamma2=gamma2, a=a))
+        w_star = critical_relative_velocity(m, rho1, rho2, s1, s2)
+        ref = self._bisection_oracle(m, rho1, rho2, s1, s2)
+        if ref is None:
+            assert w_star is None
+            return
+        assert abs(w_star - ref) <= 1e-6 * ref
+        assert self._certified(m, rho1, rho2, (1.0 - 1e-9) * w_star, s1, s2)
+        assert not self._certified(m, rho1, rho2, (1.0 + 1e-9) * w_star,
+                                   s1, s2)
+
     def test_none_below_w_max_and_zero_when_unstable_at_rest(self):
         m = make_model(a=0.2)
         w_star = critical_relative_velocity(m, 1.0, 1.0)
         assert critical_relative_velocity(m, 1.0, 1.0,
                                           w_max=0.99 * w_star) is None
-        assert critical_relative_velocity(ConcaveInRho1(), 1.0, 1.0) == 0.0
+        # W of ConcaveInRho1 has the form W0 - a w^2 / 2: scan and closed form
+        declared = type("Declared", (ConcaveInRho1,), {"quadratic_in_w": True})
+        for law in (ConcaveInRho1(), declared()):
+            assert critical_relative_velocity(law, 1.0, 1.0) == 0.0
 
     def test_few_certificate_calls(self, monkeypatch):
-        # the hyper_scan benchmark grid with the default arguments
+        # the hyper_scan benchmark grid with the default arguments: a law
+        # without quadratic_in_w takes the scan, the built-in law no pass
         calls = []
         certificate = hyperbolicity._certificate
 
@@ -515,13 +560,13 @@ class TestCriticalW:
             return certificate(*args)
 
         monkeypatch.setattr(hyperbolicity, "_certificate", counted)
-        m = make_model(a=0.2)
-        for rho1 in np.linspace(0.5, 1.5, 16):
-            for rho2 in np.linspace(0.5, 1.5, 16):
-                calls.clear()
-                assert critical_relative_velocity(m, rho1, rho2, 0.05,
-                                                  -0.05) is not None
-                assert len(calls) <= 5
+        for law, max_calls in ((ValueOnly(), 5), (make_model(a=0.2), 0)):
+            for rho1 in np.linspace(0.5, 1.5, 16):
+                for rho2 in np.linspace(0.5, 1.5, 16):
+                    calls.clear()
+                    assert critical_relative_velocity(law, rho1, rho2, 0.05,
+                                                      -0.05) is not None
+                    assert len(calls) <= max_calls
 
 
 class TestBMatrixStructure:

@@ -183,6 +183,21 @@ class TestIntegrate:
         assert calls["assemble_rhs"] > 3
         assert calls["evaluate"] == calls["assemble_rhs"]
 
+    def test_external_potentials_sampled_once_per_config(self):
+        calls = []
+
+        def omega(x):
+            calls.append(x.size)
+            return 0.01 * np.sin(2 * np.pi * x)
+
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cfg = SimulationConfig(grid=grid, model=m, omega1=omega,
+                               omega2=omega, t_end=0.05, report_interval=0.0)
+        out = integrate(cfg, smooth_init(m, grid))
+        assert len(out) >= 3
+        assert calls == [16, 16]
+
     def test_no_constructor_check_after_the_initial_state(self,
                                                           monkeypatch):
         # every stage state is built from densities _advance has checked
