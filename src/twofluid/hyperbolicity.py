@@ -48,10 +48,10 @@ speeds are shifted back.  The decoupled (a = 0) case has a closed-form
 oracle.
 
 The critical relative velocity w*, where the certificate first fails in
-the zero-mixture-momentum frame, comes in closed form for a law W = W0 -
-a w^2 / 2 (``model.quadratic_in_w``, as the built-in law): L_jj does not
-depend on w there and L_rr is affine in w^2.  Any other law gets a batched
-scan of the certificate, the oracle of the closed form.
+the zero-mixture-momentum frame, comes in closed form for the built-in
+law W = W0 - a w^2 / 2: L_jj does not depend on w there and L_rr is affine
+in w^2.  Any other law, a subclass too, gets a batched certificate scan,
+the oracle of the closed form.
 """
 from __future__ import annotations
 
@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import RHO_FLOOR, ArrayLike, PotentialModel
+from .potential import (RHO_FLOOR, ArrayLike, PotentialModel,
+                        SeparableAddedMass)
 from .state import ConvergenceError, PrimitiveState
 
 #: B of the symmetric form A u_t + B u_x = 0: minus the Hessian of the flux
@@ -342,15 +343,16 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
 
     States are taken in the zero-mixture-momentum frame.  Returns 0.0 if
     the certificate already fails at w = 0, and None if it holds up to
-    ``w_max``.  For a law with ``model.quadratic_in_w`` w* is taken in
-    closed form, and ``n_scan`` and ``rel_tol`` do not apply.  For any
-    other law each pass of a scan evaluates the certificate at
-    ``n_scan + 1`` evenly spaced w in [lo, hi] in one batched call and
-    keeps the first sub-interval on which it fails, starting from
-    [0, ``w_max``], until that interval is narrower than ``rel_tol`` times
-    its upper end, and returns its midpoint.
+    ``w_max``.  For a :class:`SeparableAddedMass` (not a subclass, which
+    may change how W depends on w) w* is taken in closed form, and
+    ``n_scan`` and ``rel_tol`` do not apply.  For any other law each pass
+    of a scan evaluates the certificate at ``n_scan + 1`` evenly spaced w
+    in [lo, hi] in one batched call and keeps the first sub-interval on
+    which it fails, starting from [0, ``w_max``], until that interval is
+    narrower than ``rel_tol`` times its upper end, and returns its
+    midpoint.
     """
-    if model.quadratic_in_w:
+    if type(model) is SeparableAddedMass:
         # L_jj is constant and -L_rr = N0 + w^2 N2: with F F^T = N0,
         # -L_rr = F (I + w^2 M) F^T for M = F^-1 N2 F^-T, so the certificate
         # first fails at w^2 = -1 / min-eig(M), well conditioned also where

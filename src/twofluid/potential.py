@@ -67,16 +67,7 @@ class PotentialModel(ABC):
     max(1, |x|) (51 calls per Hessian, 3 per ``d2W_dw2``).
 
     Models are immutable after construction; all evaluations are pure.
-
-    :attr:`quadratic_in_w` declares that W has the form
-    W0(rho1, rho2, s1, s2) - a(rho1, rho2) w^2 / 2; the critical relative
-    velocity of such a law is then taken in closed form
-    (:func:`hyperbolicity.critical_relative_velocity`).  It is False by
-    default, and laws that leave it so get a batched certificate scan.
     """
-
-    #: True when W = W0(rho1, rho2, s1, s2) - a(rho1, rho2) w^2 / 2
-    quadratic_in_w = False
 
     @abstractmethod
     def value(self, rho1, rho2, s1, s2, w):
@@ -252,9 +243,13 @@ class SeparableAddedMassParams:
 
 
 class SeparableAddedMass(PotentialModel):
-    """Built-in separable polytropic law with quadratic added-mass coupling."""
+    """Built-in separable polytropic law with quadratic added-mass coupling.
 
-    quadratic_in_w = True
+    W = W0(rho1, rho2, s1, s2) - a(rho1, rho2) w^2 / 2, so its critical
+    relative velocity has a closed form
+    (:func:`hyperbolicity.critical_relative_velocity`); a subclass gets the
+    certificate scan of any other law.
+    """
 
     def __init__(self, params: SeparableAddedMassParams):
         self.params = params

@@ -33,6 +33,27 @@ class ValueOnly(PotentialModel):
                 + 0.3 * rho1 * rho2 - 0.2 * (1.0 + 0.1 * rho1) * w ** 2)
 
 
+class QuarticInW(SeparableAddedMass):
+    """The built-in law less w^4 / 40: a subclass not quadratic in w."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return (super().value(rho1, rho2, s1, s2, w)
+                - np.asarray(w, dtype=float) ** 4 / 40.0)
+
+    gradient, hessian = PotentialModel.gradient, PotentialModel.hessian
+    dW_dw, d2W_dw2 = PotentialModel.dW_dw, PotentialModel.d2W_dw2
+
+
+class CoupledInW(PotentialModel):
+    """A user law whose w-coupling depends on both densities and entropies."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return (rho1 ** 2 * np.exp(s1) + 0.7 * rho2 ** 1.4 * np.exp(s2)
+                + 0.3 * rho1 * rho2
+                - 0.1 * rho1 * rho2 * np.exp(0.5 * (s1 - s2)) * w ** 2
+                - 0.01 * w ** 4)
+
+
 class ConcaveInRho1(PotentialModel):
     """A law violating the stability inequalities at rest (W_rho1rho1 < 0)."""
 
@@ -493,11 +514,16 @@ class TestCriticalW:
         return bool(_certificate(model, p.rho1, p.rho2, p.u1, p.u2,
                                  p.s1, p.s2, 0.0)[0])
 
-    @pytest.mark.parametrize("a", [0.0, 0.2, 1.0,
-                                   lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
-                             ids=["a_0", "a_0.2", "a_1.0", "callable_a"])
-    def test_matches_bisection_oracle(self, a):
-        m = make_model(a=a)
+    @pytest.mark.parametrize(
+        "m", [make_model(a=0.0), make_model(a=0.2), make_model(a=1.0),
+              make_model(a=lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)),
+              ValueOnly(), CoupledInW(),
+              QuarticInW(SeparableAddedMassParams(gamma1=2.0, gamma2=1.4,
+                                                  a=0.2))],
+        ids=["a_0", "a_0.2", "a_1.0", "callable_a", "value_only",
+             "coupled_in_w", "quartic_subclass"])
+    def test_matches_bisection_oracle(self, m):
+        # the closed form for the built-in law, the scan for the others
         for rho1 in np.linspace(0.5, 1.5, 8):
             for rho2 in np.linspace(0.5, 1.5, 8):
                 w_star = critical_relative_velocity(m, rho1, rho2, 0.05, -0.1)
@@ -508,11 +534,16 @@ class TestCriticalW:
                                    lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
                              ids=["constant_a", "callable_a"])
     def test_closed_form_is_the_certificate_boundary(self, a):
-        # the hyper_scan benchmark grid
+        # the hyper_scan benchmark grid; a subclass that changes nothing
+        # takes the scan, the closed form's oracle
         m = make_model(a=a)
+        scanned = type("Scanned", (SeparableAddedMass,), {})(m.params)
         for rho1 in np.linspace(0.5, 1.5, 16):
             for rho2 in np.linspace(0.5, 1.5, 16):
                 w_star = critical_relative_velocity(m, rho1, rho2, 0.05, -0.05)
+                scan = critical_relative_velocity(scanned, rho1, rho2, 0.05,
+                                                  -0.05)
+                assert abs(w_star - scan) <= 1e-6 * scan
                 assert self._certified(m, rho1, rho2, (1.0 - 1e-9) * w_star,
                                        0.05, -0.05)
                 assert not self._certified(m, rho1, rho2,
@@ -544,14 +575,14 @@ class TestCriticalW:
         w_star = critical_relative_velocity(m, 1.0, 1.0)
         assert critical_relative_velocity(m, 1.0, 1.0,
                                           w_max=0.99 * w_star) is None
-        # W of ConcaveInRho1 has the form W0 - a w^2 / 2: scan and closed form
-        declared = type("Declared", (ConcaveInRho1,), {"quadratic_in_w": True})
-        for law in (ConcaveInRho1(), declared()):
+        # the scan; then the closed form, where a < 0 makes L_jj indefinite
+        negative_a = make_model(a=lambda r1, r2: -10.0 + 0.0 * r1)
+        for law in (ConcaveInRho1(), negative_a):
             assert critical_relative_velocity(law, 1.0, 1.0) == 0.0
 
     def test_few_certificate_calls(self, monkeypatch):
-        # the hyper_scan benchmark grid with the default arguments: a law
-        # without quadratic_in_w takes the scan, the built-in law no pass
+        # the hyper_scan benchmark grid with the default arguments: a user
+        # law takes the scan, the built-in law no pass
         calls = []
         certificate = hyperbolicity._certificate
 
