@@ -19,13 +19,17 @@ Two routes to A are provided.  The per-state oracle inverts the Legendre map
 the (sigma, j) variables.  The batched route works with the Hessian of L in
 m = (rho1, rho2, j1, j2), taken by the chain rule from ``model.hessian``
 (analytic for the built-in law, finite differences for user laws), in 2x2
-blocks L_rr, L_rj, L_jj.  With them
+blocks L_rr, L_rj, L_jj.  It is kept as one array of flat rows, the 10
+distinct entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj
+(11, 22, 12) of each state, built once per call and read in place by the
+certificate, the kernels and w*; only the 4x4 A of the map and the reports
+rebuilds 2x2 stacks.  With the blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
 
-so A is positive definite exactly when -L_rr and L_jj are: two closed-form
-2x2 Cholesky factorisations per state certify hyperbolicity.  The speeds
+so A is positive definite exactly when -L_rr and L_jj are: a closed-form
+2x2 Cholesky of the two blocks, stacked, certifies hyperbolicity.  The speeds
 solve the quadratic eigenproblem det(lambda^2 L_jj + lambda (L_rj + L_jr)
 + L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr they are the
 eigenvalues of the symmetric 4x4 matrix
@@ -34,18 +38,13 @@ eigenvalues of the symmetric 4x4 matrix
 
 one batched symmetric eigensolve (:func:`wave_speeds_batch`, the full
 sorted speeds for the map and the reports).  The solver needs only the
-extreme speeds per state; :func:`_extreme_speeds` takes them from the 2x2
-blocks without an eigensolve: in a certified frame two speeds are positive
-and two negative, so the smaller eigenvalue of the 2x2 matrix
-lambda^2 L_jj + lambda (L_rj + L_jr) + L_rr changes sign once on each side
-of 0, at the extreme root there.  The quartic's extreme roots in closed
-form, polished by two Newton steps on that eigenvalue, match the
-eigensolve to round-off, double roots included.  The speeds are Galilean
-covariant, but A is positive definite in some frames only (not in the lab
-frame once a phase outruns its sound speed), so a state the lab frame does
-not certify is tried again in the zero-mixture-momentum frame, and its
-speeds are shifted back.  The decoupled (a = 0) case has a closed-form
-oracle.
+extreme speeds per state, which :func:`_extreme_speeds` takes from the same
+rows in closed form, without an eigensolve; they match the eigensolve to
+round-off, double roots included.  The speeds are Galilean covariant, but
+A is positive definite in some frames only (not in the lab frame once a
+phase outruns its sound speed), so a state the lab frame does not certify
+is tried again in the zero-mixture-momentum frame, and its speeds are
+shifted back.  The decoupled (a = 0) case has a closed-form oracle.
 
 The critical relative velocity w*, where the certificate first fails in
 the zero-mixture-momentum frame, comes in closed form for the built-in
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import (RHO_FLOOR, ArrayLike, PotentialModel,
-                        SeparableAddedMass)
+                        SeparableAddedMass, require_admissible)
 from .state import ConvergenceError, PrimitiveState
 
 #: B of the symmetric form A u_t + B u_x = 0: minus the Hessian of the flux
@@ -304,6 +303,7 @@ def check_stability_inequalities(model: PotentialModel,
 def mixture_rest_state(rho1: ArrayLike, rho2: ArrayLike, w: ArrayLike,
                        s1: ArrayLike, s2: ArrayLike) -> PrimitiveState:
     """State with relative velocity w in the zero-mixture-momentum frame."""
+    require_admissible(rho1, rho2)
     rho = rho1 + rho2
     return PrimitiveState(rho1=rho1, rho2=rho2,
                           u1=-rho2 * w / rho, u2=rho1 * w / rho, s1=s1, s2=s2)
@@ -343,41 +343,45 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
 
     States are taken in the zero-mixture-momentum frame.  Returns 0.0 if
     the certificate already fails at w = 0, and None if it holds up to
-    ``w_max``.  For a :class:`SeparableAddedMass` (not a subclass, which
-    may change how W depends on w) w* is taken in closed form, and
-    ``n_scan`` and ``rel_tol`` do not apply.  For any other law each pass
-    of a scan evaluates the certificate at ``n_scan + 1`` evenly spaced w
-    in [lo, hi] in one batched call and keeps the first sub-interval on
-    which it fails, starting from [0, ``w_max``], until that interval is
-    narrower than ``rel_tol`` times its upper end, and returns its
-    midpoint.
+    ``w_max`` (positive and finite).  For a :class:`SeparableAddedMass`
+    (not a subclass, which may change how W depends on w) w* is taken in
+    closed form, and ``n_scan`` and ``rel_tol`` do not apply.  For any
+    other law each pass of a scan evaluates the certificate at
+    ``n_scan + 1`` evenly spaced w in [lo, hi] in one batched call and
+    keeps the first sub-interval on which it fails, starting from
+    [0, ``w_max``], until it is narrower than ``rel_tol`` times its upper
+    end, and returns its midpoint.
     """
+    if not 0.0 < w_max < math.inf:
+        raise ValueError(f"w_max must be positive and finite; got {w_max!r}")
+    require_admissible(rho1, rho2)
+    rho = rho1 + rho2
     if type(model) is SeparableAddedMass:
         # L_jj is constant and -L_rr = N0 + w^2 N2: with F F^T = N0,
         # -L_rr = F (I + w^2 M) F^T for M = F^-1 N2 F^-T, so the certificate
         # first fails at w^2 = -1 / min-eig(M), well conditioned also where
         # det(-L_rr), a quadratic in w^2, has a double root
-        p = mixture_rest_state(rho1, rho2, np.array([0.0, 1.0]), s1, s2)
-        Lrr, _, Ljj = _lagrangian_hessian(model, p.rho1, p.rho2, p.u1, p.u2,
-                                          p.s1, p.s2)
-        ok, _, (l11, l21, l22) = _cholesky2(-Lrr[0])
-        if not (ok and _cholesky2(Ljj[0])[0]):
+        w = np.array([0.0, 1.0])
+        R = _lagrangian_hessian(model, rho1, rho2, -rho2 * w / rho,
+                                rho1 * w / rho, s1, s2)
+        ok, _, (l11, l21, l22) = _cholesky2(R[:, 0])
+        if not (ok[0] and ok[1]):
             return 0.0
-        N2 = Lrr[0] - Lrr[1]
+        n11, n22, n12 = R[:3, 0] - R[:3, 1]
         # G = F^-1 (lower triangular); M = G N2 G^T
-        g11, g22 = 1.0 / l11, 1.0 / l22
-        g21 = -l21 * g11 * g22
-        t = g21 * N2[0, 0] + g22 * N2[0, 1]
-        m11, m12 = g11 * g11 * N2[0, 0], g11 * t
-        m22 = g21 * t + g22 * (g21 * N2[0, 1] + g22 * N2[1, 1])
+        g11, g22 = 1.0 / l11[0], 1.0 / l22[0]
+        g21 = -l21[0] * g11 * g22
+        t = g21 * n11 + g22 * n12
+        m11, m12 = g11 * g11 * n11, g11 * t
+        m22 = g21 * t + g22 * (g21 * n12 + g22 * n22)
         mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
         return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
     lo, hi = 0.0, float(w_max)
     while hi - lo > rel_tol * hi:
         ws = np.linspace(lo, hi, n_scan + 1)
-        p = mixture_rest_state(rho1, rho2, ws, s1, s2)
-        failed = np.flatnonzero(~_certificate(model, p.rho1, p.rho2, p.u1,
-                                              p.u2, p.s1, p.s2, 0.0)[0])
+        failed = np.flatnonzero(~_certificate(
+            model, rho1, rho2, -rho2 * ws / rho, rho1 * ws / rho, s1, s2,
+            0.0)[0])
         # after the first pass ws[0] = lo is certified and ws[-1] = hi fails
         if failed.size == 0:
             return None
@@ -391,44 +395,45 @@ def _lagrangian_hessian(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     """Hess L in m = (rho1, rho2, j1, j2) at frozen entropies, by the chain rule.
 
     L = j1^2/(2 rho1) + j2^2/(2 rho2) - W(rho1, rho2, s1, s2, w) with
-    w = j2/rho2 - j1/rho1.  Returns the 2x2 blocks (L_rr, L_rj, L_jj), each
-    stacked as (..., 2, 2), with L_rj[..., i, k] = d2L/drho_i dj_k.
+    w = j2/rho2 - j1/rho1.  The inputs broadcast together to a shape S;
+    returns one (10,) + S array of rows, the 10 distinct entries of the
+    2x2 blocks: L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj
+    (11, 22, 12), with L_rj[i, k] = d2L/drho_i dj_k.
     """
-    rho1, rho2, u1, u2, s1, s2 = np.broadcast_arrays(
-        *[np.asarray(a, dtype=float) for a in (rho1, rho2, u1, u2, s1, s2)])
     w = u2 - u1
     H = model.hessian(rho1, rho2, s1, s2, w)
     Ww = model.dW_dw(rho1, rho2, s1, s2, w)
     Www = H[4, 4]
-    rho, u = (rho1, rho2), (u1, u2)
-    wj = (-1.0 / rho1, 1.0 / rho2)                # dw/dj_a
-    wr = (-u1 * wj[0], -u2 * wj[1])               # dw/drho_a
-    K = (u1 - Ww * wj[0], u2 - Ww * wj[1])        # dL/dj_a
-    Lrr, Lrj, Ljj = (np.empty(rho1.shape + (2, 2)) for _ in range(3))
-    for i in range(2):
-        q = H[i, 4] + Www * wr[i]                 # d(W_w)/drho_i along w(m)
-        for k in range(2):
-            Lrj[..., i, k] = -q * wj[k]
-        for k in range(i, 2):
-            Lrr[..., i, k] = Lrr[..., k, i] = -(H[i, k] + q * wr[k]
-                                                + H[k, 4] * wr[i])
-            Ljj[..., i, k] = Ljj[..., k, i] = -Www * wj[i] * wj[k]
-        # kinetic part and the W_w d2w terms sit on the diagonals
-        Lrr[..., i, i] += u[i] * (2.0 * K[i] - u[i]) / rho[i]
-        Lrj[..., i, i] -= K[i] / rho[i]
-        Ljj[..., i, i] += 1.0 / rho[i]
-    return Lrr, Lrj, Ljj
+    wj1, wj2 = -1.0 / rho1, 1.0 / rho2            # dw/dj_a
+    wr1, wr2 = -u1 * wj1, -u2 * wj2               # dw/drho_a
+    K1, K2 = u1 - Ww * wj1, u2 - Ww * wj2         # dL/dj_a
+    # d(W_w)/drho_a along w(m)
+    q1, q2 = H[0, 4] + Www * wr1, H[1, 4] + Www * wr2
+    R = np.empty((10,) + np.broadcast(rho1, rho2, u1, u2, s1, s2).shape)
+    # the kinetic part and the W_w d2w terms sit on the diagonals
+    R[0] = -(H[0, 0] + q1 * wr1 + H[0, 4] * wr1) + u1 * (2.0 * K1 - u1) / rho1
+    R[1] = -(H[1, 1] + q2 * wr2 + H[1, 4] * wr2) + u2 * (2.0 * K2 - u2) / rho2
+    R[2] = -(H[0, 1] + q1 * wr2 + H[1, 4] * wr1)
+    R[3] = -q1 * wj1 - K1 / rho1
+    R[4] = -q2 * wj2 - K2 / rho2
+    R[5] = -q1 * wj2
+    R[6] = -q2 * wj1
+    R[7] = -Www * wj1 * wj1 + 1.0 / rho1
+    R[8] = -Www * wj2 * wj2 + 1.0 / rho2
+    R[9] = -Www * wj1 * wj2
+    return R
 
 
-def _cholesky2(X):
-    """Closed-form Cholesky of stacked symmetric 2x2 blocks ``X`` (..., 2, 2).
+def _cholesky2(R):
+    """Closed-form Cholesky of -L_rr and L_jj, stacked, from the rows ``R``.
 
-    Returns (ok, scaled_min_eig, (l11, l21, l22)).  ``ok`` holds where both
-    pivots are positive, i.e. X is positive definite; the factor entries are
-    meaningful only there.  scaled_min_eig = min-eig(X) / ||X||_2, positive
-    exactly where ``ok`` holds.
+    Returns (ok, scaled_min_eig, (l11, l21, l22)), each of shape
+    (2,) + R.shape[1:], index 0 for -L_rr and 1 for L_jj.  ``ok`` holds
+    where both pivots are positive, i.e. the block is positive definite;
+    the factor entries are meaningful only there.  scaled_min_eig =
+    min-eig / ||block||_2 is positive exactly where ``ok`` holds.
     """
-    a, b, c = X[..., 0, 0], X[..., 0, 1], X[..., 1, 1]
+    a, c, b = np.stack((-R[:3], R[7:]), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         l11 = np.sqrt(a)
         l21 = b / l11
@@ -445,32 +450,28 @@ def _cholesky2(X):
 def _certificate(model: PotentialModel, rho1, rho2, u1, u2, s1, s2, V):
     """Block-Cholesky hyperbolicity certificate in the frame moving with V.
 
-    Returns (ok, margin, L_rr, L_rj, L_jj): ``ok`` where -L_rr and L_jj are
-    positive definite (A = Hess G is then), ``margin`` the smaller of the
-    two blocks' scaled min-eigenvalues (> 0 exactly where ``ok``), and the
-    blocks of Hess L in that frame.
+    Returns (ok, margin, R): ``ok`` where -L_rr and L_jj are positive
+    definite (A = Hess G is then), ``margin`` the smaller of the blocks'
+    scaled min-eigenvalues (> 0 exactly where ``ok``), R the rows of Hess L.
     """
-    Lrr, Lrj, Ljj = _lagrangian_hessian(model, rho1, rho2, u1 - V, u2 - V,
-                                        s1, s2)
-    ok_r, margin_r, _ = _cholesky2(-Lrr)
-    ok_j, margin_j, _ = _cholesky2(Ljj)
-    return ok_r & ok_j, np.minimum(margin_r, margin_j), Lrr, Lrj, Ljj
+    R = _lagrangian_hessian(model, rho1, rho2, u1 - V, u2 - V, s1, s2)
+    ok, margin, _ = _cholesky2(R)
+    return ok[0] & ok[1], np.minimum(margin[0], margin[1]), R
 
 
-def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """Batched A = Hess G from the Hessian of L; an (..., 4, 4) stack.
-
-    Uses the closed-form inverse of the 2x2 block L_rr; A is not finite
-    where L_rr is singular.
-    """
-    Lrr, Lrj, Ljj = _lagrangian_hessian(model, rho1, rho2, u1, u2, s1, s2)
-    a, b, c = Lrr[..., 0, 0], Lrr[..., 0, 1], Lrr[..., 1, 1]
+def _symmetric_system(R):
+    """A = Hess G, an (..., 4, 4) stack, from the rows ``R`` of Hess L, by
+    the closed-form inverse of L_rr; not finite where L_rr is singular."""
+    a, c, b = R[:3]
+    blocks = R.shape[1:] + (2, 2)
+    Lrj = np.stack([R[3], R[5], R[6], R[4]], axis=-1).reshape(blocks)
+    Ljj = np.stack([R[7], R[9], R[9], R[8]], axis=-1).reshape(blocks)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.stack([c, -b, -b, a], axis=-1).reshape(Lrr.shape) \
+        inv = np.stack([c, -b, -b, a], axis=-1).reshape(blocks) \
             / (a * c - b * b)[..., None, None]
         P = inv @ Lrj
         Ljr_P = np.swapaxes(Lrj, -1, -2) @ P
-    A = np.empty(Lrr.shape[:-2] + (4, 4))
+    A = np.empty(R.shape[1:] + (4, 4))
     A[..., :2, :2] = -inv
     A[..., :2, 2:] = P
     A[..., 2:, :2] = np.swapaxes(P, -1, -2)
@@ -478,33 +479,35 @@ def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     return A
 
 
-def _flat_states(*arrays):
-    """Broadcast the state arrays together; (shape, flat float arrays)."""
-    arrays = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in arrays])
-    return arrays[0].shape, [a.ravel() for a in arrays]
+def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Batched A = Hess G from the Hessian of L; an (..., 4, 4) stack."""
+    return _symmetric_system(_lagrangian_hessian(model, rho1, rho2, u1, u2,
+                                                 s1, s2))
 
 
 def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     """The certificate in the lab frame, retried in the zero-mixture-momentum
-    frame for the states that fail it there.
+    frame for the states that fail it there; their columns of the lab-frame
+    results, the rows ``R`` included, are overwritten.
 
-    Takes flat state arrays; returns (V, ok, margin, L_rr, L_rj, L_jj) as
-    for :func:`_certificate`, with V the velocity of the frame each state's
-    values come from (0 for the lab frame).
+    Returns (V, ok, margin, R, S): the states flattened from their
+    broadcast shape S, V the velocity of the frame each state's values
+    come from (0 for the lab frame), the rest as for :func:`_certificate`.
     """
+    state = np.broadcast_arrays(*[np.asarray(a, dtype=float)
+                                  for a in (rho1, rho2, u1, u2, s1, s2)])
+    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in state)
     V = np.zeros(rho1.size)
-    ok, margin, *blocks = _certificate(model, rho1, rho2, u1, u2, s1, s2, V)
+    ok, margin, R = _certificate(model, rho1, rho2, u1, u2, s1, s2, V)
     retry = np.flatnonzero(~ok)
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
                     / (rho1[retry] + rho2[retry]))
-        ok_m, margin_m, *blocks_m = _certificate(
+        ok_m, margin_m, R[:, retry] = _certificate(
             model, *(a[retry] for a in (rho1, rho2, u1, u2, s1, s2, V)))
         ok[retry] = ok_m
         margin[retry] = np.maximum(margin[retry], margin_m)
-        for b, b_m in zip(blocks, blocks_m):
-            b[retry] = b_m
-    return (V, ok, margin, *blocks)
+    return V, ok, margin, R, state[0].shape
 
 
 def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -512,12 +515,10 @@ def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
 
     That is the lab frame, or the zero-mixture-momentum frame where the
     certificate fails in the lab frame; NaN where A is undefined (singular
-    L_rr).
+    L_rr).  A comes from the rows that certificate already took.
     """
-    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
-                                                       s1, s2)
-    V = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)[0]
-    A = symmetric_system_batch(model, rho1, rho2, u1 - V, u2 - V, s1, s2)
+    *_, R, shape = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)
+    A = _symmetric_system(R)
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
     return np.where(finite, eig[..., 0], np.nan).reshape(shape)
@@ -532,20 +533,17 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
     Speeds are sorted; they are NaN where the certificate fails.
     """
-    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
-                                                       s1, s2)
-    V, ok, margin, Lrr, Lrj, Ljj = _certified_frame(model, rho1, rho2, u1, u2,
-                                                    s1, s2)
-    h11, h21, h22 = _cholesky2(-Lrr)[2]
-    l11, l21, l22 = _cholesky2(Ljj)[2]
+    V, ok, margin, R, shape = _certified_frame(model, rho1, rho2, u1, u2,
+                                               s1, s2)
+    # F_r F_r^T = -L_rr with entries h, F_j F_j^T = L_jj with entries l
+    (h11, l11), (h21, l21), (h22, l22) = _cholesky2(R)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         # G = F_j^-1 (lower triangular), C = L_rj + L_jr
         g11, g22 = 1.0 / l11, 1.0 / l22
         g21 = -l21 * g11 * g22
-        c11, c22 = 2.0 * Lrj[..., 0, 0], 2.0 * Lrj[..., 1, 1]
-        c12 = Lrj[..., 0, 1] + Lrj[..., 1, 0]
+        c11, c22, c12 = 2.0 * R[3], 2.0 * R[4], R[5] + R[6]
         t = g21 * c11 + g22 * c12
-        S = np.zeros(rho1.shape + (4, 4))
+        S = np.zeros(V.shape + (4, 4))
         # -G C G^T in the upper-left block, N = G F_r beside it
         S[..., 0, 0] = -g11 * g11 * c11
         S[..., 0, 1] = S[..., 1, 0] = -g11 * t
@@ -558,6 +556,12 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     speeds[~ok] = np.nan
     return (speeds.reshape(shape + (4,)), ok.reshape(shape),
             margin.reshape(shape))
+
+
+#: The phase shifts 2 pi k / 3 of the resolvent cubic's trigonometric roots.
+_THIRDS = np.array([[0.0], [2.0 * np.pi / 3.0], [4.0 * np.pi / 3.0]])
+#: The sign of the half-line each extreme speed lies on.
+_SIDES = np.array([[-1.0], [1.0]])
 
 
 def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -576,15 +580,14 @@ def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     quartic, whose roots are >= 0, in trigonometric form) and polished by
     two Newton steps on nu.
     """
-    shape, (rho1, rho2, u1, u2, s1, s2) = _flat_states(rho1, rho2, u1, u2,
-                                                       s1, s2)
-    V, ok, margin, Lrr, Lrj, Ljj = _certified_frame(model, rho1, rho2, u1, u2,
-                                                    s1, s2)
-    # Q[k, e]: the coefficient of lambda^k in entry e = (11, 22, 12) of M
-    Q = np.empty((3, 3, rho1.size))
-    Q[0] = Lrr[:, 0, 0], Lrr[:, 1, 1], Lrr[:, 0, 1]
-    Q[1] = 2.0 * Lrj[:, 0, 0], 2.0 * Lrj[:, 1, 1], Lrj[:, 0, 1] + Lrj[:, 1, 0]
-    Q[2] = Ljj[:, 0, 0], Ljj[:, 1, 1], Ljj[:, 0, 1]
+    V, ok, margin, R, shape = _certified_frame(model, rho1, rho2, u1, u2,
+                                               s1, s2)
+    # Q[k, e]: the coefficient of lambda^k in entry e = (11, 22, 12) of M,
+    # the rows of L_rr, L_rj + L_jr and L_jj
+    Q = np.empty((3,) + R[:3].shape)
+    Q[0], Q[2] = R[:3], R[7:]
+    np.multiply(R[3:5], 2.0, out=Q[1, :2])
+    np.add(R[5], R[6], out=Q[1, 2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # det M = M11 M22 - M12^2: P[i, k] is its part from lambda^i in the
         # first factor and lambda^k in the second
@@ -609,15 +612,11 @@ def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
         m = 2.0 * np.sqrt(np.maximum(-e1 / 3.0, 0.0))
         phi = np.arccos(np.clip(-4.0 * e0 / np.maximum(m * m * m, 1e-300),
                                 -1.0, 1.0)) / 3.0
-        t = np.sqrt(np.maximum(
-            m * np.cos(phi - np.array([[0.0], [2.0 * np.pi / 3.0],
-                                       [4.0 * np.pi / 3.0]])) - p / 6.0,
-            0.0))
+        t = np.sqrt(np.maximum(m * np.cos(phi - _THIRDS) - p / 6.0, 0.0))
         t2 = np.where(q > 0.0, -t[2], t[2])
         lam = np.stack([t2 - t[0] - t[1], t2 + t[0] + t[1]]) - b
         # Newton on nu = mid - rad, both extremes at once; at rad = 0
         # (M a multiple of I) nu' is the smaller eigenvalue of M'
-        side = np.array([[-1.0], [1.0]])
         Q0, Q1, Q2 = (X[:, None] for X in Q)
         for _ in range(2):
             M = (Q2 * lam + Q1) * lam + Q0
@@ -629,7 +628,7 @@ def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
                             np.hypot(dhalf, dM[2]))
             new = lam - nu / (0.5 * (dM[0] + dM[1]) - drad)
             # a step must stay finite and on its half-line
-            lam = np.where(np.isfinite(new) & (side * new > 0.0), new, lam)
+            lam = np.where(np.isfinite(new) & (_SIDES * new > 0.0), new, lam)
     ext = lam.T + V[:, None]
     ext[~ok] = np.nan
     return ext.reshape(shape + (2,)), ok.reshape(shape), margin.reshape(shape)

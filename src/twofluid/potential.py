@@ -37,7 +37,8 @@ def require_admissible(rho1: ArrayLike, rho2: ArrayLike) -> None:
     """Raise :class:`AdmissibilityError` naming the offending component."""
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         arr = np.asarray(rho, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.min(arr) < RHO_FLOOR:
+        # a NaN makes the min NaN, which fails the comparison
+        if not (arr.min() >= RHO_FLOOR and arr.max() < np.inf):
             raise AdmissibilityError(
                 f"{name} must stay above {RHO_FLOOR:g}; got min {np.min(arr):g}"
             )

@@ -15,8 +15,9 @@ from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
                                     legendre_transform, map_hyperbolic_region,
                                     min_eig_A_batch, mixture_rest_state,
                                     symmetric_system_batch, wave_speeds_batch)
-from twofluid.potential import (PotentialModel, SeparableAddedMass,
-                                SeparableAddedMassParams, evaluate)
+from twofluid.potential import (AdmissibilityError, PotentialModel,
+                                SeparableAddedMass, SeparableAddedMassParams,
+                                evaluate)
 from twofluid.state import PrimitiveState
 
 
@@ -164,14 +165,18 @@ class TestLagrangianHessian:
         args = (rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n),
                 rng.normal(0, 0.3, n), rng.normal(0, 0.3, n),
                 rng.uniform(-0.2, 0.2, n), rng.uniform(-0.2, 0.2, n))
-        Lrr, Lrj, Ljj = _lagrangian_hessian(law, *args)
-        H = np.block([[Lrr, Lrj], [np.swapaxes(Lrj, -1, -2), Ljj]])
+        R = _lagrangian_hessian(law, *args)
+        assert R.shape == (10, n)
+        # rows L_rr (11, 22, 12), L_rj (11, 22, 12, 21), L_jj (11, 22, 12)
+        rr11, rr22, rr12, rj11, rj22, rj12, rj21, jj11, jj22, jj12 = R
+        H = np.moveaxis(np.array([[rr11, rr12, rj11, rj12],
+                                  [rr12, rr22, rj21, rj22],
+                                  [rj11, rj21, jj11, jj12],
+                                  [rj12, rj22, jj12, jj22]]), -1, 0)
         J = self._fd_hessian(law, *args)
         rel = np.linalg.norm(H - J, axis=(-2, -1)) / np.linalg.norm(
             J, axis=(-2, -1))
         assert np.max(rel) < tol
-        assert np.array_equal(Lrr, np.swapaxes(Lrr, -1, -2))
-        assert np.array_equal(Ljj, np.swapaxes(Ljj, -1, -2))
 
     @pytest.mark.parametrize("a", [0.4, lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2)],
                              ids=["constant_a", "callable_a"])
@@ -252,6 +257,24 @@ class TestCertificate:
         assert np.array_equal(min_eig > 0.0, ok)
         lab = symmetric_system_batch(m, rho1, rho2, u1[1], u2[1], s1, s2)
         assert np.linalg.eigvalsh(lab)[0] < 0.0
+
+    def test_min_eig_A_reuses_the_certificate_rows(self, monkeypatch):
+        # on lab-certified states A comes from the one Hessian build of the
+        # certificate
+        m = make_model(a=0.4)
+        p = subsonic_states(np.random.default_rng(29), m, 50)
+        state = (p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+        assert np.all(_certified_frame(m, *state)[0] == 0.0)
+        calls = []
+        hessian = m.hessian
+
+        def counted(*args):
+            calls.append(1)
+            return hessian(*args)
+
+        monkeypatch.setattr(m, "hessian", counted)
+        assert np.all(min_eig_A_batch(m, *state) > 0.0)
+        assert len(calls) == 1
 
 
 class TestCharacteristicSpeeds:
@@ -400,6 +423,25 @@ class TestExtremeSpeeds:
         ext = _extreme_speeds(m, *state)[0][0] - V[0]
         assert ext[0] < 0.0 < ext[1]
 
+    @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
+           u1=st.floats(-2.0, 2.0), u2=st.floats(-2.0, 2.0),
+           s1=st.floats(-0.3, 0.3), s2=st.floats(-0.3, 0.3),
+           a=st.floats(0.0, 1.0), boost=st.floats(-5.0, 5.0))
+    def test_galilean_covariance(self, rho1, rho2, u1, u2, s1, s2, a,
+                                 boost):
+        # a state the zero-mixture-momentum frame certifies is certified in
+        # every frame, and its extreme speeds shift with the frame
+        m = make_model(a=a)
+        state = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
+        V = (rho1 * u1 + rho2 * u2) / (rho1 + rho2)
+        assume(_certificate(m, *state, V)[0][0])
+        ext, ok, _ = _extreme_speeds(m, *state)
+        boosted, ok_boosted, _ = _extreme_speeds(m, rho1, rho2, u1 + boost,
+                                                 u2 + boost, s1, s2)
+        assert ok[0] and ok_boosted
+        scale = max(np.max(np.abs(ext)), np.max(np.abs(boosted)))
+        assert np.max(np.abs(boosted - ext[0] - boost)) <= 1e-12 * scale
+
 
 class TestStabilityInequalities:
     def test_built_in_law_all_hold(self):
@@ -509,6 +551,13 @@ class TestCriticalW:
         return 0.5 * (lo + hi)
 
     @staticmethod
+    def _both_paths(a):
+        """The built-in law (closed form) and a subclass that changes
+        nothing (the scan)."""
+        m = make_model(a=a)
+        return m, type("Scanned", (SeparableAddedMass,), {})(m.params)
+
+    @staticmethod
     def _certified(model, rho1, rho2, w, s1, s2):
         p = mixture_rest_state(rho1, rho2, w, s1, s2)
         return bool(_certificate(model, p.rho1, p.rho2, p.u1, p.u2,
@@ -536,8 +585,7 @@ class TestCriticalW:
     def test_closed_form_is_the_certificate_boundary(self, a):
         # the hyper_scan benchmark grid; a subclass that changes nothing
         # takes the scan, the closed form's oracle
-        m = make_model(a=a)
-        scanned = type("Scanned", (SeparableAddedMass,), {})(m.params)
+        m, scanned = self._both_paths(a)
         for rho1 in np.linspace(0.5, 1.5, 16):
             for rho2 in np.linspace(0.5, 1.5, 16):
                 w_star = critical_relative_velocity(m, rho1, rho2, 0.05, -0.05)
@@ -579,6 +627,24 @@ class TestCriticalW:
         negative_a = make_model(a=lambda r1, r2: -10.0 + 0.0 * r1)
         for law in (ConcaveInRho1(), negative_a):
             assert critical_relative_velocity(law, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("w_max", [0.0, -5.0, np.inf, np.nan])
+    def test_rejects_w_max_not_positive_and_finite(self, w_max):
+        for law in self._both_paths(0.2):
+            with pytest.raises(ValueError, match="w_max"):
+                critical_relative_velocity(law, 1.0, 1.0, w_max=w_max)
+
+    @pytest.mark.parametrize("rho1, rho2, name", [
+        (-1.0, 1.0, "rho1"), (0.0, 1.0, "rho1"), (np.nan, 1.0, "rho1"),
+        (1.0, np.nan, "rho2")], ids=["negative", "zero", "nan1", "nan2"])
+    def test_inadmissible_densities_checked_first(self, rho1, rho2, name):
+        # checked before rho1 + rho2 is divided by: the RuntimeWarning of
+        # a division by 0 would be raised first under the suite's filter
+        for law in self._both_paths(0.2):
+            with pytest.raises(AdmissibilityError, match=name):
+                critical_relative_velocity(law, rho1, rho2)
+        with pytest.raises(AdmissibilityError, match=name):
+            mixture_rest_state(rho1, rho2, 1.0, 0.0, 0.0)
 
     def test_few_certificate_calls(self, monkeypatch):
         # the hyper_scan benchmark grid with the default arguments: a user
