@@ -9,10 +9,11 @@ silently fall back to a default.
 List keys (``[gibbs] h_values``, ``[fick] sample_times``, ``[reduce]
 n_values``) are comma-separated and checked at parse time: step sizes are
 positive, sample times positive and strictly increasing (``fick-relax``
-integrates once through them), and every grid size is at least 4.  So are
-the scenario ranges: every count (``n_fields``, ``n_rho1``, ``n_rho2``,
-``n_w``, ``ref_factor``) is at least 1, ``t_lo <= t_hi`` and
-``theta_bound`` is positive.
+integrates once through them), and every grid size is at least 4 and
+divides the reference grid of ``reduce-check``, ``ref_factor`` times the
+largest.  So are the scenario ranges: every count (``n_fields``,
+``n_rho1``, ``n_rho2``, ``n_w``, ``ref_factor``) is at least 1,
+``t_lo <= t_hi`` and ``theta_bound`` is positive.
 
 Initial profiles and external potentials are given as expressions in x
 (e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
@@ -171,16 +172,14 @@ def _validate(cfg: ScenarioConfig) -> None:
                      if key in cfg.raw[section] else f"[{section}]")
             raise ConfigError(f"{where}: {exc}") from exc
     initial_profiles(cfg)
-    if (cfg.get("run", "report_interval")
-            and cfg.getfloat("run", "report_interval") < 0.0):
-        raise ConfigError("report_interval must be nonnegative")
     if min(cfg.getfloats("gibbs", "h_values")) <= 0.0:
         raise ConfigError("h_values must be positive")
     times = cfg.getfloats("fick", "sample_times")
     if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("sample_times must be positive and strictly "
                           "increasing")
-    if min(cfg.getints("reduce", "n_values")) < 4:
+    n_values = cfg.getints("reduce", "n_values")
+    if min(n_values) < 4:
         raise ConfigError("every entry of n_values must be at least 4")
     for section, key in (("gibbs", "n_fields"), ("hyperbolicity", "n_rho1"),
                          ("hyperbolicity", "n_rho2"), ("hyperbolicity", "n_w"),
@@ -191,6 +190,13 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise _range_error(cfg, "gibbs", "t_hi", "must not be below t_lo")
     if cfg.getfloat("fick", "theta_bound") <= 0.0:
         raise _range_error(cfg, "fick", "theta_bound", "must be positive")
+    ref_n = cfg.getint("reduce", "ref_factor") * max(n_values)
+    if any(ref_n % n for n in n_values):
+        raise ConfigError(
+            f"[reduce] n_values = {cfg.get('reduce', 'n_values')!r} and "
+            f"ref_factor = {cfg.get('reduce', 'ref_factor')!r}: the "
+            f"reference grid of ref_factor * max(n_values) = {ref_n} cells "
+            "must be a multiple of every entry of n_values")
 
 
 def _range_error(cfg: ScenarioConfig, section: str, key: str,

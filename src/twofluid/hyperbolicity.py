@@ -19,32 +19,32 @@ Two routes to A are provided.  The per-state oracle inverts the Legendre map
 the (sigma, j) variables.  The batched route works with the Hessian of L in
 m = (rho1, rho2, j1, j2), taken by the chain rule from ``model.hessian``
 (analytic for the built-in law, finite differences for user laws), in 2x2
-blocks L_rr, L_rj, L_jj.  It is kept as one array of flat rows, the 10
-distinct entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj
-(11, 22, 12) of each state, built once per call and read in place by the
-certificate, the kernels and w*; only the 4x4 A of the map and the reports
-rebuilds 2x2 stacks.  With the blocks
+blocks L_rr, L_rj, L_jj, kept as one array of flat rows: the 10 distinct
+entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj (11, 22, 12) of
+each state.  With the blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
 
 so A is positive definite exactly when -L_rr and L_jj are: a closed-form
-2x2 Cholesky of the two blocks, stacked, certifies hyperbolicity.  The speeds
-solve the quadratic eigenproblem det(lambda^2 L_jj + lambda (L_rj + L_jr)
-+ L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr they are the
-eigenvalues of the symmetric 4x4 matrix
+2x2 Cholesky of the two blocks, stacked, certifies hyperbolicity.  The
+speeds are Galilean covariant, but A is positive definite in some frames
+only (not in the lab frame once a phase outruns its sound speed), so a
+state the lab frame does not certify is tried again in the
+zero-mixture-momentum frame.  Each set of states is certified once
+(:func:`_certified_frame`); the speeds, the extreme speeds and min-eig(A)
+read its frames and rows.  The speeds solve det(lambda^2 L_jj + lambda
+(L_rj + L_jr) + L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr
+they are the eigenvalues of the symmetric 4x4 matrix
 
     S = [[-F_j^-1 (L_rj + L_jr) F_j^-T, F_j^-1 F_r], [(.)^T, 0]],
 
 one batched symmetric eigensolve (:func:`wave_speeds_batch`, the full
-sorted speeds for the map and the reports).  The solver needs only the
-extreme speeds per state, which :func:`_extreme_speeds` takes from the same
-rows in closed form, without an eigensolve; they match the eigensolve to
-round-off, double roots included.  The speeds are Galilean covariant, but
-A is positive definite in some frames only (not in the lab frame once a
-phase outruns its sound speed), so a state the lab frame does not certify
-is tried again in the zero-mixture-momentum frame, and its speeds are
-shifted back.  The decoupled (a = 0) case has a closed-form oracle.
+sorted speeds for the map).  The solver needs only the extreme speeds per
+state, which :func:`_extreme_speeds` takes from the same rows in closed
+form, without an eigensolve; they match the eigensolve to round-off,
+double roots included.  The decoupled (a = 0) case has a closed-form
+oracle.
 
 The critical relative velocity w*, where the certificate first fails in
 the zero-mixture-momentum frame, comes in closed form for the built-in
@@ -313,8 +313,8 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
                           s1: float = 0.0, s2: float = 0.0):
     """One :class:`HyperbolicityReport` per grid point over (rho1, rho2, w).
 
-    States are evaluated in the zero-mixture-momentum frame, all in one
-    batched call, and reported in ``ij`` order (w fastest).  ``hyperbolic``
+    States are taken in the zero-mixture-momentum frame, certified in one
+    batched call and reported in ``ij`` order (w fastest).  ``hyperbolic``
     is the block-Cholesky certificate; ``min_eig_A`` is NaN where A is
     undefined (singular L_rr).
     """
@@ -324,9 +324,8 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
     r1, r2, w = (g.ravel() for g in grids)
     p = mixture_rest_state(r1, r2, w, s1, s2)
     ineq = check_stability_inequalities(model, p)
-    speeds, ok, _ = wave_speeds_batch(model, p.rho1, p.rho2, p.u1, p.u2,
-                                      p.s1, p.s2)
-    min_eig = min_eig_A_batch(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+    cert = _certified_frame(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+    ok, speeds, min_eig = cert[1], _speeds(cert), min_eig_A_batch(cert)
     return [HyperbolicityReport(
         rho1=float(r1[i]), rho2=float(r2[i]), w=float(w[i]),
         min_eig_A=float(min_eig[i]), ineq1=bool(ineq.ineq1[i]),
@@ -479,21 +478,15 @@ def _symmetric_system(R):
     return A
 
 
-def symmetric_system_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """Batched A = Hess G from the Hessian of L; an (..., 4, 4) stack."""
-    return _symmetric_system(_lagrangian_hessian(model, rho1, rho2, u1, u2,
-                                                 s1, s2))
-
-
 def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """The certificate in the lab frame, retried in the zero-mixture-momentum
-    frame for the states that fail it there; their columns of the lab-frame
-    results, the rows ``R`` included, are overwritten.
-
-    Returns (V, ok, margin, R, S): the states flattened from their
-    broadcast shape S, V the velocity of the frame each state's values
-    come from (0 for the lab frame), the rest as for :func:`_certificate`.
-    """
+    """The certificate of a set of states, read by the speeds, the extreme
+    speeds and min-eig(A): in the lab frame, retried in the
+    zero-mixture-momentum frame (velocity V) for the states that fail there
+    unless V = 0, where it would rebuild the same rows; the retried columns,
+    the rows ``R`` included, are overwritten.  Returns (V, ok, margin, R,
+    S): the states flattened from their broadcast shape S, V the velocity
+    of each state's frame (0 for the lab frame), the rest as for
+    :func:`_certificate`."""
     state = np.broadcast_arrays(*[np.asarray(a, dtype=float)
                                   for a in (rho1, rho2, u1, u2, s1, s2)])
     rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in state)
@@ -503,6 +496,8 @@ def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
                     / (rho1[retry] + rho2[retry]))
+        retry = retry[V[retry] != 0.0]
+    if retry.size:
         ok_m, margin_m, R[:, retry] = _certificate(
             model, *(a[retry] for a in (rho1, rho2, u1, u2, s1, s2, V)))
         ok[retry] = ok_m
@@ -510,31 +505,21 @@ def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     return V, ok, margin, R, state[0].shape
 
 
-def min_eig_A_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """min-eig(A) per state in the frame :func:`wave_speeds_batch` certifies.
-
-    That is the lab frame, or the zero-mixture-momentum frame where the
-    certificate fails in the lab frame; NaN where A is undefined (singular
-    L_rr).  A comes from the rows that certificate already took.
-    """
-    *_, R, shape = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)
+def min_eig_A_batch(cert):
+    """min-eig(A) per state of the certificate ``cert`` of
+    :func:`_certified_frame`, from its rows, in the frame it used; NaN
+    where A is undefined (singular L_rr)."""
+    *_, R, shape = cert
     A = _symmetric_system(R)
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
     return np.where(finite, eig[..., 0], np.nan).reshape(shape)
 
 
-def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """Characteristic speeds per state, batched; (speeds, ok_mask, margin).
-
-    ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
-    positive definite in the lab frame or, failing that, in the
-    zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
-    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
-    Speeds are sorted; they are NaN where the certificate fails.
-    """
-    V, ok, margin, R, shape = _certified_frame(model, rho1, rho2, u1, u2,
-                                               s1, s2)
+def _speeds(cert):
+    """Sorted speeds per state of the certificate ``cert``, by one symmetric
+    eigensolve of S; NaN where the certificate fails."""
+    V, ok, _, R, shape = cert
     # F_r F_r^T = -L_rr with entries h, F_j F_j^T = L_jj with entries l
     (h11, l11), (h21, l21), (h22, l22) = _cholesky2(R)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -554,8 +539,21 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     S[~ok] = 0.0
     speeds = np.linalg.eigvalsh(S) + V[:, None]
     speeds[~ok] = np.nan
-    return (speeds.reshape(shape + (4,)), ok.reshape(shape),
-            margin.reshape(shape))
+    return speeds.reshape(shape + (4,))
+
+
+def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+    """Characteristic speeds per state, batched; (speeds, ok_mask, margin).
+
+    ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
+    positive definite in the lab frame or, failing that, in the
+    zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
+    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
+    Speeds are sorted; they are NaN where the certificate fails.
+    """
+    cert = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)
+    _, ok, margin, _, shape = cert
+    return _speeds(cert), ok.reshape(shape), margin.reshape(shape)
 
 
 #: The phase shifts 2 pi k / 3 of the resolvent cubic's trigonometric roots.
@@ -564,13 +562,12 @@ _THIRDS = np.array([[0.0], [2.0 * np.pi / 3.0], [4.0 * np.pi / 3.0]])
 _SIDES = np.array([[-1.0], [1.0]])
 
 
-def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
-    """Smallest and largest characteristic speed per state, without an
-    eigensolve; (extremes, ok_mask, margin).
+def _extreme_speeds(cert):
+    """Smallest and largest characteristic speed per state of the
+    certificate ``cert`` of :func:`_certified_frame`, without an eigensolve.
 
     ``extremes[..., 0]`` is the smallest and ``extremes[..., 1]`` the
-    largest speed, NaN where the certificate fails; ``ok_mask`` and
-    ``margin`` are those of :func:`wave_speeds_batch`.  In the certifying
+    largest speed, NaN where the certificate fails.  In the certifying
     frame the speeds are the roots of det M(lambda), M(lambda) = lambda^2
     L_jj + lambda (L_rj + L_jr) + L_rr, two positive and two negative
     (Sylvester's law of inertia), so the smaller eigenvalue nu(lambda) of
@@ -580,8 +577,7 @@ def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     quartic, whose roots are >= 0, in trigonometric form) and polished by
     two Newton steps on nu.
     """
-    V, ok, margin, R, shape = _certified_frame(model, rho1, rho2, u1, u2,
-                                               s1, s2)
+    V, ok, _, R, shape = cert
     # Q[k, e]: the coefficient of lambda^k in entry e = (11, 22, 12) of M,
     # the rows of L_rr, L_rj + L_jr and L_jj
     Q = np.empty((3,) + R[:3].shape)
@@ -631,4 +627,4 @@ def _extreme_speeds(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
             lam = np.where(np.isfinite(new) & (_SIDES * new > 0.0), new, lam)
     ext = lam.T + V[:, None]
     ext[~ok] = np.nan
-    return ext.reshape(shape + (2,)), ok.reshape(shape), margin.reshape(shape)
+    return ext.reshape(shape + (2,))

@@ -37,11 +37,12 @@ def require_admissible(rho1: ArrayLike, rho2: ArrayLike) -> None:
     """Raise :class:`AdmissibilityError` naming the offending component."""
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         arr = np.asarray(rho, dtype=float)
-        # a NaN makes the min NaN, which fails the comparison
-        if not (arr.min() >= RHO_FLOOR and arr.max() < np.inf):
+        lo, hi = arr.min(), arr.max()
+        # a NaN makes both NaN, which fails the comparisons
+        if not (lo >= RHO_FLOOR and hi < np.inf):
+            got = f"min {lo:g}" if not lo >= RHO_FLOOR else f"max {hi:g}"
             raise AdmissibilityError(
-                f"{name} must stay above {RHO_FLOOR:g}; got min {np.min(arr):g}"
-            )
+                f"{name} must be finite and above {RHO_FLOOR:g}; got {got}")
 
 
 def _fd_step(x: np.ndarray) -> np.ndarray:

@@ -20,10 +20,9 @@ reports land exactly on multiples of the report interval.
 Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
 a failure becomes a :class:`StepError` naming the first failing cell),
 evaluates the potential once (the report, the heat cap and the drag update
-reuse that evaluation) and certifies hyperbolicity per cell; the Rusanov
-speed and the CFL step take the extreme speeds in closed form
-(:func:`hyperbolicity._extreme_speeds`), so no stage makes an eigensolve,
-and the min-eig(A) of the report is computed at report times only.
+reuse that evaluation) and certifies hyperbolicity once; the Rusanov speed,
+the CFL step (extreme speeds in closed form, no eigensolve) and the
+report's min-eig(A) all read that stage's certificate.
 
 A stage is one (6, n) array, a row per field in the order (rho1, rho2, K1,
 K2, s1, s2) and a column per cell, and its rates are another.  The state,
@@ -107,8 +106,10 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
             raise ValueError("cfl must lie in (0, 0.9]")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        for key in ("t_end", "report_interval"):
+            if getattr(self, key) is not None and not (
+                    0.0 <= getattr(self, key) < math.inf):
+                raise ValueError(f"{key} must be nonnegative and finite")
 
     @cached_property
     def omega_at_centers(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,17 +148,16 @@ def _extend(arr, bc: str) -> np.ndarray:
     return np.concatenate((first, arr, last), axis=-1)
 
 
-def _cell_speeds(model, p: PrimitiveState, t: float | None = None):
-    """Max |lambda| per cell, from the extreme speeds alone; errors on
-    hyperbolicity loss."""
-    extremes, ok, margin = hyperbolicity._extreme_speeds(
-        model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+def _cell_speeds(cert, t: float | None = None):
+    """Max |lambda| per cell of the certificate ``cert``, from the extreme
+    speeds alone; errors on hyperbolicity loss."""
+    _, ok, margin, _, _ = cert
     if not np.all(ok):
         cell = int(np.argmin(ok))
         raise NonHyperbolicError(
             f"cell {cell} left the hyperbolicity region "
             f"(certificate margin {float(margin[cell]):g})", t=t, cell=cell)
-    return np.max(np.abs(extremes), axis=-1)
+    return np.max(np.abs(hyperbolicity._extreme_speeds(cert)), axis=-1)
 
 
 _FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
@@ -177,11 +177,13 @@ class RHSResult:
     leave the drag out: :func:`step` integrates it exactly in time from
     ``zeta`` (the drag coefficient, f1 = zeta w) and ``dZ_dw`` (the slope
     1 - (1/rho1 + 1/rho2) W_ww of Z = K2 - K1 in w).  The heat exchange is
-    in the s rows.
+    in the s rows.  ``smax`` and the report read the stage's hyperbolicity
+    certificate ``certificate`` (:func:`hyperbolicity._certified_frame`).
     """
 
     rates: np.ndarray
     smax: np.ndarray
+    certificate: tuple
     primitive: PrimitiveState
     thermo: ThermoEval
     zeta: np.ndarray
@@ -216,7 +218,9 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
         raise StepError(f"velocity recovery failed: {exc}", t=t,
                         cell=exc.cell) from exc
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
-    smax = _cell_speeds(model, p, t=t)
+    cert = hyperbolicity._certified_frame(model, p.rho1, p.rho2, p.u1, p.u2,
+                                          p.s1, p.s2)
+    smax = _cell_speeds(cert, t=t)
 
     omega1, omega2 = config.omega_at_centers
     R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - omega1
@@ -238,8 +242,8 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     rates = np.concatenate((-_rusanov_div(ext[6:10], ext[:4], lam, dx),
                             -u * ds_dx + (src1, src2)))
     rates[2:4] += np.stack((th.theta1, th.theta2)) * ds_dx
-    return RHSResult(rates=rates, smax=smax, primitive=p, thermo=th,
-                     zeta=zeta, dZ_dw=dZ_dw)
+    return RHSResult(rates=rates, smax=smax, certificate=cert, primitive=p,
+                     thermo=th, zeta=zeta, dZ_dw=dZ_dw)
 
 
 def _require(ok: np.ndarray, message: str, t: float | None) -> None:
@@ -442,8 +446,6 @@ def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
     dx = config.grid.dx
     omega1, omega2 = config.omega_at_centers
     p = rhs.primitive
-    min_eig = hyperbolicity.min_eig_A_batch(config.model, p.rho1, p.rho2,
-                                            p.u1, p.u2, p.s1, p.s2)
     energy_density = (0.5 * p.rho1 * p.u1 ** 2 + 0.5 * p.rho2 * p.u2 ** 2
                       + p.rho1 * omega1 + p.rho2 * omega2
                       + rhs.thermo.U)
@@ -456,7 +458,8 @@ def make_report(config: SimulationConfig, cells: EvolvedState, t: float,
         momentum_u=float(np.sum(p.rho1 * p.u1 + p.rho2 * p.u2) * dx),
         energy=float(np.sum(energy_density) * dx),
         entropy=float(np.sum(p.rho1 * p.s1 + p.rho2 * p.s2) * dx),
-        min_eig_A=float(np.min(min_eig)))
+        min_eig_A=float(np.min(hyperbolicity.min_eig_A_batch(
+            rhs.certificate))))
 
 
 def integrate(config: SimulationConfig, initial: EvolvedState

@@ -320,11 +320,17 @@ def single_fluid_reduction(model, n: int, t_end: float,
     coupling in the potential, each phase evolves as an independent single
     fluid of density rho0/2; the reference therefore runs at half density and
     its output is doubled.  The reference runs on a finer grid (ref_n,
-    default 8n) and is restricted by block averaging before comparison.
+    default 8n, a multiple of n, checked before either run) and is
+    restricted by block averaging before comparison.
     An external potential is given as ``omega_value`` (the two-fluid run)
     together with ``omega_grad`` (the reference).
     """
     grid = Grid1D(x_lo, x_hi, n)
+    if ref_n is None:
+        ref_n = 8 * n
+    if ref_n % n:
+        raise ValueError(f"ref_n = {ref_n} is not a multiple of n = {n}")
+    ref_grid = Grid1D(x_lo, x_hi, ref_n)
 
     def rho0_half(xx):
         return 0.5 * _sample(rho0, xx)
@@ -342,9 +348,6 @@ def single_fluid_reduction(model, n: int, t_end: float,
     rho_tf = np.asarray(p.rho1 + p.rho2, dtype=float)
     u_tf = np.asarray(mixture_aggregates(p).u, dtype=float)
 
-    if ref_n is None:
-        ref_n = 8 * n
-    ref_grid = Grid1D(x_lo, x_hi, ref_n)
     rho_ref, u_ref, _ = single_fluid_reference(
         model, ref_grid, rho0_half, u0, s0, t_end, omega=omega_grad, cfl=cfl)
     rho_ref = 2.0 * rho_ref

@@ -303,6 +303,17 @@ class TestErrorPaths:
         assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 1
         assert not (out / "diagnostics.json").exists()
 
+    def test_reference_grid_not_dividing_exit_1(self, tmp_path):
+        # caught by the config check, before any integration
+        text = (BASE.replace("gamma2 = 1.4", "gamma2 = 2.0")
+                .replace("a = 0.2", "a = 0.0")
+                + "\n[reduce]\nn_values = 12,16\nref_factor = 1\n")
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["reduce-check", "--config", cfgp,
+                     "--out", str(out)]) == 1
+        assert not (out / "diagnostics.json").exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "out")]) == 1

@@ -107,12 +107,25 @@ class TestValidation:
         range_case("hyperbolicity", "n_rho1 = 0", "must be at least 1"),
         range_case("hyperbolicity", "n_rho2 = 0", "must be at least 1"),
         range_case("reduce", "ref_factor = 0", "must be at least 1"),
+        range_case("run", "report_interval = -1",
+                   "must be nonnegative and finite"),
         range_case("fick", "theta_bound = -1", "must be positive"),
         range_case("fick", "theta_bound = 0", "must be positive"),
     ])
     def test_bad_list_or_interval_rejected(self, section, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(MINIMAL + f"\n[{section}]\n{line}\n")
+
+    @pytest.mark.parametrize("n_values, ref_factor", [
+        ("12,16", "1"), ("100,150", "1"), ("8,12,20", "3")])
+    def test_reference_grid_must_divide(self, n_values, ref_factor):
+        # the reference grid of reduce-check is block averaged onto each n
+        text = (MINIMAL + f"\n[reduce]\nn_values = {n_values}\n"
+                f"ref_factor = {ref_factor}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[reduce] n_values = '{n_values}' and ref_factor = "
+                f"'{ref_factor}'")):
+            parse_config(text)
 
     @pytest.mark.parametrize("section, line", [
         ("run", "t_end = inf"),

@@ -7,6 +7,7 @@ from twofluid import hyperbolicity
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
                                     _certified_frame, _extreme_speeds,
                                     _forward_maps, _lagrangian_hessian,
+                                    _symmetric_system,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
                                     check_legendre_identities,
@@ -14,7 +15,7 @@ from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
                                     critical_relative_velocity,
                                     legendre_transform, map_hyperbolic_region,
                                     min_eig_A_batch, mixture_rest_state,
-                                    symmetric_system_batch, wave_speeds_batch)
+                                    wave_speeds_batch)
 from twofluid.potential import (AdmissibilityError, PotentialModel,
                                 SeparableAddedMass, SeparableAddedMassParams,
                                 evaluate)
@@ -75,6 +76,30 @@ def subsonic_states(rng, model, n):
                           s1=s1, s2=s2)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; returns the list to which each
+    call appends the number of states it was given (the broadcast size of
+    its arguments)."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(np.broadcast(*args).size)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class CrossCoupled(PotentialModel):
+    """A law whose density block is indefinite (the third stability
+    inequality fails), with Hessians from differences."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return (0.5 * rho1 ** 2 + 0.5 * rho2 ** 2
+                + 5.0 * rho1 * rho2 - 0.1 * w ** 2)
+
+
 class TestLegendreTransform:
     def test_rest_state_values(self):
         m = make_model()
@@ -130,8 +155,8 @@ class TestSymmetricSystem:
         p = PrimitiveState(rho1=1.3, rho2=0.7, u1=-0.1, u2=0.15,
                            s1=0.05, s2=-0.05)
         sys = assemble_symmetric_system(m, p)
-        A_batch = symmetric_system_batch(m, p.rho1, p.rho2, p.u1, p.u2,
-                                         p.s1, p.s2)
+        A_batch = _symmetric_system(_lagrangian_hessian(
+            m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2))
         A_batch = 0.5 * (A_batch + A_batch.T)
         assert np.max(np.abs(sys.A - A_batch)) < 1e-5 * np.linalg.norm(sys.A)
 
@@ -189,8 +214,8 @@ class TestLagrangianHessian:
                                    rng.uniform(-0.25, 0.25),
                                    *rng.uniform(-0.2, 0.2, 2))
             oracle = assemble_symmetric_system(m, p).A
-            A = symmetric_system_batch(m, p.rho1, p.rho2, p.u1, p.u2,
-                                       p.s1, p.s2)
+            A = _symmetric_system(_lagrangian_hessian(
+                m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2))
             assert np.array_equal(A, A.T)
             assert np.max(np.abs(A - oracle)) < 1e-7 * np.linalg.norm(oracle)
 
@@ -249,31 +274,51 @@ class TestCertificate:
         boost = np.array([0.0, 1.7, 0.5])
         u1, u2 = rest.u1 + boost, rest.u2 + boost
         _, ok, _ = wave_speeds_batch(m, rho1, rho2, u1, u2, s1, s2)
-        min_eig = min_eig_A_batch(m, rho1, rho2, u1, u2, s1, s2)
+        min_eig = min_eig_A_batch(_certified_frame(m, rho1, rho2, u1, u2,
+                                                   s1, s2))
         V = np.array([0.0, 1.7, 0.5])
-        A = symmetric_system_batch(m, rho1, rho2, u1 - V, u2 - V, s1, s2)
+        A = _symmetric_system(_lagrangian_hessian(m, rho1, rho2, u1 - V,
+                                                  u2 - V, s1, s2))
         assert ok.tolist() == [True, True, False]
         assert np.allclose(min_eig, np.linalg.eigvalsh(A)[:, 0], rtol=1e-12)
         assert np.array_equal(min_eig > 0.0, ok)
-        lab = symmetric_system_batch(m, rho1, rho2, u1[1], u2[1], s1, s2)
+        lab = _symmetric_system(_lagrangian_hessian(m, rho1, rho2, u1[1],
+                                                    u2[1], s1, s2))
         assert np.linalg.eigvalsh(lab)[0] < 0.0
 
+    @given(law=st.sampled_from(["constant_a", "callable_a", "cross_coupled"]),
+           a=st.floats(0.0, 1.0),
+           states=st.lists(st.tuples(
+               st.floats(0.03, 3.0), st.floats(0.03, 3.0),
+               st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+               st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+               min_size=1, max_size=40))
+    def test_min_eig_A_positive_exactly_where_certified(self, law, a,
+                                                         states):
+        # Sylvester's law of inertia on A = U^T diag(-L_rr^-1, L_jj) U, in
+        # the frame the certificate used; states within 1e-9 of a zero
+        # margin are left out, their sign being round-off
+        m = {"constant_a": lambda: make_model(a=a),
+             "callable_a": lambda: make_model(
+                 a=lambda r1, r2: a * r1 * r2 / (r1 + r2)),
+             "cross_coupled": CrossCoupled}[law]()
+        cert = _certified_frame(m, *np.array(states).T)
+        _, ok, margin, _, _ = cert
+        clear = np.abs(margin) > 1e-9
+        min_eig = min_eig_A_batch(cert)
+        assert np.array_equal((min_eig > 0.0)[clear], ok[clear])
+
     def test_min_eig_A_reuses_the_certificate_rows(self, monkeypatch):
-        # on lab-certified states A comes from the one Hessian build of the
-        # certificate
+        # on lab-certified states the certificate makes the one Hessian
+        # build, and min-eig(A) and the speeds read its rows
         m = make_model(a=0.4)
         p = subsonic_states(np.random.default_rng(29), m, 50)
         state = (p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
-        assert np.all(_certified_frame(m, *state)[0] == 0.0)
-        calls = []
-        hessian = m.hessian
-
-        def counted(*args):
-            calls.append(1)
-            return hessian(*args)
-
-        monkeypatch.setattr(m, "hessian", counted)
-        assert np.all(min_eig_A_batch(m, *state) > 0.0)
+        calls = count_calls(monkeypatch, m, "hessian")
+        cert = _certified_frame(m, *state)
+        assert np.all(cert[0] == 0.0)
+        assert np.all(min_eig_A_batch(cert) > 0.0)
+        assert np.all(np.isfinite(_extreme_speeds(cert)))
         assert len(calls) == 1
 
 
@@ -331,7 +376,8 @@ class TestCharacteristicSpeeds:
         p = subsonic_states(rng, m, 10**4)
         speeds, ok, _ = wave_speeds_batch(m, p.rho1, p.rho2,
                                           p.u1, p.u2, p.s1, p.s2)
-        A = symmetric_system_batch(m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+        A = _symmetric_system(_lagrangian_hessian(
+            m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2))
         posdef = np.linalg.eigvalsh(A)[..., 0] > 0
         assert np.any(posdef)
         assert np.all(ok[posdef])
@@ -353,7 +399,8 @@ class TestExtremeSpeeds:
 
     @staticmethod
     def assert_matches_eigensolve(m, *state):
-        ext, ok, margin = _extreme_speeds(m, *state)
+        cert = _certified_frame(m, *state)
+        ext, (ok, margin) = _extreme_speeds(cert), cert[1:3]
         speeds, ok_ref, margin_ref = wave_speeds_batch(m, *state)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(margin, margin_ref)
@@ -402,11 +449,16 @@ class TestExtremeSpeeds:
 
     def test_shapes_follow_the_state(self):
         m = make_model()
-        ext, ok, margin = _extreme_speeds(m, np.full((2, 3), 1.0), 0.9, 0.0,
-                                          0.1, 0.0, 0.0)
-        assert ext.shape == (2, 3, 2) and ok.shape == margin.shape == (2, 3)
-        ext, ok, _ = _extreme_speeds(m, 1.0, 0.9, 0.0, 0.1, 0.0, 0.0)
-        assert ext.shape == (2,) and ok.shape == ()
+        state = (np.full((2, 3), 1.0), 0.9, 0.0, 0.1, 0.0, 0.0)
+        cert = _certified_frame(m, *state)
+        assert _extreme_speeds(cert).shape == (2, 3, 2)
+        assert min_eig_A_batch(cert).shape == (2, 3)
+        speeds, ok, margin = wave_speeds_batch(m, *state)
+        assert speeds.shape == (2, 3, 4)
+        assert ok.shape == margin.shape == (2, 3)
+        cert = _certified_frame(m, 1.0, 0.9, 0.0, 0.1, 0.0, 0.0)
+        assert _extreme_speeds(cert).shape == (2,)
+        assert min_eig_A_batch(cert).shape == ()
 
     @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
            u1=st.floats(-2.0, 2.0), u2=st.floats(-2.0, 2.0),
@@ -416,11 +468,12 @@ class TestExtremeSpeeds:
             self, rho1, rho2, u1, u2, s1, s2, a):
         m = make_model(a=a)
         state = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
-        V, ok = _certified_frame(m, *state)[:2]
+        cert = _certified_frame(m, *state)
+        V, ok = cert[:2]
         assume(ok[0])
         speeds = wave_speeds_batch(m, *state)[0][0] - V[0]
         assert np.sum(speeds > 0.0) == 2 and np.sum(speeds < 0.0) == 2
-        ext = _extreme_speeds(m, *state)[0][0] - V[0]
+        ext = _extreme_speeds(cert)[0] - V[0]
         assert ext[0] < 0.0 < ext[1]
 
     @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
@@ -435,10 +488,11 @@ class TestExtremeSpeeds:
         state = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
         V = (rho1 * u1 + rho2 * u2) / (rho1 + rho2)
         assume(_certificate(m, *state, V)[0][0])
-        ext, ok, _ = _extreme_speeds(m, *state)
-        boosted, ok_boosted, _ = _extreme_speeds(m, rho1, rho2, u1 + boost,
-                                                 u2 + boost, s1, s2)
-        assert ok[0] and ok_boosted
+        cert = _certified_frame(m, *state)
+        boosted_cert = _certified_frame(m, rho1, rho2, u1 + boost,
+                                        u2 + boost, s1, s2)
+        assert cert[1][0] and boosted_cert[1][0]
+        ext, boosted = _extreme_speeds(cert), _extreme_speeds(boosted_cert)
         scale = max(np.max(np.abs(ext)), np.max(np.abs(boosted)))
         assert np.max(np.abs(boosted - ext[0] - boost)) <= 1e-12 * scale
 
@@ -461,11 +515,6 @@ class TestStabilityInequalities:
         assert not chk.ineq1  # strict inequality fails at equality
 
     def test_cross_coupled_law_fails_third(self):
-        class CrossCoupled(PotentialModel):
-            def value(self, rho1, rho2, s1, s2, w):
-                return (0.5 * rho1 ** 2 + 0.5 * rho2 ** 2
-                        + 5.0 * rho1 * rho2 - 0.1 * w ** 2)
-
         p = PrimitiveState(rho1=1.0, rho2=1.0, u1=0.0, u2=0.0,
                            s1=0.0, s2=0.0)
         chk = check_stability_inequalities(CrossCoupled(), p)
@@ -514,6 +563,23 @@ class TestRegionMapping:
         vals = [critical_relative_velocity(m, 1.0, 1.0, w_max=5.0)
                 for _ in range(3)]
         assert max(vals) - min(vals) <= 1e-6 * max(vals)
+
+    def test_one_certificate_per_map(self, monkeypatch):
+        # the hyper_scan grid of the benchmark: the stability inequalities
+        # and the certificate build the Hessian of W once each over the
+        # grid, and the retry once more, on the failing states whose
+        # zero-mixture-momentum velocity is not exactly 0
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=0.2))
+        certs = count_calls(monkeypatch, hyperbolicity, "_certified_frame")
+        builds = count_calls(monkeypatch, m, "hessian")
+        reports = map_hyperbolic_region(
+            m, np.linspace(0.5, 1.5, 16), np.linspace(0.5, 1.5, 16),
+            np.linspace(0.0, 2.5, 20), 0.03, -0.05)
+        failing = sum(not r.hyperbolic for r in reports)
+        assert certs == [5120]
+        assert len(builds) <= 3 and builds[:2] == [5120, 5120]
+        assert 0 < failing < 5120 and sum(builds[2:]) < failing
 
     def test_critical_w_decreases_with_coupling(self):
         stars = []

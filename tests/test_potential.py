@@ -1,10 +1,13 @@
 """Tests for the constitutive potential and its derivative machinery."""
+import re
+
 import numpy as np
 import pytest
 
 from twofluid.potential import (AdmissibilityError, PotentialModel,
                                 SeparableAddedMass, SeparableAddedMassParams,
-                                evaluate, fd_check_derivatives)
+                                evaluate, fd_check_derivatives,
+                                require_admissible)
 from twofluid.state import PrimitiveState
 
 
@@ -39,6 +42,18 @@ class TestParamValidation:
 
 
 class TestAdmissibility:
+    @pytest.mark.parametrize("rho1, rho2, message", [
+        (np.array([1.0, np.inf]), 1.0, "rho1 must be finite and above 1e-12; "
+         "got max inf"),
+        (1.0, np.array([np.nan, 1.0]), "rho2 must be finite and above "
+         "1e-12; got min nan"),
+        (-np.inf, 1.0, "rho1 must be finite and above 1e-12; got min -inf"),
+        (1.0, np.array([0.5, 0.0]), "rho2 must be finite and above 1e-12; "
+         "got min 0")])
+    def test_message_names_the_value_that_failed(self, rho1, rho2, message):
+        with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
+            require_admissible(rho1, rho2)
+
     def test_nonpositive_density_named(self):
         m = make_model()
         with pytest.raises(AdmissibilityError, match="rho1"):

@@ -9,12 +9,13 @@ from scipy.integrate import solve_ivp
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
 from twofluid.potential import (RHO_FLOOR, SeparableAddedMass,
                                 SeparableAddedMassParams, evaluate)
-from twofluid import solver, state
+from twofluid import hyperbolicity, solver, state
 from twofluid.hyperbolicity import (critical_relative_velocity,
                                     wave_speeds_batch)
 from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
                              StepError, assemble_rhs,
-                             evolved_from_primitive_profiles, integrate, step)
+                             evolved_from_primitive_profiles, integrate,
+                             make_report, step)
 from twofluid.state import EvolvedState, PrimitiveState, evolved_to_primitive
 from twofluid.verify import fick_residual
 
@@ -62,6 +63,18 @@ class TestConfigValidation:
             SimulationConfig(grid=g, model=make_model(), cfl=2.0, t_end=1.0)
         with pytest.raises(ValueError, match="cfl"):
             SimulationConfig(grid=g, model=make_model(), cfl=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", -1.0), ("t_end", np.inf), ("t_end", np.nan),
+        ("report_interval", -0.1), ("report_interval", np.inf),
+        ("report_interval", -np.inf), ("report_interval", np.nan)])
+    def test_times_nonnegative_and_finite(self, key, value):
+        # an infinite t_end would never end, a NaN one would return the
+        # initial state alone
+        g = Grid1D(0.0, 1.0, 16)
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be nonnegative and finite"):
+            SimulationConfig(grid=g, model=make_model(), **{key: value})
 
 
 def callable_a(r1, r2):
@@ -163,17 +176,20 @@ class TestIntegrate:
             assert abs(t - k * 0.1) <= 1e-12
 
     def test_one_evaluation_per_rhs(self, monkeypatch):
-        calls = {"evaluate": 0, "assemble_rhs": 0}
+        # and one hyperbolicity certificate, which the report reads too
+        calls = {"evaluate": 0, "assemble_rhs": 0, "_certified_frame": 0}
 
-        def counted(name, fn):
+        def counted(module, name):
+            fn = getattr(module, name)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(solver, name,
-                                counted(name, getattr(solver, name)))
+        counted(solver, "evaluate")
+        counted(solver, "assemble_rhs")
+        counted(hyperbolicity, "_certified_frame")
         m = make_model()
         grid = Grid1D(0.0, 1.0, 16)
         cfg = SimulationConfig(grid=grid, model=m,
@@ -182,6 +198,28 @@ class TestIntegrate:
         integrate(cfg, smooth_init(m, grid))
         assert calls["assemble_rhs"] > 3
         assert calls["evaluate"] == calls["assemble_rhs"]
+        assert calls["_certified_frame"] == calls["assemble_rhs"]
+
+    def test_report_reads_the_stage_certificate(self, monkeypatch):
+        # the report's min-eig(A) comes from the rows the stage's
+        # certificate built: no Hessian of W is built for it
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 32)
+        cells = smooth_init(m, grid)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3))
+        rhs = assemble_rhs(cfg, cells, t=0.0)
+        p = rhs.primitive
+        expect = np.min(hyperbolicity.min_eig_A_batch(
+            hyperbolicity._certified_frame(m, p.rho1, p.rho2, p.u1, p.u2,
+                                           p.s1, p.s2)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hessian of W built for the report")
+
+        monkeypatch.setattr(m, "hessian", refuse)
+        report = make_report(cfg, cells, 0.0, 0.0, rhs)
+        assert report.min_eig_A == expect > 0.0
 
     def test_external_potentials_sampled_once_per_config(self):
         calls = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twofluid import verify
 from twofluid.closures import ClosureParams
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import (Grid1D, SimulationConfig,
@@ -267,6 +268,20 @@ class TestSingleFluidReduction:
                 omega_grad=lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x))
             errs.append(r["l1_rho"])
         assert math.log2(errs[0] / errs[1]) > 0.7
+
+    @pytest.mark.parametrize("n, ref_n", [(12, 16), (16, 12), (16, 0)])
+    def test_reference_grid_not_a_multiple_rejected_first(
+            self, monkeypatch, n, ref_n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before checking ref_n")
+
+        monkeypatch.setattr(verify, "integrate", refuse)
+        monkeypatch.setattr(verify, "single_fluid_reference", refuse)
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=1.4, gamma2=1.4))
+        with pytest.raises(ValueError, match="ref_n|n must be"):
+            single_fluid_reduction(m, n, 0.05, rho0=1.0, u0=0.0, s0=0.0,
+                                   ref_n=ref_n)
 
     def test_reference_preserves_uniform_state(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
