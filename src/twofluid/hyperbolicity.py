@@ -14,14 +14,15 @@ and B the (constant, symmetric) negated Hessian of the flux potential
 sigma1 j1 + sigma2 j2.  Positive definiteness of A implies hyperbolicity;
 characteristic speeds solve det(B - lambda A) = 0.
 
-Two routes to A are provided.  The per-state oracle inverts the Legendre map
-(sigma, j) -> (rho, j) by Newton and differences the gradient of G directly in
-the (sigma, j) variables.  The batched route works with the Hessian of L in
-m = (rho1, rho2, j1, j2), taken by the chain rule from ``model.hessian``
-(analytic for the built-in law, finite differences for user laws), in 2x2
-blocks L_rr, L_rj, L_jj, kept as one array of flat rows: the 10 distinct
-entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj (11, 22, 12) of
-each state.  With the blocks
+Two routes to A are provided.  The per-state oracle differences the gradient
+of G directly in the (sigma, j) variables; it inverts the Legendre map
+(sigma, j) -> (rho, j) at its eight shifted states in one stacked damped
+Newton that reads only ``model.gradient``.  The batched route works with
+the Hessian of L in m = (rho1, rho2, j1, j2), taken by the chain rule from
+``model.hessian`` (analytic for the built-in law, finite differences for
+user laws), in 2x2 blocks L_rr, L_rj, L_jj, kept as one array of flat
+rows: the 10 distinct entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and
+L_jj (11, 22, 12) of each state.  With the blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
@@ -162,84 +163,87 @@ def legendre_transform(model: PotentialModel, p: PrimitiveState) -> LegendreVars
                         G=L - sigma1 * p.rho1 - sigma2 * p.rho2)
 
 
-def invert_legendre(model, sigma1_t, sigma2_t, j1, j2, s1, s2, rho_guess,
+def invert_legendre(model, sigma, j, s1, s2, rho_guess,
                     tol: float = 1e-13, max_iter: int = 60):
-    """Solve sigma(rho; j) = sigma_target for (rho1, rho2) by damped Newton."""
-    rho = np.array(rho_guess, dtype=float)
-    scale = max(1.0, abs(sigma1_t), abs(sigma2_t))
+    """Solve sigma(rho; j) = sigma for (rho1, rho2) by damped Newton.
+
+    ``sigma`` and ``j`` are (2, m) stacks of targets, all started from the
+    pair ``rho_guess``; returns the (2, m) densities.  Each column
+    converges, is damped and fails on its own (the ``cell`` of a
+    ``ConvergenceError`` is the first failing column).  An iteration makes
+    one :func:`_forward_maps` call, on the centre and the +-h shifts of each
+    density of the unconverged columns.
+    """
+    sigma, j = np.asarray(sigma, dtype=float), np.asarray(j, dtype=float)
+    rho = np.asarray(rho_guess, dtype=float)[:, None] + np.zeros(sigma.shape)
+    scale = np.maximum(1.0, np.max(np.abs(sigma), axis=0))
+    todo = np.arange(sigma.shape[1])
     for _ in range(max_iter):
-        s1v, s2v, _, _ = _forward_maps(model, rho[0], rho[1], j1, j2, s1, s2)
-        res = np.array([s1v - sigma1_t, s2v - sigma2_t])
-        if np.max(np.abs(res)) <= tol * scale:
+        r = rho[:, todo]
+        h = 1e-7 * np.maximum(1.0, r)
+        # the centre, then rho1 +- h and rho2 +- h: a (5, 2, k) stack
+        m = r + h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1],
+                              [0, -1]])[..., None]
+        f = np.stack(_forward_maps(model, m[:, 0], m[:, 1], j[0, todo],
+                                   j[1, todo], s1, s2)[:2], axis=1)
+        res = f[0] - sigma[:, todo]
+        left = ~(np.max(np.abs(res), axis=0) <= tol * scale[todo])
+        todo, r, h, f, res = (todo[left], r[:, left], h[:, left],
+                              f[..., left], res[:, left])
+        if not todo.size:
             return rho
-        J = np.empty((2, 2))
-        for i in range(2):
-            h = 1e-7 * max(1.0, rho[i])
-            rp = rho.copy()
-            rp[i] += h
-            rm = rho.copy()
-            rm[i] -= h
-            sp = _forward_maps(model, rp[0], rp[1], j1, j2, s1, s2)
-            sm = _forward_maps(model, rm[0], rm[1], j1, j2, s1, s2)
-            J[0, i] = (sp[0] - sm[0]) / (2.0 * h)
-            J[1, i] = (sp[1] - sm[1]) / (2.0 * h)
+        # J[c, k, i] = d sigma_k / d rho_i of column c
+        J = np.transpose((f[1::2] - f[2::2]) / (2.0 * h[:, None]), (2, 1, 0))
         try:
-            step = np.linalg.solve(J, res)
+            step = np.linalg.solve(J, res.T[..., None])[..., 0].T
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian in Legendre inversion: {exc}")
-        new = rho - step
-        tries = 0
-        while np.min(new) <= RHO_FLOOR and tries < 60:
-            step *= 0.5
-            new = rho - step
-            tries += 1
-        if np.min(new) <= RHO_FLOOR:
-            raise ConvergenceError("Legendre inversion left the admissible set")
-        rho = new
-    raise ConvergenceError("Legendre inversion did not converge")
+            raise ConvergenceError(
+                f"singular Jacobian in Legendre inversion: {exc}")
+        # the step halved 0 to 60 times: each column takes the first that
+        # keeps both densities above the floor
+        new = r - step * 0.5 ** np.arange(61)[:, None, None]
+        ok = ~(np.min(new, axis=1) <= RHO_FLOOR)
+        bad = np.flatnonzero(~ok.any(axis=0))
+        if bad.size:
+            raise ConvergenceError("Legendre inversion left the admissible set",
+                                   cell=int(todo[bad[0]]))
+        rho[:, todo] = new[ok.argmax(axis=0), :, np.arange(todo.size)].T
+    raise ConvergenceError("Legendre inversion did not converge",
+                           cell=int(todo[0]))
 
 
-def _grad_g_of_u(model, u4, s1, s2, rho_guess):
-    """gradient of G, i.e. (-rho1, -rho2, K1, K2), at (sigma, j)."""
-    rho = invert_legendre(model, u4[0], u4[1], u4[2], u4[3], s1, s2, rho_guess)
-    _, _, K1, K2 = _forward_maps(model, rho[0], rho[1], u4[2], u4[3], s1, s2)
-    return np.array([-rho[0], -rho[1], K1, K2]), rho
-
-
-def legendre_G_value(model, sigma1, sigma2, j1, j2, s1, s2, rho_guess):
-    """G evaluated at arbitrary (sigma, j) through Newton inversion."""
-    rho = invert_legendre(model, sigma1, sigma2, j1, j2, s1, s2, rho_guess)
-    L = _lagrangian_mech(model, rho[0], rho[1], j1, j2, s1, s2)
-    return L - sigma1 * rho[0] - sigma2 * rho[1]
+def _shifted_inversions(model, p, h):
+    """The oracle's eight inversions, in one stacked Newton from ``p``'s
+    densities.  Returns (u, h_i, rho): u = (sigma1, sigma2, j1, j2) at ``p``
+    shifted by +h_i and -h_i along each axis i in turn, a (4, 8) stack of
+    columns, with h_i = h max(1, |u_i|), and rho the (2, 8) densities there.
+    """
+    lv = legendre_transform(model, p)
+    u0 = np.array([lv.sigma1, lv.sigma2, lv.j1, lv.j2], dtype=float)
+    hi = h * np.maximum(1.0, np.abs(u0))
+    u = u0[:, None] + np.kron(np.diag(hi), [1.0, -1.0])
+    return u, hi, invert_legendre(model, u[:2], u[2:], p.s1, p.s2,
+                                  (p.rho1, p.rho2))
 
 
 def check_legendre_identities(model: PotentialModel, p: PrimitiveState,
-                              h: float = 1e-5) -> float:
+                              h: float = 1e-7) -> float:
     """Finite-difference check of dG/dsigma_a = -rho_a and dG/dj_a = K_a.
 
     Returns the worst relative error over the four identities.
     """
-    lv = legendre_transform(model, p)
-    u0 = np.array([lv.sigma1, lv.sigma2, lv.j1, lv.j2], dtype=float)
-    rho0 = np.array([p.rho1, p.rho2], dtype=float)
-    _, _, K1, K2 = _forward_maps(model, p.rho1, p.rho2, lv.j1, lv.j2, p.s1, p.s2)
+    u, hi, rho = _shifted_inversions(model, p, h)
+    G = (_lagrangian_mech(model, rho[0], rho[1], u[2], u[3], p.s1, p.s2)
+         - u[0] * rho[0] - u[1] * rho[1])
+    num = (G[::2] - G[1::2]) / (2.0 * hi)
+    _, _, K1, K2 = _forward_maps(model, p.rho1, p.rho2, p.rho1 * p.u1,
+                                 p.rho2 * p.u2, p.s1, p.s2)
     expect = np.array([-p.rho1, -p.rho2, K1, K2], dtype=float)
-    worst = 0.0
-    for i in range(4):
-        hi = h * max(1.0, abs(u0[i]))
-        up = u0.copy()
-        up[i] += hi
-        um = u0.copy()
-        um[i] -= hi
-        gp = legendre_G_value(model, up[0], up[1], up[2], up[3], p.s1, p.s2, rho0)
-        gm = legendre_G_value(model, um[0], um[1], um[2], um[3], p.s1, p.s2, rho0)
-        num = (gp - gm) / (2.0 * hi)
-        worst = max(worst, abs(num - expect[i]) / max(1.0, abs(expect[i])))
-    return worst
+    return float(np.max(np.abs(num - expect) / np.maximum(1.0, np.abs(expect))))
 
 
 def assemble_symmetric_system(model: PotentialModel, p: PrimitiveState,
-                              h: float = 1e-5,
+                              h: float = 1e-7,
                               asym_tol: float = 1e-6) -> SymmetricSystem:
     """A = Hess G by central differences of (-rho, K) in (sigma, j).
 
@@ -247,19 +251,10 @@ def assemble_symmetric_system(model: PotentialModel, p: PrimitiveState,
     asymmetry is reported and an error is raised when it exceeds ``asym_tol``
     (a bad Hessian or inadmissible state).
     """
-    lv = legendre_transform(model, p)
-    u0 = np.array([lv.sigma1, lv.sigma2, lv.j1, lv.j2], dtype=float)
-    rho0 = np.array([p.rho1, p.rho2], dtype=float)
-    A = np.empty((4, 4))
-    for i in range(4):
-        hi = h * max(1.0, abs(u0[i]))
-        up = u0.copy()
-        up[i] += hi
-        um = u0.copy()
-        um[i] -= hi
-        gp, _ = _grad_g_of_u(model, up, p.s1, p.s2, rho0)
-        gm, _ = _grad_g_of_u(model, um, p.s1, p.s2, rho0)
-        A[:, i] = (gp - gm) / (2.0 * hi)
+    u, hi, rho = _shifted_inversions(model, p, h)
+    _, _, K1, K2 = _forward_maps(model, rho[0], rho[1], u[2], u[3], p.s1, p.s2)
+    grad = np.array([-rho[0], -rho[1], K1, K2])
+    A = (grad[:, ::2] - grad[:, 1::2]) / (2.0 * hi)
     scale = np.linalg.norm(A)
     asym = float(np.linalg.norm(A - A.T) / scale) if scale > 0 else 0.0
     if asym > asym_tol:

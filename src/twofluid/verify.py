@@ -323,8 +323,12 @@ def single_fluid_reduction(model, n: int, t_end: float,
     default 8n, a multiple of n, checked before either run) and is
     restricted by block averaging before comparison.
     An external potential is given as ``omega_value`` (the two-fluid run)
-    together with ``omega_grad`` (the reference).
+    together with ``omega_grad`` (the reference); one without the other
+    would compare two different problems and raises ``ValueError``.
     """
+    if (omega_value is None) != (omega_grad is None):
+        raise ValueError("an external potential needs both omega_value and "
+                         "omega_grad, or neither")
     grid = Grid1D(x_lo, x_hi, n)
     if ref_n is None:
         ref_n = 8 * n
@@ -336,7 +340,7 @@ def single_fluid_reduction(model, n: int, t_end: float,
         return 0.5 * _sample(rho0, xx)
 
     if omega_value is None:
-        omega_value, omega_grad = np.zeros_like, None
+        omega_value = np.zeros_like
     cfg = SimulationConfig(grid=grid, model=model, omega1=omega_value,
                            omega2=omega_value, cfl=cfl, t_end=t_end,
                            report_interval=t_end)

@@ -13,13 +13,15 @@ from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
                                     check_legendre_identities,
                                     check_stability_inequalities,
                                     critical_relative_velocity,
-                                    legendre_transform, map_hyperbolic_region,
-                                    min_eig_A_batch, mixture_rest_state,
-                                    wave_speeds_batch)
-from twofluid.potential import (AdmissibilityError, PotentialModel,
-                                SeparableAddedMass, SeparableAddedMassParams,
-                                evaluate)
-from twofluid.state import PrimitiveState
+                                    invert_legendre, legendre_transform,
+                                    map_hyperbolic_region, min_eig_A_batch,
+                                    mixture_rest_state, wave_speeds_batch)
+from twofluid.potential import (RHO_FLOOR, AdmissibilityError,
+                                PotentialModel, SeparableAddedMass,
+                                SeparableAddedMassParams, evaluate)
+from twofluid.state import ConvergenceError, PrimitiveState
+
+from conftest import count_calls
 
 
 def make_model(a=0.3):
@@ -56,6 +58,33 @@ class CoupledInW(PotentialModel):
                 - 0.01 * w ** 4)
 
 
+class CoupledInWGradient(CoupledInW):
+    """CoupledInW with its gradient written out and its Hessian still from
+    differences.  The Newton oracle inverts sigma to 1e-13, below the
+    rounding of a differenced gradient (about 3e-11 for CoupledInW)."""
+
+    def gradient(self, rho1, rho2, s1, s2, w):
+        c = 0.1 * np.exp(0.5 * (s1 - s2)) * w
+        return np.stack(np.broadcast_arrays(
+            2.0 * rho1 * np.exp(s1) + 0.3 * rho2 - c * rho2 * w,
+            0.98 * rho2 ** 0.4 * np.exp(s2) + 0.3 * rho1 - c * rho1 * w,
+            rho1 ** 2 * np.exp(s1) - 0.5 * c * rho1 * rho2 * w,
+            0.7 * rho2 ** 1.4 * np.exp(s2) + 0.5 * c * rho1 * rho2 * w,
+            -2.0 * c * rho1 * rho2 - 0.04 * w ** 3))
+
+
+class LinearInRho(PotentialModel):
+    """A law whose sigma does not depend on the densities at rest, where
+    the Jacobian of the Legendre map is then exactly singular."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return rho1 + rho2 - 0.1 * w ** 2
+
+    def gradient(self, rho1, rho2, s1, s2, w):
+        one = np.ones(np.broadcast(rho1, rho2, s1, s2, w).shape)
+        return np.stack([one, one, 0.0 * one, 0.0 * one, -0.2 * w * one])
+
+
 class ConcaveInRho1(PotentialModel):
     """A law violating the stability inequalities at rest (W_rho1rho1 < 0)."""
 
@@ -76,19 +105,37 @@ def subsonic_states(rng, model, n):
                           s1=s1, s2=s2)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper; returns the list to which each
-    call appends the number of states it was given (the broadcast size of
-    its arguments)."""
-    calls = []
-    fn = getattr(owner, name)
+def acceptance_04_states():
+    """The 1000 states with relative velocity of acceptance criterion 04."""
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(1000):
+        rho1 = float(rng.uniform(0.5, 1.5))
+        rho2 = float(rng.uniform(0.5, 1.5))
+        w = float(rng.uniform(-0.25, 0.25))
+        rho = rho1 + rho2
+        states.append(PrimitiveState(
+            rho1=rho1, rho2=rho2, u1=-rho2 * w / rho, u2=rho1 * w / rho,
+            s1=float(rng.uniform(-0.2, 0.2)), s2=float(rng.uniform(-0.2, 0.2))))
+    return states
 
-    def counted(*args):
-        calls.append(np.broadcast(*args).size)
-        return fn(*args)
 
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+def critical_w_states():
+    """40 seeded rest-frame states on both sides of w* (a = 1): factor
+    0.3-0.95 of w* at odd k, 1.05-1.5 at even k; (model, [(p, factor)])."""
+    m = SeparableAddedMass(SeparableAddedMassParams(
+        gamma1=2.0, gamma2=1.4, a=1.0))
+    rng = np.random.default_rng(17)
+    states = []
+    for k in range(40):
+        rho1, rho2 = rng.uniform(0.5, 1.5, 2)
+        s1, s2 = rng.uniform(-0.2, 0.2, 2)
+        w_star = critical_relative_velocity(m, rho1, rho2, s1, s2, w_max=5.0)
+        factor = (rng.uniform(0.3, 0.95) if k % 2
+                  else rng.uniform(1.05, 1.5))
+        states.append((mixture_rest_state(rho1, rho2, factor * w_star, s1, s2),
+                       factor))
+    return m, states
 
 
 class CrossCoupled(PotentialModel):
@@ -161,6 +208,111 @@ class TestSymmetricSystem:
         assert np.max(np.abs(sys.A - A_batch)) < 1e-5 * np.linalg.norm(sys.A)
 
 
+class TestNewtonOracle:
+    """The per-state Legendre route: the eight shifted targets of a call
+    inverted by one stacked damped Newton."""
+
+    @staticmethod
+    def _scalar_inversion(model, sigma, j, s1, s2, rho_guess, tol=1e-13,
+                          max_iter=60):
+        """The one-target-at-a-time Newton the stacked one replaced."""
+        rho = np.array(rho_guess, dtype=float)
+        scale = max(1.0, abs(sigma[0]), abs(sigma[1]))
+        for _ in range(max_iter):
+            res = np.array(_forward_maps(model, rho[0], rho[1], j[0], j[1],
+                                         s1, s2)[:2]) - sigma
+            if np.max(np.abs(res)) <= tol * scale:
+                return rho
+            J = np.empty((2, 2))
+            for i in range(2):
+                h = 1e-7 * max(1.0, rho[i])
+                rp, rm = rho.copy(), rho.copy()
+                rp[i] += h
+                rm[i] -= h
+                sp = _forward_maps(model, *rp, j[0], j[1], s1, s2)
+                sm = _forward_maps(model, *rm, j[0], j[1], s1, s2)
+                J[:, i] = (np.array(sp[:2]) - np.array(sm[:2])) / (2.0 * h)
+            step = np.linalg.solve(J, res)
+            new = rho - step
+            tries = 0
+            while np.min(new) <= RHO_FLOOR and tries < 60:
+                step *= 0.5
+                new = rho - step
+                tries += 1
+            rho = new
+        raise AssertionError("no convergence")
+
+    def test_stacked_inversion_matches_one_column_calls(self, monkeypatch):
+        m = make_model(a=0.4)
+        guess = (1.0, 0.9)
+        # column 0 is converged at the guess; column 1 has rho2 near the
+        # density floor, and at j = 0 (sigma2 = -3.5 rho2^0.4 e^s2) the
+        # undamped first step from 0.9 lands at a negative density
+        rho = np.array([[1.0, 0.8, 1.3, 0.6], [0.9, 1e-4, 0.6, 1.4]])
+        j = np.array([[0.05, 0.0, 0.1, -0.2], [-0.02, 0.0, 0.3, 0.1]])
+        sigma = np.array(_forward_maps(m, *rho, *j, 0.1, -0.1)[:2])
+        stacked = invert_legendre(m, sigma, j, 0.1, -0.1, guess)
+        centres = []
+        forward_maps = hyperbolicity._forward_maps
+
+        def spy(model, rho1, rho2, *rest):
+            centres.append(float(rho2[0, 0]))
+            return forward_maps(model, rho1, rho2, *rest)
+
+        monkeypatch.setattr(hyperbolicity, "_forward_maps", spy)
+        for c in range(4):
+            centres.clear()
+            alone = invert_legendre(m, sigma[:, [c]], j[:, [c]], 0.1, -0.1,
+                                    guess)
+            assert np.array_equal(stacked[:, [c]], alone)
+            assert np.array_equal(stacked[:, c], self._scalar_inversion(
+                m, sigma[:, c], j[:, c], 0.1, -0.1, guess))
+            if c == 1:
+                undamped = 0.9 * (1.0 - 2.5 * (1.0 - (1e-4 / 0.9) ** 0.4))
+                assert undamped < 0.0 < centres[1] < 0.9
+        assert np.array_equal(stacked[:, 0], guess)
+        assert np.allclose(stacked, rho, rtol=1e-9, atol=0.0)
+
+    def test_unreachable_target_fails_on_its_own(self):
+        # at rest sigma1 = -2 rho1 < 0: column 1 asks for sigma1 = 1, which
+        # no density reaches; column 0 converges at the second iteration
+        m = make_model(a=0.4)
+        rho, j = np.array([[0.8, 0.8], [0.9, 0.9]]), np.zeros((2, 2))
+        sigma = np.array(_forward_maps(m, *rho, *j, 0.0, 0.0)[:2])
+        sigma[0, 1] = 1.0
+        with pytest.raises(ConvergenceError, match="admissible set") as exc:
+            invert_legendre(m, sigma, j, 0.0, 0.0, (1.0, 0.9))
+        assert exc.value.cell == 1
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            invert_legendre(m, sigma, j, 0.0, 0.0, (1.0, 0.9), max_iter=3)
+        assert exc.value.cell == 1
+
+    def test_singular_jacobian(self):
+        with pytest.raises(ConvergenceError, match="singular Jacobian"):
+            invert_legendre(LinearInRho(), [[-2.0], [-2.0]], [[0.0], [0.0]],
+                            0.0, 0.0, (1.0, 1.0))
+
+    def test_critical_w_states_within_default_asym_tol(self):
+        # O(h^2) truncation near a singular L_rr reached 4.5e-4 at h = 1e-5
+        # on these states; at the default step it stays below 1e-6
+        m, states = critical_w_states()
+        for p, factor in states:
+            sys = assemble_symmetric_system(m, p)
+            assert (sys.min_eig_A > 0.0) == (factor < 1.0)
+
+    def test_few_forward_map_calls(self, monkeypatch):
+        # two calls outside the Newton (the centre state, and K), one per
+        # iteration of the eight stacked inversions
+        m = make_model(a=0.4)
+        calls = count_calls(monkeypatch, hyperbolicity, "_forward_maps")
+        for p in acceptance_04_states():
+            for oracle in (check_legendre_identities,
+                           assemble_symmetric_system):
+                calls.clear()
+                oracle(m, p)
+                assert len(calls) <= 8
+
+
 class TestLagrangianHessian:
     @staticmethod
     def _fd_hessian(model, rho1, rho2, u1, u2, s1, s2, h=1e-5):
@@ -224,20 +376,12 @@ class TestCertificate:
     def test_matches_newton_min_eig_across_critical_w(self):
         # the block-Cholesky certificate against the sign of min-eig(A) of
         # the per-state Newton oracle, on both sides of w*
-        m = SeparableAddedMass(SeparableAddedMassParams(
-            gamma1=2.0, gamma2=1.4, a=1.0))
-        rng = np.random.default_rng(17)
+        m, states = critical_w_states()
         seen = set()
-        for k in range(40):
-            rho1, rho2 = rng.uniform(0.5, 1.5, 2)
-            s1, s2 = rng.uniform(-0.2, 0.2, 2)
-            w_star = critical_relative_velocity(m, rho1, rho2, s1, s2,
-                                                w_max=5.0)
-            factor = (rng.uniform(0.3, 0.95) if k % 2
-                      else rng.uniform(1.05, 1.5))
-            p = mixture_rest_state(rho1, rho2, factor * w_star, s1, s2)
-            # the differenced Newton map is noisier near w*: only the sign
-            # of min-eig is compared, so a looser asymmetry check suffices
+        for p, factor in states:
+            # only the sign of min-eig is compared, so a looser asymmetry
+            # check suffices (TestNewtonOracle holds these states to the
+            # default)
             sys = assemble_symmetric_system(m, p, asym_tol=1e-2)
             newton_posdef = sys.min_eig_A > 0.0
             _, ok, margin = wave_speeds_batch(m, p.rho1, p.rho2, p.u1, p.u2,
@@ -246,6 +390,41 @@ class TestCertificate:
             assert bool(margin > 0.0) == bool(ok)
             seen.add(bool(ok))
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("law", ["constant_a", "callable_a", "user_law"])
+    @given(rho1=st.floats(0.5, 1.5), rho2=st.floats(0.5, 1.5),
+           s1=st.floats(-0.2, 0.2), s2=st.floats(-0.2, 0.2),
+           a=st.floats(0.0, 1.0),
+           factor=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 1.5)))
+    def test_certificate_and_newton_oracle_away_from_w_star(
+            self, law, rho1, rho2, s1, s2, a, factor):
+        # below w* the certificate holds and the Newton min-eig(A) is
+        # positive; above w* both fail.  A = Hess G has a pole wherever
+        # L_rr is singular, at w* and past it at a second root of
+        # det L_rr, so states are kept 10 % away from every such w.  The
+        # Newton cannot reach its 1e-13 tolerance on a differenced
+        # gradient, which a callable a has: that law is held to the
+        # certificate only
+        m = {"constant_a": lambda: make_model(a=a),
+             "callable_a": lambda: make_model(
+                 a=lambda r1, r2: a * r1 * r2 / (r1 + r2)),
+             "user_law": CoupledInWGradient}[law]()
+        w_star = critical_relative_velocity(m, rho1, rho2, s1, s2)
+        assume(w_star)
+        w = factor * w_star
+        near = mixture_rest_state(rho1, rho2,
+                                  np.linspace(w / 1.1, w / 0.9, 257), s1, s2)
+        R = _lagrangian_hessian(m, near.rho1, near.rho2, near.u1, near.u2,
+                                s1, s2)
+        det = R[0] * R[1] - R[2] ** 2
+        assume(np.all(det > 0.0) or np.all(det < 0.0))
+        p = mixture_rest_state(rho1, rho2, w, s1, s2)
+        _, ok, _ = wave_speeds_batch(m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+        assert bool(ok) == (factor < 1.0)
+        if law != "callable_a":
+            # only the sign of min-eig is compared, as above
+            sys = assemble_symmetric_system(m, p, asym_tol=1e-2)
+            assert (sys.min_eig_A > 0.0) == (factor < 1.0)
 
     def test_margin_positive_exactly_where_certified(self):
         m = make_model(a=1.0)
@@ -715,14 +894,7 @@ class TestCriticalW:
     def test_few_certificate_calls(self, monkeypatch):
         # the hyper_scan benchmark grid with the default arguments: a user
         # law takes the scan, the built-in law no pass
-        calls = []
-        certificate = hyperbolicity._certificate
-
-        def counted(*args):
-            calls.append(1)
-            return certificate(*args)
-
-        monkeypatch.setattr(hyperbolicity, "_certificate", counted)
+        calls = count_calls(monkeypatch, hyperbolicity, "_certificate")
         for law, max_calls in ((ValueOnly(), 5), (make_model(a=0.2), 0)):
             for rho1 in np.linspace(0.5, 1.5, 16):
                 for rho2 in np.linspace(0.5, 1.5, 16):

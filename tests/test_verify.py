@@ -283,6 +283,24 @@ class TestSingleFluidReduction:
             single_fluid_reduction(m, n, 0.05, rho0=1.0, u0=0.0, s0=0.0,
                                    ref_n=ref_n)
 
+    @pytest.mark.parametrize("lone", [
+        {"omega_value": lambda x: 0.05 * np.sin(2 * np.pi * x)},
+        {"omega_grad": lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x)}],
+        ids=["value_only", "grad_only"])
+    def test_lone_external_potential_rejected_first(self, monkeypatch, lone):
+        # the two-fluid run reads omega_value and the reference omega_grad:
+        # with one of them only, the two runs would solve different problems
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated with a lone external potential")
+
+        monkeypatch.setattr(verify, "integrate", refuse)
+        monkeypatch.setattr(verify, "single_fluid_reference", refuse)
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=1.4, gamma2=1.4))
+        with pytest.raises(ValueError, match="omega_value and omega_grad"):
+            single_fluid_reduction(m, 16, 0.05, rho0=1.0, u0=0.0, s0=0.0,
+                                   **lone)
+
     def test_reference_preserves_uniform_state(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
