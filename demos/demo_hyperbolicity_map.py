@@ -24,11 +24,9 @@ w_slices = [0.0, 0.4, 0.8, 1.2, 1.6]
 
 print("fraction of the density box that is hyperbolic, per w:")
 for w in w_slices:
-    reports = map_hyperbolic_region(model, rho1, rho2, [w])
-    frac = np.mean([r.hyperbolic for r in reports])
-    min_eig = min(r.min_eig_A for r in reports)
-    print(f"  w = {w:4.1f}:  hyperbolic {100 * frac:5.1f}%   "
-          f"worst min-eig(A) = {min_eig:+.3e}")
+    maps = map_hyperbolic_region(model, rho1, rho2, [w])
+    print(f"  w = {w:4.1f}:  hyperbolic {100 * maps.hyperbolic.mean():5.1f}%"
+          f"   worst min-eig(A) = {maps.min_eig_A.min():+.3e}")
 
 print()
 w_star = critical_relative_velocity(model, 1.2, 0.8, 0.05, -0.1, w_max=5.0)
@@ -36,5 +34,5 @@ print(f"critical relative velocity at (rho1, rho2) = (1.2, 0.8): "
       f"w* = {w_star:.6f}")
 print("min-eig(A) just below / above w*:")
 for w in (0.999 * w_star, 1.001 * w_star):
-    reports = map_hyperbolic_region(model, [1.2], [0.8], [w], 0.05, -0.1)
-    print(f"  w = {w:.4f}: min-eig(A) = {reports[0].min_eig_A:+.3e}")
+    maps = map_hyperbolic_region(model, [1.2], [0.8], [w], 0.05, -0.1)
+    print(f"  w = {w:.4f}: min-eig(A) = {maps[0].min_eig_A:+.3e}")

@@ -31,7 +31,7 @@ init = evolved_from_primitive_profiles(
 
 # one integration; reports land exactly on t = 0.2, 0.4, 0.6
 cfg = SimulationConfig(grid=grid, model=model, closures=closures,
-                       t_end=0.6, report_interval=0.2, theta0=1.0)
+                       t_end=0.6, report_interval=0.2)
 
 print("diffusion-law residual along the relaxation:")
 for t_end, cells, _ in integrate(cfg, init)[1:]:

@@ -5,8 +5,8 @@ carried by a single potential W(rho1, rho2, s1, s2, w) depending on the
 relative velocity w = u2 - u1:
 
 * :mod:`twofluid.potential`   potential models and derivative evaluation;
-* :mod:`twofluid.state`       primitive/evolved state conversion and the
-  dynamic quantities K_a, R_a, theta_a, chemical potentials;
+* :mod:`twofluid.state`       primitive/evolved state conversion and
+  velocity recovery;
 * :mod:`twofluid.closures`    drag and heat-exchange laws with sign-definite
   entropy production;
 * :mod:`twofluid.hyperbolicity`  Legendre transform to a symmetric system,
@@ -33,10 +33,9 @@ from .potential import (AdmissibilityError, PotentialModel,
 from .solver import (Grid1D, NonHyperbolicError, SimulationConfig, StepError,
                      TimeStepReport, evolved_from_primitive_profiles,
                      integrate, step)
-from .state import (ConvergenceError, DynamicQuantities, EvolvedState,
-                    PrimitiveState, dynamic_quantities, evolved_to_primitive,
-                    mixture_aggregates, primitive_to_evolved,
-                    solve_relative_velocity)
+from .state import (ConvergenceError, EvolvedState, PrimitiveState,
+                    evolved_to_primitive, mixture_aggregates,
+                    primitive_to_evolved, solve_relative_velocity)
 from .verify import (ManufacturedField, balance_subidentities,
                      conservation_drift, fick_residual, gibbs_residual,
                      random_trig_fields, single_fluid_reduction)
@@ -46,9 +45,9 @@ __all__ = [
     "AdmissibilityError", "PotentialModel", "SeparableAddedMass",
     "SeparableAddedMassParams", "ThermoEval", "evaluate",
     "fd_check_derivatives",
-    "ConvergenceError", "DynamicQuantities", "EvolvedState",
-    "PrimitiveState", "dynamic_quantities", "evolved_to_primitive",
-    "mixture_aggregates", "primitive_to_evolved", "solve_relative_velocity",
+    "ConvergenceError", "EvolvedState", "PrimitiveState",
+    "evolved_to_primitive", "mixture_aggregates", "primitive_to_evolved",
+    "solve_relative_velocity",
     "ClosureParams", "DissipationForces", "drag_and_heat",
     "entropy_production", "entropy_sources",
     "assemble_symmetric_system", "characteristic_speeds",

@@ -131,17 +131,16 @@ def _run_hyperbolicity_map(cfg: ScenarioConfig, outdir: str,
                     cfg.getint(sec, "n_w"))
     s1 = cfg.getfloat(sec, "s1")
     s2 = cfg.getfloat(sec, "s2")
-    reports = map_hyperbolic_region(model, rho1, rho2, w, s1, s2)
+    maps = map_hyperbolic_region(model, rho1, rho2, w, s1, s2)
     header = ["rho1", "rho2", "w", "min_eig_A", "ineq1", "ineq2", "ineq3",
               "lambda1", "lambda2", "lambda3", "lambda4", "hyperbolic"]
-    rows = []
-    for rep in reports:
-        lams = (list(rep.speeds) if rep.speeds is not None
-                else [math.nan] * 4)
-        rows.append([rep.rho1, rep.rho2, rep.w, rep.min_eig_A,
-                     rep.ineq1, rep.ineq2, rep.ineq3,
-                     *[float(v) for v in lams], int(rep.hyperbolic)])
-    write_csv(os.path.join(outdir, "map.csv"), header, rows)
+    # the columns' .tolist() gives Python floats and bools, so the bools
+    # print as True/False and hyperbolic as 0/1
+    cols = [maps.rho1, maps.rho2, maps.w, maps.min_eig_A, maps.ineq1,
+            maps.ineq2, maps.ineq3, *maps.speeds.T,
+            maps.hyperbolic.astype(int)]
+    write_csv(os.path.join(outdir, "map.csv"), header,
+              zip(*(c.tolist() for c in cols)))
 
 
 def _run_verify_gibbs(cfg: ScenarioConfig, outdir: str,
@@ -188,6 +187,7 @@ def _run_fick_relax(cfg: ScenarioConfig, outdir: str,
     sim = build_simulation(cfg)
     prof = initial_profiles(cfg)
     init = evolved_from_primitive_profiles(sim.model, sim.grid, **prof)
+    theta0 = cfg.getfloat("run", "theta0")
     bound = cfg.getfloat("fick", "theta_bound")
     rows = []
     t_prev, cells = 0.0, init
@@ -203,7 +203,7 @@ def _run_fick_relax(cfg: ScenarioConfig, outdir: str,
         t_prev = t_s
         p = evolved_to_primitive(sim.model, cells)
         _, rel = fick_residual(sim.model, sim.closures, p, sim.grid.dx,
-                               theta0=sim.theta0, theta_bound=bound,
+                               theta0=theta0, theta_bound=bound,
                                bc=sim.grid.bc)
         rows.append([t_s, rel, float(np.max(np.abs(p.w)))])
     write_csv(os.path.join(outdir, "fick.csv"),

@@ -13,7 +13,7 @@ integrates once through them), and every grid size is at least 4 and
 divides the reference grid of ``reduce-check``, ``ref_factor`` times the
 largest.  So are the scenario ranges: every count (``n_fields``,
 ``n_rho1``, ``n_rho2``, ``n_w``, ``ref_factor``) is at least 1,
-``t_lo <= t_hi`` and ``theta_bound`` is positive.
+``t_lo <= t_hi``, and ``theta_bound`` and ``[run] theta0`` are positive.
 
 Initial profiles and external potentials are given as expressions in x
 (e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
@@ -188,8 +188,9 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise _range_error(cfg, section, key, "must be at least 1")
     if cfg.getfloat("gibbs", "t_hi") < cfg.getfloat("gibbs", "t_lo"):
         raise _range_error(cfg, "gibbs", "t_hi", "must not be below t_lo")
-    if cfg.getfloat("fick", "theta_bound") <= 0.0:
-        raise _range_error(cfg, "fick", "theta_bound", "must be positive")
+    for section, key in (("fick", "theta_bound"), ("run", "theta0")):
+        if cfg.getfloat(section, key) <= 0.0:
+            raise _range_error(cfg, section, key, "must be positive")
     ref_n = cfg.getint("reduce", "ref_factor") * max(n_values)
     if any(ref_n % n for n in n_values):
         raise ConfigError(
@@ -235,8 +236,7 @@ def build_simulation(cfg: ScenarioConfig) -> SimulationConfig:
         cfl=cfg.getfloat("run", "cfl"),
         t_end=cfg.getfloat("run", "t_end"),
         report_interval=(cfg.getfloat("run", "report_interval")
-                         if interval else None),
-        theta0=cfg.getfloat("run", "theta0"))
+                         if interval else None))
 
 
 def initial_profiles(cfg: ScenarioConfig):

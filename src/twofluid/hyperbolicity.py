@@ -121,17 +121,11 @@ class StabilityCheck:
         return self.ineq1 & self.ineq2 & self.ineq3
 
 
-@dataclass(frozen=True, eq=False)
-class HyperbolicityReport:
-    rho1: float
-    rho2: float
-    w: float
-    min_eig_A: float
-    ineq1: bool
-    ineq2: bool
-    ineq3: bool
-    speeds: np.ndarray | None
-    hyperbolic: bool
+#: One record of :func:`map_hyperbolic_region` per grid point.
+MAP_DTYPE = np.dtype([("rho1", float), ("rho2", float), ("w", float),
+                      ("min_eig_A", float), ("ineq1", bool), ("ineq2", bool),
+                      ("ineq3", bool), ("speeds", float, (4,)),
+                      ("hyperbolic", bool)])
 
 
 def _forward_maps(model, rho1, rho2, j1, j2, s1, s2):
@@ -172,7 +166,8 @@ def invert_legendre(model, sigma, j, s1, s2, rho_guess,
     converges, is damped and fails on its own (the ``cell`` of a
     ``ConvergenceError`` is the first failing column).  An iteration makes
     one :func:`_forward_maps` call, on the centre and the +-h shifts of each
-    density of the unconverged columns.
+    density of the unconverged columns, h = 1e-7 max(1, rho) shortened to
+    keep rho - h above the density floor.
     """
     sigma, j = np.asarray(sigma, dtype=float), np.asarray(j, dtype=float)
     rho = np.asarray(rho_guess, dtype=float)[:, None] + np.zeros(sigma.shape)
@@ -180,7 +175,9 @@ def invert_legendre(model, sigma, j, s1, s2, rho_guess,
     todo = np.arange(sigma.shape[1])
     for _ in range(max_iter):
         r = rho[:, todo]
-        h = 1e-7 * np.maximum(1.0, r)
+        # r > RHO_FLOOR: the guess is admissible and no damped step below
+        # leaves the admissible set
+        h = np.minimum(1e-7 * np.maximum(1.0, r), 0.5 * (r - RHO_FLOOR))
         # the centre, then rho1 +- h and rho2 +- h: a (5, 2, k) stack
         m = r + h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1],
                               [0, -1]])[..., None]
@@ -305,28 +302,31 @@ def mixture_rest_state(rho1: ArrayLike, rho2: ArrayLike, w: ArrayLike,
 
 
 def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
-                          s1: float = 0.0, s2: float = 0.0):
-    """One :class:`HyperbolicityReport` per grid point over (rho1, rho2, w).
+                          s1: float = 0.0, s2: float = 0.0) -> np.recarray:
+    """The hyperbolicity map over the grid (rho1, rho2, w): one record of
+    :data:`MAP_DTYPE` per grid point, in ``ij`` order (w fastest).
 
-    States are taken in the zero-mixture-momentum frame, certified in one
-    batched call and reported in ``ij`` order (w fastest).  ``hyperbolic``
-    is the block-Cholesky certificate; ``min_eig_A`` is NaN where A is
-    undefined (singular L_rr).
+    States are taken in the zero-mixture-momentum frame and certified in
+    one batched call.  ``hyperbolic`` is the block-Cholesky certificate;
+    ``speeds`` are the sorted characteristic speeds, all NaN where it
+    fails; ``min_eig_A`` is NaN where A is undefined (singular L_rr);
+    ``ineq1``-``ineq3`` are the stability inequalities.  Columns read as
+    attributes (``maps.hyperbolic``), and so do the fields of one record
+    (``maps[i].min_eig_A``).
     """
     grids = np.meshgrid(*[np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (rho1_vals, rho2_vals, w_vals)],
                         indexing="ij")
     r1, r2, w = (g.ravel() for g in grids)
+    maps = np.recarray(r1.size, dtype=MAP_DTYPE)
+    maps.rho1, maps.rho2, maps.w = r1, r2, w
     p = mixture_rest_state(r1, r2, w, s1, s2)
     ineq = check_stability_inequalities(model, p)
+    maps.ineq1, maps.ineq2, maps.ineq3 = ineq.ineq1, ineq.ineq2, ineq.ineq3
     cert = _certified_frame(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
-    ok, speeds, min_eig = cert[1], _speeds(cert), min_eig_A_batch(cert)
-    return [HyperbolicityReport(
-        rho1=float(r1[i]), rho2=float(r2[i]), w=float(w[i]),
-        min_eig_A=float(min_eig[i]), ineq1=bool(ineq.ineq1[i]),
-        ineq2=bool(ineq.ineq2[i]), ineq3=bool(ineq.ineq3[i]),
-        speeds=speeds[i] if ok[i] else None, hyperbolic=bool(ok[i]))
-        for i in range(r1.size)]
+    maps.hyperbolic, maps.speeds = cert[1], _speeds(cert)
+    maps.min_eig_A = min_eig_A_batch(cert)
+    return maps
 
 
 def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,

@@ -266,17 +266,25 @@ class SeparableAddedMass(PotentialModel):
             * np.exp((np.asarray(s, dtype=float) - s0) / cv)
         return e, gamma, cv
 
+    def _a(self, rho1, rho2):
+        """a at the densities' broadcast shape: one call of a callable a."""
+        a = self.params.a
+        r1 = np.asarray(rho1, dtype=float)
+        r2 = np.asarray(rho2, dtype=float)
+        z = np.zeros(np.broadcast(r1, r2).shape)
+        return (a(r1, r2) if callable(a) else float(a)) + z
+
     def _a_derivs(self, rho1, rho2):
         """(a, a_r1, a_r2, a_r1r1, a_r1r2, a_r2r2) with FD for callable a."""
+        a0 = self._a(rho1, rho2)
         a = self.params.a
         if not callable(a):
-            z = np.zeros(np.broadcast(rho1, rho2).shape)
-            return float(a) + z, z, z, z, z, z
+            z = np.zeros_like(a0)
+            return a0, z, z, z, z, z
         r1 = np.asarray(rho1, dtype=float)
         r2 = np.asarray(rho2, dtype=float)
         h1 = _fd_step(r1)
         h2 = _fd_step(r2)
-        a0 = np.asarray(a(r1, r2), dtype=float)
         ap1, am1 = a(r1 + h1, r2), a(r1 - h1, r2)
         ap2, am2 = a(r1, r2 + h2), a(r1, r2 - h2)
         a_r1 = (ap1 - am1) / (2.0 * h1)
@@ -292,7 +300,7 @@ class SeparableAddedMass(PotentialModel):
     def value(self, rho1, rho2, s1, s2, w):
         e1, _, _ = self._phase(1, rho1, s1)
         e2, _, _ = self._phase(2, rho2, s2)
-        a = self._a_derivs(rho1, rho2)[0]
+        a = self._a(rho1, rho2)
         return rho1 * e1 + rho2 * e2 - 0.5 * a * np.asarray(w, dtype=float) ** 2
 
     def gradient(self, rho1, rho2, s1, s2, w):
@@ -329,12 +337,11 @@ class SeparableAddedMass(PotentialModel):
         return H
 
     def dW_dw(self, rho1, rho2, s1, s2, w):
-        a = self._a_derivs(rho1, rho2)[0]
-        return -a * np.asarray(w, dtype=float)
+        return -self._a(rho1, rho2) * np.asarray(w, dtype=float)
 
     def d2W_dw2(self, rho1, rho2, s1, s2, w):
-        a = self._a_derivs(rho1, rho2)[0]
-        return -a + np.zeros(np.broadcast(rho1, rho2, w).shape)
+        return -self._a(rho1, rho2) + np.zeros(
+            np.broadcast(rho1, rho2, w).shape)
 
     def sound_speed_sq(self, idx: int, rho, s):
         """Single-phase sound speed squared rho * d2W_a/drho_a^2."""

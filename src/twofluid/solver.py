@@ -101,7 +101,6 @@ class SimulationConfig:
     cfl: float = 0.45
     t_end: float = 1.0
     report_interval: float | None = None
-    theta0: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):

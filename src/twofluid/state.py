@@ -1,4 +1,4 @@
-"""State representations and the dynamic quantities K_alpha, R_alpha, mu_alpha.
+"""State representations and the conversion between them.
 
 Two equivalent descriptions of a point state are used:
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import (ArrayLike, PotentialModel, evaluate, require_admissible)
+from .potential import ArrayLike, PotentialModel, require_admissible
 
 
 class ConvergenceError(RuntimeError):
@@ -60,19 +60,6 @@ class EvolvedState:
 
     def __post_init__(self):
         require_admissible(self.rho1, self.rho2)
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicQuantities:
-    R1: ArrayLike
-    R2: ArrayLike
-    K1: ArrayLike
-    K2: ArrayLike
-    theta1: ArrayLike
-    theta2: ArrayLike
-    mu1: ArrayLike
-    mu2: ArrayLike
-    mu: ArrayLike
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,30 +198,6 @@ def evolved_to_primitive(model: PotentialModel, e: EvolvedState) -> PrimitiveSta
     return _from_checked_densities(PrimitiveState, rho1=e.rho1,
                                    rho2=e.rho2, u1=u1, u2=u1 + w,
                                    s1=e.s1, s2=e.s2)
-
-
-def dynamic_quantities(model: PotentialModel, p: PrimitiveState,
-                       omega1=0.0, omega2=0.0, theta0: float = 1.0
-                       ) -> DynamicQuantities:
-    """R_alpha, K_alpha, theta_alpha and chemical potentials at one state.
-
-    theta0 is the reference temperature entering mu_alpha = dW/drho_alpha
-    - theta0 s_alpha (the isothermal Fick limit fixes it externally).
-    """
-    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
-    mu1 = th.W_rho1 - theta0 * p.s1
-    mu2 = th.W_rho2 - theta0 * p.s2
-    return DynamicQuantities(
-        R1=0.5 * p.u1 ** 2 - th.W_rho1 - omega1,
-        R2=0.5 * p.u2 ** 2 - th.W_rho2 - omega2,
-        K1=p.u1 + th.W_w / p.rho1,
-        K2=p.u2 - th.W_w / p.rho2,
-        theta1=th.theta1,
-        theta2=th.theta2,
-        mu1=mu1,
-        mu2=mu2,
-        mu=mu2 - mu1,
-    )
 
 
 def mixture_aggregates(p: PrimitiveState) -> MixtureAggregates:

@@ -25,6 +25,7 @@ potential as a plain callable Omega(x) and the reference its gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -234,13 +235,17 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
                   theta_bound: float = 0.05, bc: str = "periodic"):
     """Residual of the diffusion law grad(mu) = rho f / (rho1 rho2).
 
-    Valid for drag-dominated near-isothermal states; raises if any
+    Valid for drag-dominated near-isothermal states; raises
+    ``ValueError`` if theta0 is not positive and finite, or if any
     temperature strays from theta0 by more than theta_bound relative.  The
     balance uses the local temperatures, grad(mu) = d(W_rho2 - W_rho1)
     - (theta2 ds2 - theta1 ds1), with every difference central of spacing dx
     over the solver's ghost cells for the boundary mode ``bc``.  Returns
     (residual field, residual norm relative to |grad mu|).
     """
+    if not 0.0 < theta0 < math.inf:
+        raise ValueError(
+            f"theta0 must be positive and finite; got {theta0!r}")
     th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
     dev = max(float(np.max(np.abs(th.theta1 - theta0))),
               float(np.max(np.abs(th.theta2 - theta0)))) / theta0

@@ -8,6 +8,11 @@ import pytest
 
 from twofluid import cli, verify
 from twofluid.cli import main
+from twofluid.hyperbolicity import (_certified_frame,
+                                    check_stability_inequalities,
+                                    min_eig_A_batch, mixture_rest_state,
+                                    wave_speeds_batch)
+from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import StepError, integrate
 
 BASE = """
@@ -115,6 +120,43 @@ class TestHyperbolicityMap:
                      "--out", str(out)]) == 0
         lines = (out / "map.csv").read_text().splitlines()
         assert len(lines) == 1 + 10 * 10 * 10
+
+    def test_content_matches_per_point_values(self, tmp_path):
+        # a grid across w*, every point certified on its own
+        cfgp = write_config(tmp_path, BASE + """
+[hyperbolicity]
+n_rho1 = 3
+n_rho2 = 2
+n_w = 5
+w_max = 2.5
+s1 = 0.03
+s2 = -0.05
+""")
+        out = tmp_path / "out"
+        assert main(["hyperbolicity-map", "--config", cfgp,
+                     "--out", str(out)]) == 0
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=0.2))
+        rows = []
+        for r1 in np.linspace(0.5, 1.5, 3):
+            for r2 in np.linspace(0.5, 1.5, 2):
+                for w in np.linspace(0.0, 2.5, 5):
+                    p = mixture_rest_state(np.array([r1]), np.array([r2]),
+                                           np.array([w]), 0.03, -0.05)
+                    state = (p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+                    speeds, ok, _ = wave_speeds_batch(m, *state)
+                    min_eig = min_eig_A_batch(_certified_frame(m, *state))
+                    ineq = check_stability_inequalities(m, p)
+                    rows.append([float(r1), float(r2), float(w),
+                                 float(min_eig[0]), bool(ineq.ineq1[0]),
+                                 bool(ineq.ineq2[0]), bool(ineq.ineq3[0]),
+                                 *(float(v) for v in speeds[0]), int(ok[0])])
+        assert 0 < sum(row[-1] for row in rows) < len(rows)
+        header = ["rho1", "rho2", "w", "min_eig_A", "ineq1", "ineq2",
+                  "ineq3", "lambda1", "lambda2", "lambda3", "lambda4",
+                  "hyperbolic"]
+        assert (out / "map.csv").read_text() == value_by_value_csv(header,
+                                                                   rows)
 
 
 class TestVerifyGibbs:

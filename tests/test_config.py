@@ -111,6 +111,8 @@ class TestValidation:
                    "must be nonnegative and finite"),
         range_case("fick", "theta_bound = -1", "must be positive"),
         range_case("fick", "theta_bound = 0", "must be positive"),
+        range_case("run", "theta0 = -1", "must be positive"),
+        range_case("run", "theta0 = 0", "must be positive"),
     ])
     def test_bad_list_or_interval_rejected(self, section, line, match):
         with pytest.raises(ConfigError, match=match):
@@ -130,6 +132,7 @@ class TestValidation:
     @pytest.mark.parametrize("section, line", [
         ("run", "t_end = inf"),
         ("run", "t_end = nan"),
+        ("run", "theta0 = inf"),
         ("closures", "k = nan"),
         ("potential", "a = inf"),
         ("gibbs", "h_values = 1e-2,inf"),

@@ -287,6 +287,27 @@ class TestNewtonOracle:
             invert_legendre(m, sigma, j, 0.0, 0.0, (1.0, 0.9), max_iter=3)
         assert exc.value.cell == 1
 
+    def test_stencil_stays_above_density_floor(self, monkeypatch):
+        # at rest sigma2 = -3.5 rho2^0.4 < 0: the target sigma2 = 1 drives
+        # rho2 towards the floor, where a stencil rho2 - 1e-7 went negative
+        m = make_model(a=0.3)
+        lowest = []
+        forward_maps = hyperbolicity._forward_maps
+
+        def spy(model, rho1, rho2, *rest):
+            lowest.append(min(np.min(rho1), np.min(rho2)))
+            return forward_maps(model, rho1, rho2, *rest)
+
+        monkeypatch.setattr(hyperbolicity, "_forward_maps", spy)
+        others = [count_calls(monkeypatch, m, name)
+                  for name in ("value", "hessian", "dW_dw", "d2W_dw2")]
+        with pytest.raises(ConvergenceError, match="admissible set") as exc:
+            invert_legendre(m, [[-2.0], [1.0]], np.zeros((2, 1)), 0.0, 0.0,
+                            (1.0, 0.9))
+        assert exc.value.cell == 0
+        assert min(lowest) > RHO_FLOOR and min(lowest) < 1e-7
+        assert others == [[], [], [], []]
+
     def test_singular_jacobian(self):
         with pytest.raises(ConvergenceError, match="singular Jacobian"):
             invert_legendre(LinearInRho(), [[-2.0], [-2.0]], [[0.0], [0.0]],
@@ -726,15 +747,19 @@ class TestRegionMapping:
             gamma1=2.0, gamma2=1.4, a=0.5))
         r1s, r2s = np.linspace(0.6, 1.4, 3), np.linspace(0.7, 1.3, 3)
         ws = np.linspace(0.0, 3.0, 7)
-        reports = map_hyperbolic_region(m, r1s, r2s, ws, 0.05, -0.05)
+        maps = map_hyperbolic_region(m, r1s, r2s, ws, 0.05, -0.05)
         points = [(r1, r2, w) for r1 in r1s for r2 in r2s for w in ws]
-        assert [(r.rho1, r.rho2, r.w) for r in reports] == points
-        for rep in reports:
+        assert [(r.rho1, r.rho2, r.w) for r in maps] == points
+        for rep in maps:
             w_star = critical_relative_velocity(m, rep.rho1, rep.rho2,
                                                 0.05, -0.05, w_max=5.0)
             assert rep.hyperbolic == (rep.w < w_star)
-            assert (rep.speeds is not None) == rep.hyperbolic
             assert (rep.min_eig_A > 0.0) == rep.hyperbolic
+        # the speeds are all NaN exactly where the certificate fails
+        nan = np.isnan(maps.speeds)
+        assert 0 < maps.hyperbolic.sum() < maps.size
+        assert np.array_equal(nan.all(axis=1), ~maps.hyperbolic)
+        assert np.array_equal(nan.any(axis=1), ~maps.hyperbolic)
 
     def test_critical_w_reproducible(self):
         m = SeparableAddedMass(SeparableAddedMassParams(

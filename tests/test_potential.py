@@ -121,6 +121,20 @@ class TestDerivativeConsistency:
                            s1=0.0, s2=0.0)
         assert fd_check_derivatives(m, p, h=1e-5) < 1e-6
 
+    def test_callable_added_mass_called_once_where_only_a_is_needed(self):
+        # value, dW_dw and d2W_dw2 need a but none of its derivatives
+        calls = []
+
+        def a(r1, r2):
+            calls.append(np.shape(r1))
+            return 0.2 * r1 * r2
+
+        m = make_model(a=a)
+        for method in (m.value, m.dW_dw, m.d2W_dw2):
+            calls.clear()
+            method(np.array([1.2, 0.9]), 0.8, 0.0, 0.0, 0.7)
+            assert calls == [(2,)]
+
 
 class TestInternalEnergyRelation:
     def test_u_minus_w_identity_bulk(self):

@@ -200,6 +200,24 @@ class TestIntegrate:
         assert calls["evaluate"] == calls["assemble_rhs"]
         assert calls["_certified_frame"] == calls["assemble_rhs"]
 
+    def test_callable_added_mass_calls_per_rhs(self):
+        # one gradient and one hessian difference a, 9 evaluations each;
+        # one value, 6 dW_dw and 2 d2W_dw2 calls evaluate it once each
+        calls = []
+
+        def a(r1, r2):
+            calls.append(1)
+            return callable_a(r1, r2)
+
+        m = make_model(a=a)
+        grid = Grid1D(0.0, 1.0, 128)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3))
+        init = smooth_init(m, grid)
+        calls.clear()
+        assemble_rhs(cfg, init)
+        assert len(calls) == 27
+
     def test_report_reads_the_stage_certificate(self, monkeypatch):
         # the report's min-eig(A) comes from the rows the stage's
         # certificate built: no Hessian of W is built for it

@@ -1,12 +1,11 @@
-"""Tests for state conversions, velocity recovery, and dynamic quantities."""
+"""Tests for state conversions and velocity recovery."""
 import numpy as np
 import pytest
 
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.state import (ConvergenceError, EvolvedState, PrimitiveState,
-                            dynamic_quantities, evolved_to_primitive,
-                            mixture_aggregates, primitive_to_evolved,
-                            solve_relative_velocity,
+                            evolved_to_primitive, mixture_aggregates,
+                            primitive_to_evolved, solve_relative_velocity,
                             solve_relative_velocity_bisection)
 
 
@@ -132,43 +131,6 @@ class TestVelocityRecovery:
         assert exc.value.cell == 2
         w = solve_relative_velocity(m, 2.0, 2.0, 0.0, 0.0, dK)
         assert np.max(np.abs(w - 0.25 * w ** 3 - dK)) <= 1e-12
-
-class TestDynamicQuantities:
-    def test_rest_state_R(self):
-        m = make_model()
-        p = PrimitiveState(rho1=1.0, rho2=1.0, u1=0.0, u2=0.0,
-                           s1=0.0, s2=0.0)
-        from twofluid.potential import evaluate
-        th = evaluate(m, 1.0, 1.0, 0.0, 0.0, 0.0)
-        d = dynamic_quantities(m, p)
-        assert d.R1 == pytest.approx(-th.W_rho1, rel=1e-14)
-        assert d.R2 == pytest.approx(-th.W_rho2, rel=1e-14)
-
-    def test_hand_R(self):
-        # gamma1 = 2, K0 = 1, s = s0, rho1 = 3, u1 = 2: dW/drho1 = 6, R1 = -4
-        m = SeparableAddedMass(SeparableAddedMassParams(
-            gamma1=2.0, gamma2=2.0, a=0.0))
-        p = PrimitiveState(rho1=3.0, rho2=1.0, u1=2.0, u2=0.0,
-                           s1=0.0, s2=0.0)
-        d = dynamic_quantities(m, p)
-        assert d.R1 == pytest.approx(-4.0, abs=1e-12)
-
-    def test_mu_vanishes_by_symmetry(self):
-        m = SeparableAddedMass(SeparableAddedMassParams(
-            gamma1=1.8, gamma2=1.8, a=0.2))
-        p = PrimitiveState(rho1=1.3, rho2=1.3, u1=0.0, u2=0.5,
-                           s1=0.2, s2=0.2)
-        d = dynamic_quantities(m, p)
-        assert d.mu == pytest.approx(0.0, abs=1e-14)
-
-    def test_K_equals_u_at_zero_w(self):
-        m = make_model(a=3.0)
-        p = PrimitiveState(rho1=0.9, rho2=1.4, u1=0.6, u2=0.6,
-                           s1=0.1, s2=0.2)
-        d = dynamic_quantities(m, p)
-        assert d.K1 == pytest.approx(0.6, abs=1e-14)
-        assert d.K2 == pytest.approx(0.6, abs=1e-14)
-
 
 class TestGalileanCovariance:
     def test_boost_shifts_K_exactly(self):

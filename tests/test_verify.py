@@ -198,6 +198,20 @@ class TestFickResidual:
         with pytest.raises(ValueError, match="isothermal"):
             fick_residual(m, ClosureParams(k=10.0), p, 1.0 / n, theta0=1.0)
 
+    @pytest.mark.parametrize("theta0", [-1.0, 0.0, math.inf, math.nan])
+    def test_theta0_must_be_positive_and_finite(self, theta0):
+        # theta2 is about 20 here; a negative theta0 made every deviation
+        # negative, so the near-isothermal guard passed this state
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=2.0))
+        n = 16
+        p = PrimitiveState(rho1=np.full(n, 1.0), rho2=np.full(n, 1.0),
+                           u1=np.zeros(n), u2=np.zeros(n),
+                           s1=np.zeros(n), s2=np.full(n, 3.0))
+        with pytest.raises(ValueError, match="theta0 must be positive"):
+            fick_residual(m, ClosureParams(k=10.0), p, 1.0 / n,
+                          theta0=theta0)
+
     @staticmethod
     def relaxation_residuals(k, n, t_end, report_interval):
         """Fick residuals at the reports of a drag relaxation from a
