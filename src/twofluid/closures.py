@@ -11,7 +11,7 @@ Setting k = kappa = 0 recovers the conservative model.
 Since u2 - u = rho1 w / rho and u1 - u = -rho2 w / rho, the drag is linear
 in the relative velocity w = u2 - u1 at fixed densities and temperatures:
 f1 = zeta w with zeta = k (rho1/theta2 + rho2/theta1) / rho
-(:func:`drag_coefficient`), which is what lets the solver integrate it
+(:func:`stage_sources`), which is what lets the solver integrate it
 exactly in time.
 """
 from __future__ import annotations
@@ -50,19 +50,28 @@ def _require_positive_temperatures(theta1, theta2):
             raise ValueError(f"{name} must be positive")
 
 
-def drag_coefficient(params: ClosureParams, p: PrimitiveState,
-                     theta1, theta2):
-    """zeta = k (rho1/theta2 + rho2/theta1) / rho, so that f1 = zeta w."""
+def _coefficients(params: ClosureParams, p: PrimitiveState, theta1, theta2):
+    """(zeta, q1) after one check of the temperatures: the drag coefficient
+    zeta = k (rho1/theta2 + rho2/theta1) / rho, f1 = zeta w, and q1."""
     _require_positive_temperatures(theta1, theta2)
-    return params.k * (p.rho1 / theta2 + p.rho2 / theta1) / (p.rho1 + p.rho2)
+    return (params.k * (p.rho1 / theta2 + p.rho2 / theta1) / (p.rho1 + p.rho2),
+            params.kappa * (1.0 / theta2 - 1.0 / theta1))
 
 
 def drag_and_heat(params: ClosureParams, p: PrimitiveState,
                   theta1, theta2) -> DissipationForces:
     """Antisymmetric drag/heat pair; f1 + f2 = 0 and q1 + q2 = 0 exactly."""
-    f1 = drag_coefficient(params, p, theta1, theta2) * p.w
-    q1 = params.kappa * (1.0 / theta2 - 1.0 / theta1)
+    zeta, q1 = _coefficients(params, p, theta1, theta2)
+    f1 = zeta * p.w
     return DissipationForces(f1=f1, f2=-f1, q1=q1, q2=-q1)
+
+
+def stage_sources(params: ClosureParams, p: PrimitiveState, theta1, theta2):
+    """(zeta, (src1, src2)) of a solver stage from one temperature check:
+    the drag coefficient and the entropy rates of the heat exchange alone,
+    :func:`entropy_sources` of :func:`drag_and_heat` at k = 0."""
+    zeta, q1 = _coefficients(params, p, theta1, theta2)
+    return zeta, (-q1 / (p.rho1 * theta1), q1 / (p.rho2 * theta2))
 
 
 def entropy_sources(forces: DissipationForces, p: PrimitiveState,

@@ -19,10 +19,10 @@ of G directly in the (sigma, j) variables; it inverts the Legendre map
 (sigma, j) -> (rho, j) at its eight shifted states in one stacked damped
 Newton that reads only ``model.gradient``.  The batched route works with
 the Hessian of L in m = (rho1, rho2, j1, j2), taken by the chain rule from
-``model.hessian`` (analytic for the built-in law, finite differences for
-user laws), in 2x2 blocks L_rr, L_rj, L_jj, kept as one array of flat
-rows: the 10 distinct entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and
-L_jj (11, 22, 12) of each state.  With the blocks
+the law's Hessian H and W_w (analytic for the built-in law, finite
+differences for user laws), in 2x2 blocks L_rr, L_rj, L_jj, kept as one
+array of flat rows: the 10 distinct entries L_rr (11, 22, 12), L_rj (11,
+22, 12, 21) and L_jj (11, 22, 12) of each state.  With the blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
@@ -32,7 +32,8 @@ so A is positive definite exactly when -L_rr and L_jj are: a closed-form
 speeds are Galilean covariant, but A is positive definite in some frames
 only (not in the lab frame once a phase outruns its sound speed), so a
 state the lab frame does not certify is tried again in the
-zero-mixture-momentum frame.  Each set of states is certified once
+zero-mixture-momentum frame, with the same H and W_w.  Each set of states
+is certified once
 (:func:`_certified_frame`); the speeds, the extreme speeds and min-eig(A)
 read its frames and rows.  The speeds solve det(lambda^2 L_jj + lambda
 (L_rj + L_jr) + L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr
@@ -246,17 +247,26 @@ def assemble_symmetric_system(model: PotentialModel, p: PrimitiveState,
 
     The raw matrix is symmetrized by (A + A^T)/2; the pre-symmetrization
     asymmetry is reported and an error is raised when it exceeds ``asym_tol``
-    (a bad Hessian or inadmissible state).
+    (a bad Hessian or inadmissible state).  This error and a failed
+    Legendre inversion state det L_rr at ``p``, near zero where A blows up.
     """
-    u, hi, rho = _shifted_inversions(model, p, h)
-    _, _, K1, K2 = _forward_maps(model, rho[0], rho[1], u[2], u[3], p.s1, p.s2)
-    grad = np.array([-rho[0], -rho[1], K1, K2])
-    A = (grad[:, ::2] - grad[:, 1::2]) / (2.0 * hi)
-    scale = np.linalg.norm(A)
-    asym = float(np.linalg.norm(A - A.T) / scale) if scale > 0 else 0.0
-    if asym > asym_tol:
-        raise AsymmetryError(
-            f"Hessian of G asymmetric: {asym:g} relative (tolerance {asym_tol:g})")
+    try:
+        u, hi, rho = _shifted_inversions(model, p, h)
+        _, _, K1, K2 = _forward_maps(model, rho[0], rho[1], u[2], u[3],
+                                     p.s1, p.s2)
+        grad = np.array([-rho[0], -rho[1], K1, K2])
+        A = (grad[:, ::2] - grad[:, 1::2]) / (2.0 * hi)
+        scale = np.linalg.norm(A)
+        asym = float(np.linalg.norm(A - A.T) / scale) if scale > 0 else 0.0
+        if asym > asym_tol:
+            raise AsymmetryError(f"Hessian of G asymmetric: {asym:g} "
+                                 f"relative (tolerance {asym_tol:g})")
+    except (AsymmetryError, ConvergenceError) as exc:
+        a, c, b = _lagrangian_hessian(*_law_hessian(
+            model, p.rho1, p.rho2, p.s1, p.s2, p.w), p.rho1, p.rho2, p.u1,
+            p.u2)[:3]
+        exc.args = (f"{exc}; det L_rr = {a * c - b * b:.3g} at this state",)
+        raise
     A = 0.5 * (A + A.T)
     return SymmetricSystem(A=A, B=B_MATRIX.copy(), asymmetry_A=asym,
                            asymmetry_B=0.0, eig_A=np.linalg.eigvalsh(A))
@@ -278,13 +288,15 @@ def characteristic_speeds(sys: SymmetricSystem) -> SpeedResult:
     return SpeedResult(hyperbolic=True, speeds=lam, min_eig_A=sys.min_eig_A)
 
 
-def check_stability_inequalities(model: PotentialModel,
-                                 p: PrimitiveState) -> StabilityCheck:
+def check_stability_inequalities(model: PotentialModel, p: PrimitiveState,
+                                 hessian=None) -> StabilityCheck:
     """The three convexity conditions sufficient for small-w hyperbolicity.
 
-    Broadcasts over array-valued states.
+    Broadcasts over array-valued states.  ``hessian``, the law's Hessian at
+    ``p``, is built unless given.
     """
-    H = model.hessian(p.rho1, p.rho2, p.s1, p.s2, p.w)
+    H = model.hessian(p.rho1, p.rho2, p.s1, p.s2, p.w) if hessian is None \
+        else hessian
     ww = H[4, 4]
     r11 = H[0, 0]
     det2 = H[0, 0] * H[1, 1] - H[0, 1] ** 2
@@ -321,9 +333,10 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
     maps = np.recarray(r1.size, dtype=MAP_DTYPE)
     maps.rho1, maps.rho2, maps.w = r1, r2, w
     p = mixture_rest_state(r1, r2, w, s1, s2)
-    ineq = check_stability_inequalities(model, p)
+    H, Ww = _law_hessian(model, r1, r2, s1, s2, p.w)
+    ineq = check_stability_inequalities(model, p, H)
     maps.ineq1, maps.ineq2, maps.ineq3 = ineq.ineq1, ineq.ineq2, ineq.ineq3
-    cert = _certified_frame(model, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
+    cert = _certified_frame(H, Ww, r1, r2, p.u1, p.u2)
     maps.hyperbolic, maps.speeds = cert[1], _speeds(cert)
     maps.min_eig_A = min_eig_A_batch(cert)
     return maps
@@ -356,8 +369,8 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
         # first fails at w^2 = -1 / min-eig(M), well conditioned also where
         # det(-L_rr), a quadratic in w^2, has a double root
         w = np.array([0.0, 1.0])
-        R = _lagrangian_hessian(model, rho1, rho2, -rho2 * w / rho,
-                                rho1 * w / rho, s1, s2)
+        R = _lagrangian_hessian(*_law_hessian(model, rho1, rho2, s1, s2, w),
+                                rho1, rho2, -rho2 * w / rho, rho1 * w / rho)
         ok, _, (l11, l21, l22) = _cholesky2(R[:, 0])
         if not (ok[0] and ok[1]):
             return 0.0
@@ -374,8 +387,8 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
     while hi - lo > rel_tol * hi:
         ws = np.linspace(lo, hi, n_scan + 1)
         failed = np.flatnonzero(~_certificate(
-            model, rho1, rho2, -rho2 * ws / rho, rho1 * ws / rho, s1, s2,
-            0.0)[0])
+            *_law_hessian(model, rho1, rho2, s1, s2, ws), rho1, rho2,
+            -rho2 * ws / rho, rho1 * ws / rho, 0.0)[0])
         # after the first pass ws[0] = lo is certified and ws[-1] = hi fails
         if failed.size == 0:
             return None
@@ -385,25 +398,29 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
     return 0.5 * (lo + hi)
 
 
-def _lagrangian_hessian(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+def _law_hessian(model: PotentialModel, rho1, rho2, s1, s2, w):
+    """(H, W_w), what the certificate reads of the law."""
+    return (model.hessian(rho1, rho2, s1, s2, w),
+            model.dW_dw(rho1, rho2, s1, s2, w))
+
+
+def _lagrangian_hessian(H, Ww, rho1, rho2, u1, u2):
     """Hess L in m = (rho1, rho2, j1, j2) at frozen entropies, by the chain rule.
 
     L = j1^2/(2 rho1) + j2^2/(2 rho2) - W(rho1, rho2, s1, s2, w) with
-    w = j2/rho2 - j1/rho1.  The inputs broadcast together to a shape S;
-    returns one (10,) + S array of rows, the 10 distinct entries of the
-    2x2 blocks: L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj
-    (11, 22, 12), with L_rj[i, k] = d2L/drho_i dj_k.
+    w = j2/rho2 - j1/rho1; ``H`` and ``Ww`` are the law's Hessian and W_w
+    at w = u2 - u1.  The inputs broadcast together to a shape S; returns
+    one (10,) + S array of rows, the 10 distinct entries of the 2x2
+    blocks: L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj (11, 22, 12),
+    with L_rj[i, k] = d2L/drho_i dj_k.
     """
-    w = u2 - u1
-    H = model.hessian(rho1, rho2, s1, s2, w)
-    Ww = model.dW_dw(rho1, rho2, s1, s2, w)
     Www = H[4, 4]
     wj1, wj2 = -1.0 / rho1, 1.0 / rho2            # dw/dj_a
     wr1, wr2 = -u1 * wj1, -u2 * wj2               # dw/drho_a
     K1, K2 = u1 - Ww * wj1, u2 - Ww * wj2         # dL/dj_a
     # d(W_w)/drho_a along w(m)
     q1, q2 = H[0, 4] + Www * wr1, H[1, 4] + Www * wr2
-    R = np.empty((10,) + np.broadcast(rho1, rho2, u1, u2, s1, s2).shape)
+    R = np.empty((10,) + np.broadcast(Www, Ww, rho1, rho2, u1, u2).shape)
     # the kinetic part and the W_w d2w terms sit on the diagonals
     R[0] = -(H[0, 0] + q1 * wr1 + H[0, 4] * wr1) + u1 * (2.0 * K1 - u1) / rho1
     R[1] = -(H[1, 1] + q2 * wr2 + H[1, 4] * wr2) + u2 * (2.0 * K2 - u2) / rho2
@@ -441,14 +458,14 @@ def _cholesky2(R):
         return ok, scaled, (l11, l21, np.sqrt(pivot2))
 
 
-def _certificate(model: PotentialModel, rho1, rho2, u1, u2, s1, s2, V):
+def _certificate(H, Ww, rho1, rho2, u1, u2, V):
     """Block-Cholesky hyperbolicity certificate in the frame moving with V.
 
     Returns (ok, margin, R): ``ok`` where -L_rr and L_jj are positive
     definite (A = Hess G is then), ``margin`` the smaller of the blocks'
     scaled min-eigenvalues (> 0 exactly where ``ok``), R the rows of Hess L.
     """
-    R = _lagrangian_hessian(model, rho1, rho2, u1 - V, u2 - V, s1, s2)
+    R = _lagrangian_hessian(H, Ww, rho1, rho2, u1 - V, u2 - V)
     ok, margin, _ = _cholesky2(R)
     return ok[0] & ok[1], np.minimum(margin[0], margin[1]), R
 
@@ -473,20 +490,22 @@ def _symmetric_system(R):
     return A
 
 
-def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
+def _certified_frame(H, Ww, rho1, rho2, u1, u2):
     """The certificate of a set of states, read by the speeds, the extreme
-    speeds and min-eig(A): in the lab frame, retried in the
-    zero-mixture-momentum frame (velocity V) for the states that fail there
-    unless V = 0, where it would rebuild the same rows; the retried columns,
-    the rows ``R`` included, are overwritten.  Returns (V, ok, margin, R,
-    S): the states flattened from their broadcast shape S, V the velocity
-    of each state's frame (0 for the lab frame), the rest as for
-    :func:`_certificate`."""
-    state = np.broadcast_arrays(*[np.asarray(a, dtype=float)
-                                  for a in (rho1, rho2, u1, u2, s1, s2)])
-    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in state)
+    speeds and min-eig(A), from the law's Hessian ``H`` and ``Ww`` at
+    w = u2 - u1: in the lab frame, retried in the zero-mixture-momentum
+    frame (velocity V) for the states that fail there unless V = 0, where
+    it would rebuild the same rows; the retried columns, the rows ``R``
+    included, are overwritten.  Returns (V, ok, margin, R, S): the states
+    flattened from their broadcast shape S, V the velocity of each state's
+    frame (0 for the lab frame), the rest as for :func:`_certificate`."""
+    Www, *state = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in (
+        H[4, 4], Ww, rho1, rho2, u1, u2)])
+    shape = Www.shape
+    H = np.broadcast_to(H, (5, 5) + shape).reshape(5, 5, -1)
+    Ww, rho1, rho2, u1, u2 = (a.ravel() for a in state)
     V = np.zeros(rho1.size)
-    ok, margin, R = _certificate(model, rho1, rho2, u1, u2, s1, s2, V)
+    ok, margin, R = _certificate(H, Ww, rho1, rho2, u1, u2, V)
     retry = np.flatnonzero(~ok)
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
@@ -494,10 +513,10 @@ def _certified_frame(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
         retry = retry[V[retry] != 0.0]
     if retry.size:
         ok_m, margin_m, R[:, retry] = _certificate(
-            model, *(a[retry] for a in (rho1, rho2, u1, u2, s1, s2, V)))
+            H[..., retry], *(a[retry] for a in (Ww, rho1, rho2, u1, u2, V)))
         ok[retry] = ok_m
         margin[retry] = np.maximum(margin[retry], margin_m)
-    return V, ok, margin, R, state[0].shape
+    return V, ok, margin, R, shape
 
 
 def min_eig_A_batch(cert):
@@ -546,7 +565,8 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
     Speeds are sorted; they are NaN where the certificate fails.
     """
-    cert = _certified_frame(model, rho1, rho2, u1, u2, s1, s2)
+    cert = _certified_frame(*_law_hessian(
+        model, rho1, rho2, s1, s2, np.subtract(u2, u1)), rho1, rho2, u1, u2)
     _, ok, margin, _, shape = cert
     return _speeds(cert), ok.reshape(shape), margin.reshape(shape)
 
@@ -615,8 +635,8 @@ def _extreme_speeds(cert):
             half, dhalf = 0.5 * (M[0] - M[1]), 0.5 * (dM[0] - dM[1])
             rad = np.hypot(half, M[2])
             nu = 0.5 * (M[0] + M[1]) - rad
-            drad = np.where(rad > 0.0, (half * dhalf + M[2] * dM[2]) / rad,
-                            np.hypot(dhalf, dM[2]))
+            drad = np.hypot(dhalf, dM[2], where=rad == 0.0,
+                            out=(half * dhalf + M[2] * dM[2]) / rad)
             new = lam - nu / (0.5 * (dM[0] + dM[1]) - drad)
             # a step must stay finite and on its half-line
             lam = np.where(np.isfinite(new) & (_SIDES * new > 0.0), new, lam)

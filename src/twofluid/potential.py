@@ -111,6 +111,13 @@ class PotentialModel(ABC):
                 ) / (4.0 * steps[i] * steps[j])
         return np.stack([np.stack(np.broadcast_arrays(*row)) for row in H])
 
+    def derivatives(self, rho1, rho2, s1, s2, w):
+        """(W, gradient, Hessian), what a solver stage reads: here one call
+        of each method above."""
+        return (self.value(rho1, rho2, s1, s2, w),
+                self.gradient(rho1, rho2, s1, s2, w),
+                self.hessian(rho1, rho2, s1, s2, w))
+
     def dW_dw(self, rho1, rho2, s1, s2, w):
         if type(self).gradient is not PotentialModel.gradient:
             return self.gradient(rho1, rho2, s1, s2, w)[4]
@@ -158,11 +165,8 @@ class ThermoEval:
         return self.grad[4]
 
 
-def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w) -> ThermoEval:
-    """Evaluate W, its gradient and the derived quantities at raw components."""
-    require_admissible(rho1, rho2)
-    W = model.value(rho1, rho2, s1, s2, w)
-    grad = model.gradient(rho1, rho2, s1, s2, w)
+def _thermo_eval(W, grad, rho1, rho2, w) -> ThermoEval:
+    """The :class:`ThermoEval` of W and its gradient at admissible states."""
     Ww = grad[4]
     return ThermoEval(
         W=W,
@@ -172,6 +176,13 @@ def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w) -> ThermoEval:
         i_star=-Ww,
         grad=grad,
     )
+
+
+def evaluate(model: PotentialModel, rho1, rho2, s1, s2, w) -> ThermoEval:
+    """Evaluate W, its gradient and the derived quantities at raw components."""
+    require_admissible(rho1, rho2)
+    return _thermo_eval(model.value(rho1, rho2, s1, s2, w),
+                        model.gradient(rho1, rho2, s1, s2, w), rho1, rho2, w)
 
 
 def fd_check_derivatives(model: PotentialModel, state, h: float = 1e-5) -> float:
@@ -274,67 +285,75 @@ class SeparableAddedMass(PotentialModel):
         z = np.zeros(np.broadcast(r1, r2).shape)
         return (a(r1, r2) if callable(a) else float(a)) + z
 
-    def _a_derivs(self, rho1, rho2):
-        """(a, a_r1, a_r2, a_r1r1, a_r1r2, a_r2r2) with FD for callable a."""
+    def _a_derivs(self, rho1, rho2, order):
+        """a, then a_r1, a_r2 (order 1), then a_r1r1, a_r1r2, a_r2r2 (order
+        2); a callable a is called 1, 5 or 9 times, for differences."""
         a0 = self._a(rho1, rho2)
         a = self.params.a
+        if order == 0:
+            return (a0,)
         if not callable(a):
-            z = np.zeros_like(a0)
-            return a0, z, z, z, z, z
+            return (a0,) + (np.zeros_like(a0),) * (2 if order == 1 else 5)
         r1 = np.asarray(rho1, dtype=float)
         r2 = np.asarray(rho2, dtype=float)
         h1 = _fd_step(r1)
         h2 = _fd_step(r2)
         ap1, am1 = a(r1 + h1, r2), a(r1 - h1, r2)
         ap2, am2 = a(r1, r2 + h2), a(r1, r2 - h2)
-        a_r1 = (ap1 - am1) / (2.0 * h1)
-        a_r2 = (ap2 - am2) / (2.0 * h2)
-        a_r1r1 = (ap1 - 2.0 * a0 + am1) / h1 ** 2
-        a_r2r2 = (ap2 - 2.0 * a0 + am2) / h2 ** 2
-        a_r1r2 = (np.asarray(a(r1 + h1, r2 + h2), dtype=float)
-                  - a(r1 + h1, r2 - h2) - a(r1 - h1, r2 + h2)
-                  + a(r1 - h1, r2 - h2)) / (4.0 * h1 * h2)
-        out = np.broadcast_arrays(a0, a_r1, a_r2, a_r1r1, a_r1r2, a_r2r2)
-        return tuple(out)
+        out = [a0, (ap1 - am1) / (2.0 * h1), (ap2 - am2) / (2.0 * h2)]
+        if order == 2:
+            out += [(ap1 - 2.0 * a0 + am1) / h1 ** 2,
+                    (np.asarray(a(r1 + h1, r2 + h2), dtype=float)
+                     - a(r1 + h1, r2 - h2) - a(r1 - h1, r2 + h2)
+                     + a(r1 - h1, r2 - h2)) / (4.0 * h1 * h2),
+                    (ap2 - 2.0 * a0 + am2) / h2 ** 2]
+        return tuple(np.broadcast_arrays(*out))
+
+    def _law(self, rho1, rho2, s1, s2, w, *outputs):
+        """W (output 0), its gradient (1) and its Hessian (2), those asked
+        for in increasing order, from one evaluation of the phases and of a."""
+        e1, g1, cv1 = self._phase(1, rho1, s1)
+        e2, g2, cv2 = self._phase(2, rho2, s2)
+        a, *da = self._a_derivs(rho1, rho2, outputs[-1])
+        w = np.asarray(w, dtype=float)
+        out = []
+        if 0 in outputs:
+            out.append(rho1 * e1 + rho2 * e2 - 0.5 * a * w ** 2)
+        if 1 in outputs:
+            out.append(np.stack(np.broadcast_arrays(
+                g1 * e1 - 0.5 * da[0] * w ** 2, g2 * e2 - 0.5 * da[1] * w ** 2,
+                rho1 * e1 / cv1, rho2 * e2 / cv2, -a * w)))
+        if 2 in outputs:
+            a1, a2, a11, a12, a22 = da
+            H = np.zeros((5, 5) + np.broadcast(rho1, rho2, s1, s2, w).shape)
+            H[0, 0] = g1 * (g1 - 1.0) * e1 / rho1 - 0.5 * a11 * w ** 2
+            H[1, 1] = g2 * (g2 - 1.0) * e2 / rho2 - 0.5 * a22 * w ** 2
+            H[0, 1] = H[1, 0] = -0.5 * a12 * w ** 2
+            H[0, 2] = H[2, 0] = g1 * e1 / cv1
+            H[1, 3] = H[3, 1] = g2 * e2 / cv2
+            H[2, 2] = rho1 * e1 / cv1 ** 2
+            H[3, 3] = rho2 * e2 / cv2 ** 2
+            H[0, 4] = H[4, 0] = -a1 * w
+            H[1, 4] = H[4, 1] = -a2 * w
+            H[4, 4] = -a
+            out.append(H)
+        return out
 
     def value(self, rho1, rho2, s1, s2, w):
-        e1, _, _ = self._phase(1, rho1, s1)
-        e2, _, _ = self._phase(2, rho2, s2)
-        a = self._a(rho1, rho2)
-        return rho1 * e1 + rho2 * e2 - 0.5 * a * np.asarray(w, dtype=float) ** 2
+        return self._law(rho1, rho2, s1, s2, w, 0)[0]
 
     def gradient(self, rho1, rho2, s1, s2, w):
-        e1, g1, cv1 = self._phase(1, rho1, s1)
-        e2, g2, cv2 = self._phase(2, rho2, s2)
-        a, a1, a2, *_ = self._a_derivs(rho1, rho2)
-        w = np.asarray(w, dtype=float)
-        out = (
-            g1 * e1 - 0.5 * a1 * w ** 2,
-            g2 * e2 - 0.5 * a2 * w ** 2,
-            rho1 * e1 / cv1,
-            rho2 * e2 / cv2,
-            -a * w,
-        )
-        return np.stack(np.broadcast_arrays(*out))
+        return self._law(rho1, rho2, s1, s2, w, 1)[0]
 
     def hessian(self, rho1, rho2, s1, s2, w):
-        e1, g1, cv1 = self._phase(1, rho1, s1)
-        e2, g2, cv2 = self._phase(2, rho2, s2)
-        a, a1, a2, a11, a12, a22 = self._a_derivs(rho1, rho2)
-        w = np.asarray(w, dtype=float)
-        shape = np.broadcast(rho1, rho2, s1, s2, w).shape
-        H = np.zeros((5, 5) + shape)
-        H[0, 0] = g1 * (g1 - 1.0) * e1 / rho1 - 0.5 * a11 * w ** 2
-        H[1, 1] = g2 * (g2 - 1.0) * e2 / rho2 - 0.5 * a22 * w ** 2
-        H[0, 1] = H[1, 0] = -0.5 * a12 * w ** 2
-        H[0, 2] = H[2, 0] = g1 * e1 / cv1
-        H[1, 3] = H[3, 1] = g2 * e2 / cv2
-        H[2, 2] = rho1 * e1 / cv1 ** 2
-        H[3, 3] = rho2 * e2 / cv2 ** 2
-        H[0, 4] = H[4, 0] = -a1 * w
-        H[1, 4] = H[4, 1] = -a2 * w
-        H[4, 4] = -a
-        return H
+        return self._law(rho1, rho2, s1, s2, w, 2)[0]
+
+    def derivatives(self, rho1, rho2, s1, s2, w):
+        """One pass of the law; a subclass, which may override any of the
+        three, gets the base class's three calls."""
+        if type(self) is not SeparableAddedMass:
+            return super().derivatives(rho1, rho2, s1, s2, w)
+        return tuple(self._law(rho1, rho2, s1, s2, w, 0, 1, 2))
 
     def dW_dw(self, rho1, rho2, s1, s2, w):
         return -self._a(rho1, rho2) * np.asarray(w, dtype=float)

@@ -19,10 +19,12 @@ reports land exactly on multiples of the report interval.
 
 Each stage recovers the velocities once (:func:`state.evolved_to_primitive`;
 a failure becomes a :class:`StepError` naming the first failing cell),
-evaluates the potential once (the report, the heat cap and the drag update
-reuse that evaluation) and certifies hyperbolicity once; the Rusanov speed,
-the CFL step (extreme speeds in closed form, no eigensolve) and the
-report's min-eig(A) all read that stage's certificate.
+evaluates the potential once, W, its gradient and its Hessian in one pass
+of the law (:meth:`PotentialModel.derivatives`, read by the report, the
+heat cap, the drag update and the certificate), checks the temperatures
+once and certifies hyperbolicity once; the Rusanov speed, the CFL step
+(extreme speeds in closed form, no eigensolve) and the report's min-eig(A)
+all read that stage's certificate.
 
 A stage is one (6, n) array, a row per field in the order (rho1, rho2, K1,
 K2, s1, s2) and a column per cell, and its rates are another.  The state,
@@ -39,16 +41,16 @@ plain callables of x, sampled at the cell centers once per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import hyperbolicity
-from .closures import (ClosureParams, drag_and_heat, drag_coefficient,
-                       entropy_sources)
-from .potential import RHO_FLOOR, PotentialModel, ThermoEval, evaluate
+from .closures import ClosureParams, stage_sources
+from .potential import (RHO_FLOOR, PotentialModel, ThermoEval,
+                        _thermo_eval, require_admissible)
 from .state import (ConvergenceError, EvolvedState, PrimitiveState,
                     _from_checked_densities, evolved_to_primitive,
                     primitive_to_evolved)
@@ -216,21 +218,21 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
     except ConvergenceError as exc:
         raise StepError(f"velocity recovery failed: {exc}", t=t,
                         cell=exc.cell) from exc
-    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
-    cert = hyperbolicity._certified_frame(model, p.rho1, p.rho2, p.u1, p.u2,
-                                          p.s1, p.s2)
+    require_admissible(p.rho1, p.rho2)
+    W, grad, H = model.derivatives(p.rho1, p.rho2, p.s1, p.s2, p.w)
+    th = _thermo_eval(W, grad, p.rho1, p.rho2, p.w)
+    dZ_dw = 1.0 - (1.0 / p.rho1 + 1.0 / p.rho2) * H[4, 4]
+    cert = hyperbolicity._certified_frame(H, th.W_w, p.rho1, p.rho2, p.u1,
+                                          p.u2)
+    del H  # not held through the speeds, the stage's peak of memory
     smax = _cell_speeds(cert, t=t)
 
     omega1, omega2 = config.omega_at_centers
     R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - omega1
     R2 = 0.5 * p.u2 ** 2 - th.W_rho2 - omega2
 
-    heat = drag_and_heat(replace(config.closures, k=0.0), p, th.theta1,
-                         th.theta2)
-    src1, src2 = entropy_sources(heat, p, th.theta1, th.theta2)
-    zeta = drag_coefficient(config.closures, p, th.theta1, th.theta2)
-    dZ_dw = 1.0 - (1.0 / p.rho1 + 1.0 / p.rho2) * model.d2W_dw2(
-        p.rho1, p.rho2, p.s1, p.s2, p.w)
+    zeta, (src1, src2) = stage_sources(config.closures, p, th.theta1,
+                                       th.theta2)
 
     stage = _stack(cells)
     u = np.stack((p.u1, p.u2))

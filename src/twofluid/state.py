@@ -8,9 +8,10 @@ Two equivalent descriptions of a point state are used:
   generalized velocity; rho_alpha K_alpha (not rho_alpha u_alpha) is the
   impulse of the component.
 
-Converting evolved -> primitive requires a scalar nonlinear solve for the
-relative velocity w; a safeguarded Newton iteration with a bisection fallback
-is used, vectorized over arrays of states.
+Converting evolved -> primitive requires a scalar solve for the relative
+velocity w: one division for the built-in law, a safeguarded Newton
+iteration with a bisection fallback for any other, vectorized over arrays
+of states.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import ArrayLike, PotentialModel, require_admissible
+from .potential import (ArrayLike, PotentialModel, SeparableAddedMass,
+                        require_admissible)
 
 
 class ConvergenceError(RuntimeError):
@@ -119,17 +121,29 @@ def _bracket_w(model, rho1, rho2, s1, s2, invsum, dK):
 
 def solve_relative_velocity(model: PotentialModel, rho1, rho2, s1, s2, dK,
                             tol=None, max_iter: int = 100):
-    """Solve w - (1/rho1 + 1/rho2) dW/dw(w) = dK by safeguarded Newton.
+    """Solve w - (1/rho1 + 1/rho2) dW/dw(w) = dK for w.
 
-    ``dK`` is K2 - K1.  Works elementwise on arrays.  Raises
-    :class:`ConvergenceError` when the map cannot be bracketed or the
-    iteration stalls.
+    ``dK`` is K2 - K1.  Works elementwise on arrays.  The built-in law (the
+    type :class:`SeparableAddedMass`, W_w = -a w) takes one division, where
+    ``tol`` and ``max_iter`` do not apply; any other law a safeguarded
+    Newton iteration.  Raises :class:`ConvergenceError` when that division's
+    denominator is not positive and finite, the map cannot be bracketed or
+    the iteration stalls.
     """
     rho1, rho2, s1, s2, dK = np.broadcast_arrays(
         *[np.asarray(a, dtype=float) for a in (rho1, rho2, s1, s2, dK)])
+    invsum = 1.0 / rho1 + 1.0 / rho2
+    if type(model) is SeparableAddedMass:
+        den = 1.0 + model._a(rho1, rho2) * invsum
+        bad = ~((den > 0.0) & (den < np.inf))
+        if np.any(bad):
+            cell = int(np.argmax(bad))
+            raise ConvergenceError(
+                "recovery denominator 1 + a (1/rho1 + 1/rho2) is not positive"
+                f" and finite at state {cell}: {den.flat[cell]:g}", cell=cell)
+        return dK / den
     if tol is None:
         tol = 1e-12 * np.maximum(1.0, np.abs(dK))
-    invsum = 1.0 / rho1 + 1.0 / rho2
     g, lo, hi, glo, ghi = _bracket_w(model, rho1, rho2, s1, s2, invsum, dK)
 
     w = dK.copy()
@@ -186,15 +200,15 @@ def solve_relative_velocity_bisection(model: PotentialModel, rho1, rho2, s1, s2,
 def evolved_to_primitive(model: PotentialModel, e: EvolvedState) -> PrimitiveState:
     """Invert the K_alpha definition for the velocities.
 
-    Solves K2 - K1 = w - (1/rho1 + 1/rho2) dW/dw(w) for w, then
-    u1 = K1 - (1/rho1) dW/dw.  The residual is driven below
-    1e-12 * max(1, |K1|, |K2|).
+    Solves K2 - K1 = w - (1/rho1 + 1/rho2) dW/dw(w) for w
+    (:func:`solve_relative_velocity`), then u1 = K1 - (1/rho1) dW/dw, with
+    dW/dw = (w - K2 + K1) / (1/rho1 + 1/rho2) from that equation.  A Newton
+    solve drives its residual below 1e-12 * max(1, |K1|, |K2|).
     """
     dK = np.asarray(e.K2, dtype=float) - np.asarray(e.K1, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(e.K1), np.abs(e.K2)))
     w = solve_relative_velocity(model, e.rho1, e.rho2, e.s1, e.s2, dK, tol=tol)
-    Ww = model.dW_dw(e.rho1, e.rho2, e.s1, e.s2, w)
-    u1 = e.K1 - Ww / e.rho1
+    u1 = e.K1 - (w - dK) / (1.0 + e.rho1 / e.rho2)
     return _from_checked_densities(PrimitiveState, rho1=e.rho1,
                                    rho2=e.rho2, u1=u1, u2=u1 + w,
                                    s1=e.s1, s2=e.s2)

@@ -8,12 +8,13 @@ import pytest
 
 from twofluid import cli, verify
 from twofluid.cli import main
-from twofluid.hyperbolicity import (_certified_frame,
-                                    check_stability_inequalities,
+from twofluid.hyperbolicity import (check_stability_inequalities,
                                     min_eig_A_batch, mixture_rest_state,
                                     wave_speeds_batch)
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import StepError, integrate
+
+from conftest import certify
 
 BASE = """
 [potential]
@@ -145,7 +146,7 @@ s2 = -0.05
                                            np.array([w]), 0.03, -0.05)
                     state = (p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
                     speeds, ok, _ = wave_speeds_batch(m, *state)
-                    min_eig = min_eig_A_batch(_certified_frame(m, *state))
+                    min_eig = min_eig_A_batch(certify(m, *state))
                     ineq = check_stability_inequalities(m, p)
                     rows.append([float(r1), float(r2), float(w),
                                  float(min_eig[0]), bool(ineq.ineq1[0]),

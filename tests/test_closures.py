@@ -1,9 +1,11 @@
 """Tests for the drag/heat closures and entropy production."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twofluid.closures import (ClosureParams, drag_and_heat,
-                               entropy_production, entropy_sources)
+                               entropy_production, entropy_sources,
+                               stage_sources)
 from twofluid.state import PrimitiveState
 
 
@@ -160,3 +162,41 @@ class TestEntropyProduction:
         assert entropy_production(f, p, 1.0, 1.0) == 0.0
         s1, s2 = entropy_sources(f, p, 1.0, 1.0)
         assert s1 == 0.0 and s2 == 0.0
+
+
+states = st.builds(
+    lambda rng, n: (PrimitiveState(
+        rho1=rng.uniform(0.05, 5.0, n), rho2=rng.uniform(0.05, 5.0, n),
+        u1=rng.normal(0.0, 2.0, n), u2=rng.normal(0.0, 2.0, n),
+        s1=rng.uniform(-0.5, 0.5, n), s2=rng.uniform(-0.5, 0.5, n)),
+        rng.uniform(0.05, 5.0, n), rng.uniform(0.05, 5.0, n)),
+    st.integers(0, 2 ** 32 - 1).map(np.random.default_rng),
+    st.integers(1, 64))
+coefficients = st.builds(ClosureParams, k=st.floats(0.0, 1e3),
+                         kappa=st.floats(0.0, 1e3))
+
+
+class TestRandomAdmissibleStates:
+    @given(state=states, params=coefficients)
+    def test_antisymmetric_and_dissipative(self, state, params):
+        p, th1, th2 = state
+        f = drag_and_heat(params, p, th1, th2)
+        assert np.all(f.f1 + f.f2 == 0.0) and np.all(f.q1 + f.q2 == 0.0)
+        prod = entropy_production(f, p, th1, th2)
+        assert np.min(prod / np.maximum(1.0, np.abs(prod))) >= -1e-14
+
+    @given(state=states, params=coefficients)
+    def test_stage_sources_match_the_public_calls(self, state, params):
+        # the solver stage's closures against the public calls it replaces,
+        # equal as floats (a zero may differ in sign)
+        p, th1, th2 = state
+        zeta, (src1, src2) = stage_sources(params, p, th1, th2)
+        heat = drag_and_heat(ClosureParams(kappa=params.kappa), p, th1, th2)
+        ref1, ref2 = entropy_sources(heat, p, th1, th2)
+        assert np.array_equal(zeta * p.w, drag_and_heat(params, p, th1,
+                                                        th2).f1)
+        assert np.array_equal(src1, ref1) and np.array_equal(src2, ref2)
+
+    def test_stage_sources_check_the_temperatures(self):
+        with pytest.raises(ValueError, match="theta2"):
+            stage_sources(ClosureParams(k=1.0), eq_state(), 1.0, 0.0)

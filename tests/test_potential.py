@@ -135,6 +135,48 @@ class TestDerivativeConsistency:
             method(np.array([1.2, 0.9]), 0.8, 0.0, 0.0, 0.7)
             assert calls == [(2,)]
 
+    def test_callable_added_mass_calls_per_derivative_order(self):
+        # the gradient reads a, a_r1 and a_r2: the centre and four shifts;
+        # the Hessian and the law pass add the four cross shifts of a_r1r2
+        calls = []
+
+        def a(r1, r2):
+            calls.append(1)
+            return 0.2 * r1 * r2
+
+        m = make_model(a=a)
+        for method, count in ((m.gradient, 5), (m.hessian, 9),
+                              (m.derivatives, 9)):
+            calls.clear()
+            method(np.array([1.2, 0.9]), 0.8, 0.0, 0.0, 0.7)
+            assert len(calls) == count
+
+    @pytest.mark.parametrize("a", [0.3, lambda r1, r2: 0.2 * r1 * r2],
+                             ids=["constant_a", "callable_a"])
+    def test_law_pass_is_value_gradient_hessian(self, a):
+        m = make_model(a=a)
+        st = random_states(np.random.default_rng(7), 40)
+        args = [st[k] for k in ("rho1", "rho2", "s1", "s2", "w")]
+        W, grad, H = m.derivatives(*args)
+        assert np.array_equal(W, m.value(*args))
+        assert np.array_equal(grad, m.gradient(*args))
+        assert np.array_equal(H, m.hessian(*args))
+
+    def test_law_pass_of_a_subclass_reads_its_overrides(self):
+        class Quartic(SeparableAddedMass):
+            def value(self, rho1, rho2, s1, s2, w):
+                return super().value(rho1, rho2, s1, s2, w) - w ** 4
+
+            gradient, hessian = PotentialModel.gradient, PotentialModel.hessian
+
+        m = Quartic(make_model().params)
+        args = (1.2, 0.8, 0.1, -0.2, 0.5)
+        W, grad, H = m.derivatives(*args)
+        assert W == m.value(*args)
+        assert np.array_equal(grad, m.gradient(*args))
+        assert np.array_equal(H, m.hessian(*args))
+        assert H[4, 4] == pytest.approx(-0.3 - 12.0 * 0.25, rel=1e-6)
+
 
 class TestInternalEnergyRelation:
     def test_u_minus_w_identity_bulk(self):

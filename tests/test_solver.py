@@ -19,6 +19,8 @@ from twofluid.solver import (Grid1D, NonHyperbolicError, SimulationConfig,
 from twofluid.state import EvolvedState, PrimitiveState, evolved_to_primitive
 from twofluid.verify import fick_residual
 
+from conftest import certify, count_calls
+
 FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
 
 
@@ -176,33 +178,40 @@ class TestIntegrate:
             assert abs(t - k * 0.1) <= 1e-12
 
     def test_one_evaluation_per_rhs(self, monkeypatch):
-        # and one hyperbolicity certificate, which the report reads too
-        calls = {"evaluate": 0, "assemble_rhs": 0, "_certified_frame": 0}
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(solver, "evaluate")
-        counted(solver, "assemble_rhs")
-        counted(hyperbolicity, "_certified_frame")
+        # one pass of the law and one hyperbolicity certificate, which the
+        # report reads too
         m = make_model()
+        rhs = count_calls(monkeypatch, solver, "assemble_rhs")
+        passes = count_calls(monkeypatch, m, "derivatives")
+        certs = count_calls(monkeypatch, hyperbolicity, "_certified_frame")
         grid = Grid1D(0.0, 1.0, 16)
         cfg = SimulationConfig(grid=grid, model=m,
                                closures=ClosureParams(k=0.5, kappa=0.3),
                                t_end=0.05, report_interval=0.0)
         integrate(cfg, smooth_init(m, grid))
-        assert calls["assemble_rhs"] > 3
-        assert calls["evaluate"] == calls["assemble_rhs"]
-        assert calls["_certified_frame"] == calls["assemble_rhs"]
+        assert len(rhs) > 3
+        assert len(passes) == len(certs) == len(rhs)
+
+    @pytest.mark.parametrize("a", [0.2, callable_a],
+                             ids=["constant_a", "callable_a"])
+    def test_one_law_pass_per_rhs(self, monkeypatch, a):
+        # the built-in law: recovery in closed form, and the thermodynamics,
+        # the drag slope and the certificate read the one law pass
+        m = make_model(a=a)
+        grid = Grid1D(0.0, 1.0, 32)
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.5, kappa=0.3))
+        init = smooth_init(m, grid)
+        names = ("derivatives", "value", "gradient", "hessian", "dW_dw",
+                 "d2W_dw2")
+        calls = {name: count_calls(monkeypatch, m, name) for name in names}
+        assemble_rhs(cfg, init)
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: int(name == "derivatives") for name in names}
 
     def test_callable_added_mass_calls_per_rhs(self):
-        # one gradient and one hessian difference a, 9 evaluations each;
-        # one value, 6 dW_dw and 2 d2W_dw2 calls evaluate it once each
+        # the law pass differences a once, 9 evaluations; the recovery
+        # evaluates it once
         calls = []
 
         def a(r1, r2):
@@ -216,7 +225,7 @@ class TestIntegrate:
         init = smooth_init(m, grid)
         calls.clear()
         assemble_rhs(cfg, init)
-        assert len(calls) == 27
+        assert len(calls) == 10
 
     def test_report_reads_the_stage_certificate(self, monkeypatch):
         # the report's min-eig(A) comes from the rows the stage's
@@ -229,8 +238,7 @@ class TestIntegrate:
         rhs = assemble_rhs(cfg, cells, t=0.0)
         p = rhs.primitive
         expect = np.min(hyperbolicity.min_eig_A_batch(
-            hyperbolicity._certified_frame(m, p.rho1, p.rho2, p.u1, p.u2,
-                                           p.s1, p.s2)))
+            certify(m, p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("Hessian of W built for the report")

@@ -1,6 +1,7 @@
 """Tests for state conversions and velocity recovery."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.state import (ConvergenceError, EvolvedState, PrimitiveState,
@@ -76,7 +77,9 @@ class TestVelocityRecovery:
         assert np.max(np.abs(w - expected)) < 1e-12
 
     def test_newton_matches_bisection_oracle(self):
-        m = make_model(a=0.6)
+        # a subclass that changes nothing takes the Newton path
+        m = type("Subclass", (SeparableAddedMass,), {})(
+            make_model(a=0.6).params)
         rng = np.random.default_rng(7)
         n = 10**5
         rho1 = rng.uniform(0.3, 2.0, n)
@@ -131,6 +134,72 @@ class TestVelocityRecovery:
         assert exc.value.cell == 2
         w = solve_relative_velocity(m, 2.0, 2.0, 0.0, 0.0, dK)
         assert np.max(np.abs(w - 0.25 * w ** 3 - dK)) <= 1e-12
+
+def law(c, kind):
+    """The built-in law with a constant a = c or a callable a of the
+    densities of scale c, or a subclass that changes nothing (the Newton
+    path) with a = c."""
+    if kind == "callable":
+        return make_model(a=lambda r1, r2: c * r1 * r2 / (r1 + r2)
+                          + 0.1 * c * r1)
+    m = make_model(a=c)
+    return m if kind == "constant" else type("Subclass", (
+        SeparableAddedMass,), {})(m.params)
+
+
+densities = st.floats(0.05, 5.0)
+entropies = st.floats(-0.5, 0.5)
+velocities = st.floats(-3.0, 3.0)
+couplings = st.floats(0.0, 3.0)
+kinds = st.sampled_from(["constant", "callable", "subclass"])
+
+
+class TestRecoveryProperties:
+    """The built-in law's recovery is one division, a subclass's a Newton
+    solve; the bisection is the oracle of both and a round trip their
+    invariant, on random admissible states."""
+
+    @given(rho1=densities, rho2=densities, s1=entropies, s2=entropies,
+           dK=st.floats(-5.0, 5.0), c=couplings, kind=kinds)
+    def test_matches_bisection_oracle(self, rho1, rho2, s1, s2, dK, c, kind):
+        m = law(c, kind)
+        tol = 1e-14 * max(1.0, abs(dK))
+        w = solve_relative_velocity(m, rho1, rho2, s1, s2, dK)
+        wb = solve_relative_velocity_bisection(m, rho1, rho2, s1, s2, dK,
+                                               tol=tol)
+        assert abs(w - wb) <= 1e-12 * max(1.0, abs(dK))
+
+    @given(rho1=densities, rho2=densities, u1=velocities, u2=velocities,
+           s1=entropies, s2=entropies, c=couplings, kind=kinds)
+    def test_roundtrip(self, rho1, rho2, u1, u2, s1, s2, c, kind):
+        m = law(c, kind)
+        p = PrimitiveState(rho1=rho1, rho2=rho2, u1=u1, u2=u2, s1=s1, s2=s2)
+        e = primitive_to_evolved(m, p)
+        back = evolved_to_primitive(m, e)
+        scale = max(1.0, abs(e.K1), abs(e.K2))
+        assert abs(back.u1 - u1) <= 1e-12 * scale
+        assert abs(back.u2 - u2) <= 1e-12 * scale
+
+    @given(bad=st.lists(st.booleans(), min_size=1, max_size=12),
+           f=st.floats(1.001, 3.0))
+    def test_nonpositive_denominator_names_its_cell(self, bad, f):
+        # a = -f rho1 rho2 / (rho1 + rho2) where rho1 > 10 makes the
+        # denominator 1 - f; elsewhere a = 0.3
+        assume(any(bad))
+        rho1 = np.where(bad, 12.0, 1.0) + 0.01 * np.arange(len(bad))
+        rho2 = np.full(len(bad), 0.8)
+        m = make_model(a=lambda r1, r2: np.where(
+            r1 > 10.0, -f * r1 * r2 / (r1 + r2), 0.3))
+        zero = np.zeros(len(bad))
+        with pytest.raises(ConvergenceError, match="not positive") as exc:
+            solve_relative_velocity(m, rho1, rho2, zero, zero, zero + 0.5)
+        assert exc.value.cell == bad.index(True)
+        with pytest.raises(ConvergenceError) as exc:
+            evolved_to_primitive(m, EvolvedState(rho1=rho1, rho2=rho2,
+                                                 K1=zero, K2=zero + 0.5,
+                                                 s1=zero, s2=zero))
+        assert exc.value.cell == bad.index(True)
+
 
 class TestGalileanCovariance:
     def test_boost_shifts_K_exactly(self):
