@@ -19,10 +19,10 @@ of G directly in the (sigma, j) variables; it inverts the Legendre map
 (sigma, j) -> (rho, j) at its eight shifted states in one stacked damped
 Newton that reads only ``model.gradient``.  The batched route works with
 the Hessian of L in m = (rho1, rho2, j1, j2), taken by the chain rule from
-the law's Hessian H and W_w (analytic for the built-in law, finite
-differences for user laws), in 2x2 blocks L_rr, L_rj, L_jj, kept as one
-array of flat rows: the 10 distinct entries L_rr (11, 22, 12), L_rj (11,
-22, 12, 21) and L_jj (11, 22, 12) of each state.  With the blocks
+the law's Hessian H and W_w of one ``model.derivatives`` pass, in 2x2
+blocks L_rr, L_rj, L_jj, kept as one array of flat rows: the 10 distinct
+entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj (11, 22, 12) of
+each state.  With the blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
@@ -367,10 +367,11 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
         # L_jj is constant and -L_rr = N0 + w^2 N2: with F F^T = N0,
         # -L_rr = F (I + w^2 M) F^T for M = F^-1 N2 F^-T, so the certificate
         # first fails at w^2 = -1 / min-eig(M), well conditioned also where
-        # det(-L_rr), a quadratic in w^2, has a double root
+        # det(-L_rr), a quadratic in w^2, has a double root (W_w = W_ww w)
         w = np.array([0.0, 1.0])
-        R = _lagrangian_hessian(*_law_hessian(model, rho1, rho2, s1, s2, w),
-                                rho1, rho2, -rho2 * w / rho, rho1 * w / rho)
+        H = model.hessian(rho1, rho2, s1, s2, w)
+        R = _lagrangian_hessian(H, H[4, 4] * w, rho1, rho2, -rho2 * w / rho,
+                                rho1 * w / rho)
         ok, _, (l11, l21, l22) = _cholesky2(R[:, 0])
         if not (ok[0] and ok[1]):
             return 0.0
@@ -399,9 +400,9 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
 
 
 def _law_hessian(model: PotentialModel, rho1, rho2, s1, s2, w):
-    """(H, W_w), what the certificate reads of the law."""
-    return (model.hessian(rho1, rho2, s1, s2, w),
-            model.dW_dw(rho1, rho2, s1, s2, w))
+    """(H, W_w), what the certificate reads of the law, in one law pass."""
+    _, grad, H = model.derivatives(rho1, rho2, s1, s2, w)
+    return H, grad[4]
 
 
 def _lagrangian_hessian(H, Ww, rho1, rho2, u1, u2):

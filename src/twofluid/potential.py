@@ -6,6 +6,10 @@ w = u2 - u1 (the only velocity combination allowed by Galilean invariance).
 Everything downstream -- temperatures, internal energy, generalized momenta,
 hyperbolicity matrices -- is built from W and its first and second partials.
 
+Each partial has one source: the law's own ``gradient`` and ``hessian``
+where it writes them out, else one central-difference stencil of ``value``
+(:func:`_central_diff`, which also differences a callable added mass).
+
 All evaluation routines broadcast over numpy arrays.
 """
 from __future__ import annotations
@@ -55,18 +59,52 @@ def _fd2_step(x: np.ndarray) -> np.ndarray:
     return _FD2_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
+def _central_diff(f, args, axes, steps, order=1):
+    """Central differences of ``f(*args)`` along the arguments ``axes``,
+    with step ``steps[k]`` along ``axes[k]``.  Order 1: the first
+    derivatives, one per axis, from the +-h shifts (2 n calls of ``f`` for
+    n axes).  Order 2: (f, the first derivatives, D), D[k][l] the second
+    derivative along axes k and l, from the centre, the same shifts and
+    four cross shifts per pair (1 + 2 n^2 calls), ``axes[k]`` outermost for
+    k > l."""
+    n = len(axes)
+
+    def at(*shifts):
+        moved = list(args)
+        for k, sign in shifts:
+            moved[axes[k]] = args[axes[k]] + sign * steps[k]
+        return np.asarray(f(*moved), dtype=float)
+
+    plus = [at((k, 1)) for k in range(n)]
+    minus = [at((k, -1)) for k in range(n)]
+    first = [(fp - fm) / (2.0 * h) for fp, fm, h in zip(plus, minus, steps)]
+    if order == 1:
+        return first
+    centre = at()
+    D = [[None] * n for _ in range(n)]
+    for k in range(n):
+        D[k][k] = (plus[k] - 2.0 * centre + minus[k]) / steps[k] ** 2
+        for l in range(k):
+            D[k][l] = D[l][k] = (
+                at((k, 1), (l, 1)) - at((k, 1), (l, -1))
+                - at((k, -1), (l, 1)) + at((k, -1), (l, -1))
+            ) / (4.0 * steps[k] * steps[l])
+    return centre, first, D
+
+
 class PotentialModel(ABC):
     """Abstract constitutive law.
 
-    Subclasses must implement :meth:`value`.  Analytic ``gradient`` /
-    ``hessian`` / ``dW_dw`` / ``d2W_dw2`` overrides are used when present;
-    otherwise central differences of ``value`` supply the derivatives, so
-    user laws without analytic Hessians still work (``dW_dw`` and
-    ``d2W_dw2`` read an analytic ``gradient`` or ``hessian`` when only that
-    is overridden).  First derivatives use a step eps**(1/3) * max(1, |x|)
-    (10 ``value`` calls per gradient, 2 per ``dW_dw``); second derivatives
-    use direct second-difference stencils with a step eps**(1/4) *
-    max(1, |x|) (51 calls per Hessian, 3 per ``d2W_dw2``).
+    A law implements :meth:`value` and may override :meth:`gradient` and
+    :meth:`hessian`; else differences of ``value`` supply them, with a
+    step eps**(1/3) * max(1, |x|) (10 calls) and eps**(1/4) * max(1, |x|)
+    (51 calls).  A solver stage and the certificates read
+    :meth:`derivatives`.  :meth:`dW_dw` and :meth:`d2W_dw2` are derived
+    from an overridden ``gradient`` and ``hessian``, else from differences
+    of ``value`` in w alone (2 and 3 calls); they only steer the Newton
+    velocity recovery.  So a subclass of :class:`SeparableAddedMass` that
+    changes W overrides ``value`` and either writes out ``gradient`` and
+    ``hessian`` or sets them to ``PotentialModel``'s.
 
     Models are immutable after construction; all evaluations are pure.
     """
@@ -78,37 +116,14 @@ class PotentialModel(ABC):
     def gradient(self, rho1, rho2, s1, s2, w):
         """First partials of W, stacked in :data:`VAR_NAMES` order."""
         args = [np.asarray(a, dtype=float) for a in (rho1, rho2, s1, s2, w)]
-        out = []
-        for i, xi in enumerate(args):
-            h = _fd_step(xi)
-            plus = list(args)
-            plus[i] = xi + h
-            minus = list(args)
-            minus[i] = xi - h
-            out.append(np.asarray(self.value(*plus) - self.value(*minus)) / (2.0 * h))
-        return np.stack(np.broadcast_arrays(*out))
+        return np.stack(np.broadcast_arrays(*_central_diff(
+            self.value, args, range(5), [_fd_step(x) for x in args])))
 
     def hessian(self, rho1, rho2, s1, s2, w):
         """Second partials, ``H[i, j] = d2 W / dx_i dx_j`` in VAR_NAMES order."""
         args = [np.asarray(a, dtype=float) for a in (rho1, rho2, s1, s2, w)]
-        steps = [_fd2_step(x) for x in args]
-
-        def at(*shifts):
-            moved = list(args)
-            for i, sign in shifts:
-                moved[i] = args[i] + sign * steps[i]
-            return np.asarray(self.value(*moved), dtype=float)
-
-        centre = at()
-        H = [[None] * 5 for _ in range(5)]
-        for i in range(5):
-            H[i][i] = ((at((i, 1)) - 2.0 * centre + at((i, -1)))
-                       / steps[i] ** 2)
-            for j in range(i):
-                H[i][j] = H[j][i] = (
-                    at((i, 1), (j, 1)) - at((i, 1), (j, -1))
-                    - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
-                ) / (4.0 * steps[i] * steps[j])
+        H = _central_diff(self.value, args, range(5),
+                          [_fd2_step(x) for x in args], order=2)[2]
         return np.stack([np.stack(np.broadcast_arrays(*row)) for row in H])
 
     def derivatives(self, rho1, rho2, s1, s2, w):
@@ -122,18 +137,15 @@ class PotentialModel(ABC):
         if type(self).gradient is not PotentialModel.gradient:
             return self.gradient(rho1, rho2, s1, s2, w)[4]
         w = np.asarray(w, dtype=float)
-        h = _fd_step(w)
-        return (np.asarray(self.value(rho1, rho2, s1, s2, w + h))
-                - self.value(rho1, rho2, s1, s2, w - h)) / (2.0 * h)
+        return _central_diff(self.value, (rho1, rho2, s1, s2, w), (4,),
+                             (_fd_step(w),))[0]
 
     def d2W_dw2(self, rho1, rho2, s1, s2, w):
         if type(self).hessian is not PotentialModel.hessian:
             return self.hessian(rho1, rho2, s1, s2, w)[4, 4]
         w = np.asarray(w, dtype=float)
-        h = _fd2_step(w)
-        return (np.asarray(self.value(rho1, rho2, s1, s2, w + h))
-                - 2.0 * self.value(rho1, rho2, s1, s2, w)
-                + self.value(rho1, rho2, s1, s2, w - h)) / h ** 2
+        return _central_diff(self.value, (rho1, rho2, s1, s2, w), (4,),
+                             (_fd2_step(w),), order=2)[2][0][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,27 +211,13 @@ def fd_check_derivatives(model: PotentialModel, state, h: float = 1e-5) -> float
             f"state too close to the density floor for an h={h:g} stencil")
     require_admissible(args[0], args[1])
 
-    def _fd(fn, i):
-        plus = list(args)
-        plus[i] = args[i] + h
-        minus = list(args)
-        minus[i] = args[i] - h
-        return (np.asarray(fn(*plus), dtype=float)
-                - np.asarray(fn(*minus), dtype=float)) / (2.0 * h)
-
     worst = 0.0
-    ana_grad = model.gradient(*args)
-    for i in range(5):
-        num = _fd(model.value, i)
-        err = np.abs(ana_grad[i] - num) / np.maximum(
-            1.0, np.maximum(np.abs(ana_grad[i]), np.abs(num)))
-        worst = max(worst, float(np.max(err)))
-    ana_hess = model.hessian(*args)
-    for i in range(5):
-        num_row = _fd(model.gradient, i)
-        err = np.abs(ana_hess[i] - num_row) / np.maximum(
-            1.0, np.maximum(np.abs(ana_hess[i]), np.abs(num_row)))
-        worst = max(worst, float(np.max(err)))
+    for ana, fn in ((model.gradient(*args), model.value),
+                    (model.hessian(*args), model.gradient)):
+        for i, num in enumerate(_central_diff(fn, args, range(5), [h] * 5)):
+            err = np.abs(ana[i] - num) / np.maximum(
+                1.0, np.maximum(np.abs(ana[i]), np.abs(num)))
+            worst = max(worst, float(np.max(err)))
     return worst
 
 
@@ -260,8 +258,9 @@ class SeparableAddedMass(PotentialModel):
 
     W = W0(rho1, rho2, s1, s2) - a(rho1, rho2) w^2 / 2, so its critical
     relative velocity has a closed form
-    (:func:`hyperbolicity.critical_relative_velocity`); a subclass gets the
-    certificate scan of any other law.
+    (:func:`hyperbolicity.critical_relative_velocity`) and its velocity
+    recovery is one division; a subclass gets the certificate scan and the
+    Newton recovery of any other law.
     """
 
     def __init__(self, params: SeparableAddedMassParams):
@@ -288,26 +287,20 @@ class SeparableAddedMass(PotentialModel):
     def _a_derivs(self, rho1, rho2, order):
         """a, then a_r1, a_r2 (order 1), then a_r1r1, a_r1r2, a_r2r2 (order
         2); a callable a is called 1, 5 or 9 times, for differences."""
-        a0 = self._a(rho1, rho2)
         a = self.params.a
-        if order == 0:
-            return (a0,)
-        if not callable(a):
-            return (a0,) + (np.zeros_like(a0),) * (2 if order == 1 else 5)
-        r1 = np.asarray(rho1, dtype=float)
-        r2 = np.asarray(rho2, dtype=float)
-        h1 = _fd_step(r1)
-        h2 = _fd_step(r2)
-        ap1, am1 = a(r1 + h1, r2), a(r1 - h1, r2)
-        ap2, am2 = a(r1, r2 + h2), a(r1, r2 - h2)
-        out = [a0, (ap1 - am1) / (2.0 * h1), (ap2 - am2) / (2.0 * h2)]
-        if order == 2:
-            out += [(ap1 - 2.0 * a0 + am1) / h1 ** 2,
-                    (np.asarray(a(r1 + h1, r2 + h2), dtype=float)
-                     - a(r1 + h1, r2 - h2) - a(r1 - h1, r2 + h2)
-                     + a(r1 - h1, r2 - h2)) / (4.0 * h1 * h2),
-                    (ap2 - 2.0 * a0 + am2) / h2 ** 2]
-        return tuple(np.broadcast_arrays(*out))
+        if order == 0 or not callable(a):
+            a0 = self._a(rho1, rho2)
+            return (a0,) + (np.zeros_like(a0),) * (0, 2, 5)[order]
+        r = [np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float)]
+        # axes (rho2, rho1): the cross stencil then shifts rho1 outermost,
+        # the summation order of a_r1r2 that the tests pin bit for bit
+        d = _central_diff(a, r, (1, 0), (_fd_step(r[1]), _fd_step(r[0])),
+                          order)
+        if order == 1:
+            return tuple(np.broadcast_arrays(self._a(rho1, rho2), d[1], d[0]))
+        a0, (d2, d1), D = d
+        return tuple(np.broadcast_arrays(a0, d1, d2, D[1][1], D[1][0],
+                                         D[0][0]))
 
     def _law(self, rho1, rho2, s1, s2, w, *outputs):
         """W (output 0), its gradient (1) and its Hessian (2), those asked
@@ -354,13 +347,6 @@ class SeparableAddedMass(PotentialModel):
         if type(self) is not SeparableAddedMass:
             return super().derivatives(rho1, rho2, s1, s2, w)
         return tuple(self._law(rho1, rho2, s1, s2, w, 0, 1, 2))
-
-    def dW_dw(self, rho1, rho2, s1, s2, w):
-        return -self._a(rho1, rho2) * np.asarray(w, dtype=float)
-
-    def d2W_dw2(self, rho1, rho2, s1, s2, w):
-        return -self._a(rho1, rho2) + np.zeros(
-            np.broadcast(rho1, rho2, w).shape)
 
     def sound_speed_sq(self, idx: int, rho, s):
         """Single-phase sound speed squared rho * d2W_a/drho_a^2."""

@@ -260,16 +260,24 @@ def _require_finite(new: np.ndarray, t: float | None) -> None:
     _require(np.isfinite(new), "{} is not finite in cell {} after a stage", t)
 
 
-def _advance(cells: EvolvedState, rates: Tuple[RHSResult, ...], dt: float,
-             t: float | None = None) -> EvolvedState:
-    """Explicit stage, cells plus dt times the mean of the rates; a
-    non-finite value or a density below the floor raises
-    :class:`StepError` naming the field and its first bad cell."""
+def _update(q: np.ndarray, rates: Tuple[np.ndarray, ...], dt: float, z,
+            heat, t: float | None) -> EvolvedState:
+    """The stage from the (6, n) array ``q``: q plus dt times the mean of
+    ``rates``, then Z = K2 - K1 moved to ``z`` by K1 += alpha/rho1, K2 -=
+    alpha/rho2, which keeps the impulse rho1 K1 + rho2 K2, and the drag
+    heating ``heat`` = (ds1, ds2) added.  A non-finite value or a density
+    below the floor after the explicit part, or a non-finite value after
+    the move, raises :class:`StepError` naming the field and its first bad
+    cell."""
     scale = dt / len(rates)
-    new = _stack(cells) + scale * sum(r.rates for r in rates)
+    new = q + scale * sum(rates)
     _require_finite(new, t)
     _require(new[:2] >= RHO_FLOOR, "{} went nonpositive in cell {} after a "
              "stage; reduce the CFL number", t)
+    alpha = (new[3] - new[2] - z) / (1.0 / new[0] + 1.0 / new[1])
+    new[2:4] += (alpha / new[0], -alpha / new[1])
+    new[4:] += heat
+    _require_finite(new, t)
     return _from_checked_densities(EvolvedState, **dict(zip(_FIELDS, new)))
 
 
@@ -349,26 +357,14 @@ def _drag_dissipation(z0, g, dt, M, c0, c1):
     return np.maximum(dt * (c0 * m0 + (c1 - c0) * m1), 0.0)
 
 
-def _z_forcing(cells: EvolvedState, rhs: RHSResult, rate) -> np.ndarray:
-    """G = dZ/dt + rate Z for Z = K2 - K1: the rate of Z less the drag
-    -rate Z frozen for the step.  The drag moves Z at -(1/rho1 + 1/rho2)
-    zeta w; for a law with W_w linear in w this is -r Z with the stage's own
-    rate r, so G gains (rate - r) Z across a stage."""
+def _z_forcing(z, rhs: RHSResult, rate) -> np.ndarray:
+    """G = dZ/dt + rate Z for the stage's Z = K2 - K1, ``z``: the rate of Z
+    less the drag -rate Z frozen for the step.  The drag moves Z at
+    -(1/rho1 + 1/rho2) zeta w; for a law with W_w linear in w this is -r Z
+    with the stage's own rate r, so G gains (rate - r) Z across a stage."""
     p = rhs.primitive
     drag = (1.0 / p.rho1 + 1.0 / p.rho2) * rhs.zeta * p.w
-    return rhs.rates[3] - rhs.rates[2] - drag + rate * (cells.K2 - cells.K1)
-
-
-def _relax(cells: EvolvedState, z, heat, t: float | None) -> EvolvedState:
-    """Move Z = K2 - K1 to ``z`` by K1 += alpha/rho1, K2 -= alpha/rho2,
-    which keeps the impulse rho1 K1 + rho2 K2, and add the drag heating
-    ``heat`` = (ds1, ds2); the densities are left as they are."""
-    new = _stack(cells)
-    alpha = (cells.K2 - cells.K1 - z) / (1.0 / cells.rho1 + 1.0 / cells.rho2)
-    new[2:4] += (alpha / cells.rho1, -alpha / cells.rho2)
-    new[4:] += heat
-    _require_finite(new, t)
-    return _from_checked_densities(EvolvedState, **dict(zip(_FIELDS, new)))
+    return rhs.rates[3] - rhs.rates[2] - drag + rate * z
 
 
 def step(config: SimulationConfig, cells: EvolvedState, dt: float,
@@ -385,7 +381,7 @@ def step(config: SimulationConfig, cells: EvolvedState, dt: float,
         Z_(n+1) = Z_a + dt phi_2(r dt) (G_a - G_n),
 
     each reached from the Heun value by an impulse-conserving move of K1
-    and K2 (:func:`_relax`); every other rate (transport, heat exchange) is
+    and K2 (:func:`_update`); every other rate (transport, heat exchange) is
     Heun.  With r = 0 this is Heun; for r dt >> 1, Z tends to G / r, the
     Fick balance, so dt need not resolve the drag.
 
@@ -402,12 +398,12 @@ def step(config: SimulationConfig, cells: EvolvedState, dt: float,
     """
     if rhs0 is None:
         rhs0 = assemble_rhs(config, cells, t=t)
-    stage = _advance(cells, (rhs0,), dt, t=t)
+    stacked = _stack(cells)
 
     p0 = rhs0.primitive
     rate = (1.0 / p0.rho1 + 1.0 / p0.rho2) * rhs0.zeta / rhs0.dZ_dw
     phi, M = _exponential_weights(rate * dt)
-    z0 = cells.K2 - cells.K1
+    z0 = stacked[3] - stacked[2]
 
     def coefficients(rhs):
         p, th = rhs.primitive, rhs.thermo
@@ -417,18 +413,18 @@ def step(config: SimulationConfig, cells: EvolvedState, dt: float,
                 p.rho1 / (rho * p.rho2 * th.theta2))
 
     c0, e01, e02 = coefficients(rhs0)
-    g0 = _z_forcing(cells, rhs0, rate)
+    g0 = _z_forcing(z0, rhs0, rate)
     z_a = np.exp(-rate * dt) * z0 + dt * phi[0] * g0
     q = _drag_dissipation(z0, g0, dt, M, c0, c0)
-    stage = _relax(stage, z_a, (q * e01, q * e02), t)
+    stage = _update(stacked, (rhs0.rates,), dt, z_a, (q * e01, q * e02), t)
 
     rhs1 = assemble_rhs(config, stage, t=t)
     c1, e11, e12 = coefficients(rhs1)
-    g1 = _z_forcing(stage, rhs1, rate)
-    heun = _advance(cells, (rhs0, rhs1), dt, t=t)
+    g1 = _z_forcing(stage.K2 - stage.K1, rhs1, rate)
     q = _drag_dissipation(z0, 0.5 * (g0 + g1), dt, M, c0, c1)
-    return _relax(heun, z_a + dt * phi[1] * (g1 - g0),
-                  (0.5 * q * (e01 + e11), 0.5 * q * (e02 + e12)), t)
+    return _update(stacked, (rhs0.rates, rhs1.rates), dt,
+                   z_a + dt * phi[1] * (g1 - g0),
+                   (0.5 * q * (e01 + e11), 0.5 * q * (e02 + e12)), t)
 
 
 def _source_rate_cap(config: SimulationConfig, rhs: RHSResult) -> float:

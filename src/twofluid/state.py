@@ -81,8 +81,8 @@ def _from_checked_densities(cls, **fields):
 
 
 def primitive_to_evolved(model: PotentialModel, p: PrimitiveState) -> EvolvedState:
-    """K1 = u1 + (1/rho1) dW/dw, K2 = u2 - (1/rho2) dW/dw."""
-    Ww = model.dW_dw(p.rho1, p.rho2, p.s1, p.s2, p.w)
+    """K1 = u1 + W_w / rho1, K2 = u2 - W_w / rho2, W_w from the gradient."""
+    Ww = model.gradient(p.rho1, p.rho2, p.s1, p.s2, p.w)[4]
     return _from_checked_densities(
         EvolvedState, rho1=p.rho1, rho2=p.rho2, K1=p.u1 + Ww / p.rho1,
         K2=p.u2 - Ww / p.rho2, s1=p.s1, s2=p.s2)
@@ -126,9 +126,10 @@ def solve_relative_velocity(model: PotentialModel, rho1, rho2, s1, s2, dK,
     ``dK`` is K2 - K1.  Works elementwise on arrays.  The built-in law (the
     type :class:`SeparableAddedMass`, W_w = -a w) takes one division, where
     ``tol`` and ``max_iter`` do not apply; any other law a safeguarded
-    Newton iteration.  Raises :class:`ConvergenceError` when that division's
-    denominator is not positive and finite, the map cannot be bracketed or
-    the iteration stalls.
+    Newton iteration on the law's ``dW_dw`` and ``d2W_dw2``.  Raises
+    :class:`ConvergenceError` when that division's denominator is not
+    positive and finite, the map cannot be bracketed or the iteration
+    stalls.
     """
     rho1, rho2, s1, s2, dK = np.broadcast_arrays(
         *[np.asarray(a, dtype=float) for a in (rho1, rho2, s1, s2, dK)])

@@ -5,13 +5,16 @@ without an example database, so the suite draws the same examples on every
 run, and with a modest example count so it stays fast.
 
 :func:`count_calls` is shared by the tests that count calls into a layer,
-and :func:`certify` by those that certify states given by their fields;
-import them with ``from conftest import ...``.
+:func:`certify` by those that certify states given by their fields, and
+the user laws :class:`CoupledInW` and :class:`CoupledInWGradient` by the
+potential and hyperbolicity tests; import them with
+``from conftest import ...``.
 """
 import numpy as np
 from hypothesis import settings
 
 from twofluid.hyperbolicity import _certified_frame, _law_hessian
+from twofluid.potential import PotentialModel
 
 settings.register_profile("twofluid", derandomize=True, database=None,
                           deadline=None, max_examples=25)
@@ -35,6 +38,32 @@ def count_calls(monkeypatch, owner, name):
 
 def certify(model, rho1, rho2, u1, u2, s1, s2):
     """The hyperbolicity certificate of states given by their fields, from
-    the law's Hessian and W_w at w = u2 - u1."""
+    the law's Hessian and W_w at w = u2 - u1, both from one law pass
+    (``model.derivatives``)."""
     return _certified_frame(*_law_hessian(
         model, rho1, rho2, s1, s2, np.subtract(u2, u1)), rho1, rho2, u1, u2)
+
+
+class CoupledInW(PotentialModel):
+    """A user law whose w-coupling depends on both densities and entropies."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return (rho1 ** 2 * np.exp(s1) + 0.7 * rho2 ** 1.4 * np.exp(s2)
+                + 0.3 * rho1 * rho2
+                - 0.1 * rho1 * rho2 * np.exp(0.5 * (s1 - s2)) * w ** 2
+                - 0.01 * w ** 4)
+
+
+class CoupledInWGradient(CoupledInW):
+    """CoupledInW with its gradient written out and its Hessian still from
+    differences.  The Newton oracle inverts sigma to 1e-13, below the
+    rounding of a differenced gradient (about 3e-11 for CoupledInW)."""
+
+    def gradient(self, rho1, rho2, s1, s2, w):
+        c = 0.1 * np.exp(0.5 * (s1 - s2)) * w
+        return np.stack(np.broadcast_arrays(
+            2.0 * rho1 * np.exp(s1) + 0.3 * rho2 - c * rho2 * w,
+            0.98 * rho2 ** 0.4 * np.exp(s2) + 0.3 * rho1 - c * rho1 * w,
+            rho1 ** 2 * np.exp(s1) - 0.5 * c * rho1 * rho2 * w,
+            0.7 * rho2 ** 1.4 * np.exp(s2) + 0.5 * c * rho1 * rho2 * w,
+            -2.0 * c * rho1 * rho2 - 0.04 * w ** 3))

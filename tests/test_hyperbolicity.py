@@ -24,7 +24,7 @@ from twofluid.potential import (RHO_FLOOR, AdmissibilityError,
                                 SeparableAddedMassParams, evaluate)
 from twofluid.state import ConvergenceError, PrimitiveState
 
-from conftest import certify, count_calls
+from conftest import CoupledInW, CoupledInWGradient, certify, count_calls
 
 
 def make_model(a=0.3):
@@ -63,32 +63,6 @@ class QuarticInW(SeparableAddedMass):
                 - np.asarray(w, dtype=float) ** 4 / 40.0)
 
     gradient, hessian = PotentialModel.gradient, PotentialModel.hessian
-    dW_dw, d2W_dw2 = PotentialModel.dW_dw, PotentialModel.d2W_dw2
-
-
-class CoupledInW(PotentialModel):
-    """A user law whose w-coupling depends on both densities and entropies."""
-
-    def value(self, rho1, rho2, s1, s2, w):
-        return (rho1 ** 2 * np.exp(s1) + 0.7 * rho2 ** 1.4 * np.exp(s2)
-                + 0.3 * rho1 * rho2
-                - 0.1 * rho1 * rho2 * np.exp(0.5 * (s1 - s2)) * w ** 2
-                - 0.01 * w ** 4)
-
-
-class CoupledInWGradient(CoupledInW):
-    """CoupledInW with its gradient written out and its Hessian still from
-    differences.  The Newton oracle inverts sigma to 1e-13, below the
-    rounding of a differenced gradient (about 3e-11 for CoupledInW)."""
-
-    def gradient(self, rho1, rho2, s1, s2, w):
-        c = 0.1 * np.exp(0.5 * (s1 - s2)) * w
-        return np.stack(np.broadcast_arrays(
-            2.0 * rho1 * np.exp(s1) + 0.3 * rho2 - c * rho2 * w,
-            0.98 * rho2 ** 0.4 * np.exp(s2) + 0.3 * rho1 - c * rho1 * w,
-            rho1 ** 2 * np.exp(s1) - 0.5 * c * rho1 * rho2 * w,
-            0.7 * rho2 ** 1.4 * np.exp(s2) + 0.5 * c * rho1 * rho2 * w,
-            -2.0 * c * rho1 * rho2 - 0.04 * w ** 3))
 
 
 class LinearInRho(PotentialModel):
@@ -568,17 +542,18 @@ class TestCertificate:
             certificate(m, *state, 0.0)[1], margin_ref)[moved])
 
     def test_min_eig_A_reuses_the_certificate_rows(self, monkeypatch):
-        # on lab-certified states the certificate makes the one Hessian
-        # build, and min-eig(A) and the speeds read its rows
+        # on lab-certified states the certificate makes the one law pass,
+        # and min-eig(A) and the speeds read its rows
         m = make_model(a=0.4)
         p = subsonic_states(np.random.default_rng(29), m, 50)
         state = (p.rho1, p.rho2, p.u1, p.u2, p.s1, p.s2)
-        calls = count_calls(monkeypatch, m, "hessian")
+        calls = {name: count_calls(monkeypatch, m, name)
+                 for name in ("derivatives", "hessian", "dW_dw")}
         cert = certify(m, *state)
         assert np.all(cert[0] == 0.0)
         assert np.all(min_eig_A_batch(cert) > 0.0)
         assert np.all(np.isfinite(_extreme_speeds(cert)))
-        assert len(calls) == 1
+        assert calls == {"derivatives": [50], "hessian": [], "dW_dw": []}
 
 
 class TestCharacteristicSpeeds:
@@ -902,16 +877,17 @@ class TestRegionMapping:
 
     def test_one_certificate_per_map(self, monkeypatch):
         # the hyper_scan grid of the benchmark: the stability inequalities
-        # and the certificate, its retry included, read one Hessian of W
+        # and the certificate, its retry included, read one law pass
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=2.0, gamma2=1.4, a=0.2))
         certs = count_calls(monkeypatch, hyperbolicity, "_certified_frame")
-        builds = count_calls(monkeypatch, m, "hessian")
+        calls = {name: count_calls(monkeypatch, m, name)
+                 for name in ("derivatives", "hessian", "dW_dw")}
         maps = map_hyperbolic_region(
             m, np.linspace(0.5, 1.5, 16), np.linspace(0.5, 1.5, 16),
             np.linspace(0.0, 2.5, 20), 0.03, -0.05)
         assert len(certs) == 1
-        assert builds == [5120]
+        assert calls == {"derivatives": [5120], "hessian": [], "dW_dw": []}
         assert 0 < maps.hyperbolic.sum() < 5120
 
     def test_critical_w_decreases_with_coupling(self):

@@ -3,17 +3,31 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twofluid.potential import (AdmissibilityError, PotentialModel,
                                 SeparableAddedMass, SeparableAddedMassParams,
-                                evaluate, fd_check_derivatives,
-                                require_admissible)
-from twofluid.state import PrimitiveState
+                                _fd2_step, _fd_step, evaluate,
+                                fd_check_derivatives, require_admissible)
+from twofluid.state import (PrimitiveState, evolved_to_primitive,
+                            primitive_to_evolved)
+
+from conftest import CoupledInWGradient
 
 
 def make_model(a=0.3, gamma1=2.0, gamma2=1.4):
     return SeparableAddedMass(SeparableAddedMassParams(
         gamma1=gamma1, gamma2=gamma2, a=a))
+
+
+class Quartic(SeparableAddedMass):
+    """The built-in law less w^4: a subclass that changes how W depends on
+    w, with its gradient and Hessian from differences of ``value``."""
+
+    def value(self, rho1, rho2, s1, s2, w):
+        return super().value(rho1, rho2, s1, s2, w) - w ** 4
+
+    gradient, hessian = PotentialModel.gradient, PotentialModel.hessian
 
 
 def random_states(rng, n, w_scale=0.5):
@@ -122,18 +136,15 @@ class TestDerivativeConsistency:
         assert fd_check_derivatives(m, p, h=1e-5) < 1e-6
 
     def test_callable_added_mass_called_once_where_only_a_is_needed(self):
-        # value, dW_dw and d2W_dw2 need a but none of its derivatives
+        # value needs a but none of its derivatives
         calls = []
 
         def a(r1, r2):
             calls.append(np.shape(r1))
             return 0.2 * r1 * r2
 
-        m = make_model(a=a)
-        for method in (m.value, m.dW_dw, m.d2W_dw2):
-            calls.clear()
-            method(np.array([1.2, 0.9]), 0.8, 0.0, 0.0, 0.7)
-            assert calls == [(2,)]
+        make_model(a=a).value(np.array([1.2, 0.9]), 0.8, 0.0, 0.0, 0.7)
+        assert calls == [(2,)]
 
     def test_callable_added_mass_calls_per_derivative_order(self):
         # the gradient reads a, a_r1 and a_r2: the centre and four shifts;
@@ -163,12 +174,6 @@ class TestDerivativeConsistency:
         assert np.array_equal(H, m.hessian(*args))
 
     def test_law_pass_of_a_subclass_reads_its_overrides(self):
-        class Quartic(SeparableAddedMass):
-            def value(self, rho1, rho2, s1, s2, w):
-                return super().value(rho1, rho2, s1, s2, w) - w ** 4
-
-            gradient, hessian = PotentialModel.gradient, PotentialModel.hessian
-
         m = Quartic(make_model().params)
         args = (1.2, 0.8, 0.1, -0.2, 0.5)
         W, grad, H = m.derivatives(*args)
@@ -278,3 +283,178 @@ class TestFallbackCost:
         assert np.array_equal(m.dW_dw(*self.args),
                               self.law.gradient(*self.args)[4])
         assert m.calls == 0
+
+
+class TestSubclassOfTheBuiltInLaw:
+    """A subclass that changes how W depends on w reads W_w and W_ww from
+    its own gradient and Hessian wherever they are used."""
+
+    args = (1.2, 0.8, 0.1, -0.2, 0.5)
+
+    def test_w_derivatives_are_its_gradient_and_hessian(self):
+        m = Quartic(make_model().params)
+        assert m.dW_dw(*self.args) == m.gradient(*self.args)[4]
+        assert m.d2W_dw2(*self.args) == m.hessian(*self.args)[4, 4]
+
+    def test_generalized_velocities_read_its_gradient(self):
+        # W_w = -a w - 4 w^3 = -0.65 at w = 0.5, where -a w alone is -0.15
+        m = Quartic(make_model().params)
+        p = PrimitiveState(rho1=1.2, rho2=0.8, u1=0.0, u2=0.5, s1=0.1,
+                           s2=-0.2)
+        e = primitive_to_evolved(m, p)
+        invsum = 1.0 / 1.2 + 1.0 / 0.8
+        Ww = m.gradient(*self.args)[4]
+        assert e.K2 - e.K1 == pytest.approx(0.5 - invsum * Ww, rel=1e-14)
+        assert e.K2 - e.K1 == pytest.approx(0.5 + 0.65 * invsum, rel=1e-9)
+        back = evolved_to_primitive(m, e)
+        assert back.u1 == pytest.approx(0.0, abs=1e-12)
+        assert back.u2 == pytest.approx(0.5, abs=1e-12)
+
+
+#: name -> (law, whether its gradient and its Hessian are written out)
+SOURCE_LAWS = {
+    "constant_a": (make_model(a=0.3), True, True),
+    "callable_a": (make_model(a=lambda r1, r2: 0.2 * r1 * r2 / (r1 + r2)),
+                   True, True),
+    "subclass": (Quartic(make_model().params), False, False),
+    "user_law": (CoupledInWGradient(), True, False),
+}
+
+
+class TestDerivativeSources:
+    @given(law=st.sampled_from(sorted(SOURCE_LAWS)),
+           rho1=st.floats(0.3, 2.0), rho2=st.floats(0.3, 2.0),
+           s1=st.floats(-0.5, 0.5), s2=st.floats(-0.5, 0.5),
+           w=st.floats(-1.5, 1.5))
+    def test_one_source_per_derivative(self, law, rho1, rho2, s1, s2, w):
+        # the law pass is value, gradient and Hessian; W_w and W_ww are
+        # read from them where written out, else differenced in w with the
+        # steps of the gradient and the Hessian
+        m, exact_grad, exact_hess = SOURCE_LAWS[law]
+        args = (rho1, rho2, s1, s2, w)
+        W, grad, H = m.derivatives(*args)
+        assert np.array_equal(W, m.value(*args))
+        assert np.array_equal(grad, m.gradient(*args))
+        assert np.array_equal(H, m.hessian(*args))
+        scale = max(1.0, abs(float(W)))
+        for got, ref, exact, tol in ((m.dW_dw(*args), grad[4], exact_grad,
+                                      1e-9),
+                                     (m.d2W_dw2(*args), H[4, 4], exact_hess,
+                                      1e-6)):
+            if exact:
+                assert got == ref
+            else:
+                assert abs(got - ref) <= tol * scale
+
+
+def _written_out_stencils(value, args):
+    """The fallback derivatives of ``value``, each stencil written out on
+    its own: (gradient, Hessian, W_w, W_ww)."""
+    x = [np.asarray(a, dtype=float) for a in args]
+    grad = []
+    for i, xi in enumerate(x):
+        h = _fd_step(xi)
+        plus, minus = list(x), list(x)
+        plus[i], minus[i] = xi + h, xi - h
+        grad.append(np.asarray(value(*plus) - value(*minus)) / (2.0 * h))
+    steps = [_fd2_step(xi) for xi in x]
+
+    def at(*shifts):
+        moved = list(x)
+        for i, sign in shifts:
+            moved[i] = x[i] + sign * steps[i]
+        return np.asarray(value(*moved), dtype=float)
+
+    centre = at()
+    H = [[None] * 5 for _ in range(5)]
+    for i in range(5):
+        H[i][i] = (at((i, 1)) - 2.0 * centre + at((i, -1))) / steps[i] ** 2
+        for j in range(i):
+            H[i][j] = H[j][i] = (
+                at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
+            ) / (4.0 * steps[i] * steps[j])
+    w = x[4]
+    h1, h2 = _fd_step(w), _fd2_step(w)
+    dW = (np.asarray(value(*args[:4], w + h1))
+          - value(*args[:4], w - h1)) / (2.0 * h1)
+    d2W = (np.asarray(value(*args[:4], w + h2)) - 2.0 * value(*args[:4], w)
+           + value(*args[:4], w - h2)) / h2 ** 2
+    return (np.stack(np.broadcast_arrays(*grad)),
+            np.stack([np.stack(np.broadcast_arrays(*row)) for row in H]),
+            dW, d2W)
+
+
+def _written_out_a_derivs(a, rho1, rho2):
+    """a and its first and second density derivatives, the stencil written
+    out: (a, a_r1, a_r2, a_r1r1, a_r1r2, a_r2r2)."""
+    r1, r2 = np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float)
+    h1, h2 = _fd_step(r1), _fd_step(r2)
+    a0 = a(r1, r2) + np.zeros(np.broadcast(r1, r2).shape)
+    ap1, am1 = a(r1 + h1, r2), a(r1 - h1, r2)
+    ap2, am2 = a(r1, r2 + h2), a(r1, r2 - h2)
+    return np.broadcast_arrays(
+        a0, (ap1 - am1) / (2.0 * h1), (ap2 - am2) / (2.0 * h2),
+        (ap1 - 2.0 * a0 + am1) / h1 ** 2,
+        (np.asarray(a(r1 + h1, r2 + h2), dtype=float) - a(r1 + h1, r2 - h2)
+         - a(r1 - h1, r2 + h2) + a(r1 - h1, r2 - h2)) / (4.0 * h1 * h2),
+        (ap2 - 2.0 * a0 + am2) / h2 ** 2)
+
+
+def _written_out_fd_check(model, args, h):
+    """:func:`fd_check_derivatives` with its fixed-step stencil written
+    out."""
+    x = [np.asarray(a, dtype=float) for a in args]
+
+    def fd(fn, i):
+        plus, minus = list(x), list(x)
+        plus[i], minus[i] = x[i] + h, x[i] - h
+        return (np.asarray(fn(*plus), dtype=float)
+                - np.asarray(fn(*minus), dtype=float)) / (2.0 * h)
+
+    worst = 0.0
+    for ana, fn in ((model.gradient(*x), model.value),
+                    (model.hessian(*x), model.gradient)):
+        for i in range(5):
+            num = fd(fn, i)
+            err = np.abs(ana[i] - num) / np.maximum(
+                1.0, np.maximum(np.abs(ana[i]), np.abs(num)))
+            worst = max(worst, float(np.max(err)))
+    return worst
+
+
+class TestSharedStencil:
+    """The one difference stencil gives each fallback derivative bit for bit
+    as its own written-out stencil does."""
+
+    def setup_method(self):
+        st_ = random_states(np.random.default_rng(17), 40, w_scale=1.5)
+        self.args = [st_[k] for k in ("rho1", "rho2", "s1", "s2", "w")]
+
+    def test_fallbacks_of_a_value_only_law(self):
+        m = FDOnlyLaw()
+        grad, H, dW, d2W = _written_out_stencils(m.value, self.args)
+        assert np.array_equal(m.gradient(*self.args), grad)
+        assert np.array_equal(m.hessian(*self.args), H)
+        assert np.array_equal(m.dW_dw(*self.args), dW)
+        assert np.array_equal(m.d2W_dw2(*self.args), d2W)
+
+    def test_differences_of_a_callable_a(self):
+        def a(r1, r2):
+            return 0.3 * r1 * r2 / (r1 + r2) + 0.05 * np.sin(r1 - 2.0 * r2)
+
+        m = make_model(a=a)
+        ref = _written_out_a_derivs(a, *self.args[:2])
+        for order, count in ((1, 3), (2, 6)):
+            got = m._a_derivs(*self.args[:2], order)
+            assert len(got) == count
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("law", [make_model(), CoupledInWGradient()],
+                             ids=["built_in", "user_law"])
+    def test_fixed_step_check(self, law):
+        p = PrimitiveState(rho1=self.args[0], rho2=self.args[1], u1=0.0,
+                           u2=self.args[4], s1=self.args[2], s2=self.args[3])
+        assert fd_check_derivatives(law, p, h=1e-5) == _written_out_fd_check(
+            law, self.args, 1e-5)

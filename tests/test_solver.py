@@ -264,7 +264,7 @@ class TestIntegrate:
 
     def test_no_constructor_check_after_the_initial_state(self,
                                                           monkeypatch):
-        # every stage state is built from densities _advance has checked
+        # every stage state is built from densities _update has checked
         m = make_model()
         grid = Grid1D(0.0, 1.0, 16)
         cfg = SimulationConfig(grid=grid, model=m,
