@@ -17,36 +17,29 @@ characteristic speeds solve det(B - lambda A) = 0.
 Two routes to A are provided.  The per-state oracle differences the gradient
 of G directly in the (sigma, j) variables; it inverts the Legendre map
 (sigma, j) -> (rho, j) at its eight shifted states in one stacked damped
-Newton that reads only ``model.gradient``.  The batched route works with
-the Hessian of L in m = (rho1, rho2, j1, j2), taken by the chain rule from
-the law's Hessian H and W_w of one ``model.derivatives`` pass, in 2x2
-blocks L_rr, L_rj, L_jj, kept as one array of flat rows: the 10 distinct
-entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21) and L_jj (11, 22, 12) of
-each state.  With the blocks
+Newton that reads only ``model.gradient``.  The batched route takes the
+Hessian of L in m = (rho1, rho2, j1, j2) by the chain rule from the law's
+Hessian H and W_w of one ``model.derivatives`` pass, as one array of flat
+rows: the 10 distinct entries L_rr (11, 22, 12), L_rj (11, 22, 12, 21)
+and L_jj (11, 22, 12) of each state.  With these 2x2 blocks
 
     A = [[-L_rr^-1, L_rr^-1 L_rj], [L_jr L_rr^-1, L_jj - L_jr L_rr^-1 L_rj]]
       = U^T diag(-L_rr^-1, L_jj) U,
 
 so A is positive definite exactly when -L_rr and L_jj are: a closed-form
-2x2 Cholesky of the two blocks, stacked, certifies hyperbolicity.  The
-speeds are Galilean covariant, but A is positive definite in some frames
-only (not in the lab frame once a phase outruns its sound speed), so a
-state the lab frame does not certify is tried again in the
-zero-mixture-momentum frame, with the same H and W_w.  Each set of states
-is certified once
-(:func:`_certified_frame`); the speeds, the extreme speeds and min-eig(A)
-read its frames and rows.  The speeds solve det(lambda^2 L_jj + lambda
-(L_rj + L_jr) + L_rr) = 0; with F_j F_j^T = L_jj and F_r F_r^T = -L_rr
-they are the eigenvalues of the symmetric 4x4 matrix
-
-    S = [[-F_j^-1 (L_rj + L_jr) F_j^-T, F_j^-1 F_r], [(.)^T, 0]],
-
-one batched symmetric eigensolve (:func:`wave_speeds_batch`, the full
-sorted speeds for the map).  The solver needs only the extreme speeds per
-state, which :func:`_extreme_speeds` takes from the same rows in closed
-form, without an eigensolve; they match the eigensolve to round-off,
-double roots included.  The decoupled (a = 0) case has a closed-form
-oracle.
+2x2 Cholesky of the two blocks certifies hyperbolicity.  The speeds are
+Galilean covariant but A is not (a phase that outruns its sound speed
+fails in the lab frame), so a state the lab frame does not certify is
+tried again at zero mixture momentum, with the same H and W_w.  Each set
+of states is certified once (:func:`_certified_frame`), with one
+reduction of the speeds' problem det M(lambda) = 0, M(lambda) = lambda^2
+L_jj + lambda (L_rj + L_jr) + L_rr: for F_j F_j^T = L_jj, F_r F_r^T =
+-L_rr and G = F_j^-1, G M G^T = lambda^2 I + lambda X - N with X = G
+(L_rj + L_jr) G^T, N = Y Y^T and Y = G F_r.  The map's sorted speeds are
+the eigenvalues of S = [[-X, Y], [Y^T, 0]] (:func:`wave_speeds_batch`);
+the solver's extreme speeds come from the quartic det M in closed form,
+polished by Newton (:func:`_extreme_speeds`).  The decoupled (a = 0) case
+has a closed-form oracle.
 
 The critical relative velocity w*, where the certificate first fails in
 the zero-mixture-momentum frame, comes in closed form for the built-in
@@ -57,6 +50,7 @@ the oracle of the closed form.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,7 +331,7 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
     ineq = check_stability_inequalities(model, p, H)
     maps.ineq1, maps.ineq2, maps.ineq3 = ineq.ineq1, ineq.ineq2, ineq.ineq3
     cert = _certified_frame(H, Ww, r1, r2, p.u1, p.u2)
-    maps.hyperbolic, maps.speeds = cert[1], _speeds(cert)
+    maps.hyperbolic, maps.speeds = cert.ok, _speeds(cert)
     maps.min_eig_A = min_eig_A_batch(cert)
     return maps
 
@@ -372,16 +366,10 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
         H = model.hessian(rho1, rho2, s1, s2, w)
         R = _lagrangian_hessian(H, H[4, 4] * w, rho1, rho2, -rho2 * w / rho,
                                 rho1 * w / rho)
-        ok, _, (l11, l21, l22) = _cholesky2(R[:, 0])
+        ok, L = _cholesky2(R[:, 0])
         if not (ok[0] and ok[1]):
             return 0.0
-        n11, n22, n12 = R[:3, 0] - R[:3, 1]
-        # G = F^-1 (lower triangular); M = G N2 G^T
-        g11, g22 = 1.0 / l11[0], 1.0 / l22[0]
-        g21 = -l21[0] * g11 * g22
-        t = g21 * n11 + g22 * n12
-        m11, m12 = g11 * g11 * n11, g11 * t
-        m22 = g21 * t + g22 * (g21 * n12 + g22 * n22)
+        (m11, m22, m12), _ = _congruence(L[:, 0], *(R[:3, 0] - R[:3, 1]))
         mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
         return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
     lo, hi = 0.0, float(w_max)
@@ -437,38 +425,41 @@ def _lagrangian_hessian(H, Ww, rho1, rho2, u1, u2):
 
 
 def _cholesky2(R):
-    """Closed-form Cholesky of -L_rr and L_jj, stacked, from the rows ``R``.
-
-    Returns (ok, scaled_min_eig, (l11, l21, l22)), each of shape
-    (2,) + R.shape[1:], index 0 for -L_rr and 1 for L_jj.  ``ok`` holds
-    where both pivots are positive, i.e. the block is positive definite;
-    the factor entries are meaningful only there.  scaled_min_eig =
-    min-eig / ||block||_2 is positive exactly where ``ok`` holds.
-    """
-    a, c, b = np.stack((-R[:3], R[7:]), axis=1)
+    """Closed-form Cholesky of -L_rr and L_jj (index 0 and 1 of the second
+    axis) from the rows ``R``: (ok, L), ``ok`` where the block is positive
+    definite, and there its factor L = (l11, l21, l22)."""
+    a, c, b = np.array((-R[:3], R[7:])).swapaxes(0, 1)
+    L = np.empty((3,) + a.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        l11 = np.sqrt(a)
-        l21 = b / l11
-        pivot2 = c - l21 * l21
-        ok = (a > 0.0) & (pivot2 > 0.0)
+        np.sqrt(a, out=L[0])
+        np.divide(b, L[0], out=L[1])
+        pivot2 = c - L[1] * L[1]
+        np.sqrt(pivot2, out=L[2])
+    return (a > 0.0) & (pivot2 > 0.0), L
+
+
+def _scaled_margin(R):
+    """The smaller of min-eig / ||block||_2 of -L_rr and L_jj from the rows
+    ``R``: > 0 exactly where both blocks are positive definite."""
+    a, c, b = np.array((-R[:3], R[7:])).swapaxes(0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivot2 = c - (b / np.sqrt(a)) ** 2
         mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-        # where ok, min-eig = det / max-eig with det = a * pivot2 (no
-        # cancellation); elsewhere min-eig <= 0
-        scaled = np.where(ok, a * pivot2 / (mid + rad) ** 2,
+        # where positive definite, min-eig = det / max-eig with det =
+        # a * pivot2 (no cancellation); elsewhere min-eig <= 0
+        scaled = np.where((a > 0.0) & (pivot2 > 0.0),
+                          a * pivot2 / (mid + rad) ** 2,
                           np.fmin((mid - rad) / (np.abs(mid) + rad), 0.0))
-        return ok, scaled, (l11, l21, np.sqrt(pivot2))
+    return np.minimum(scaled[0], scaled[1])
 
 
 def _certificate(H, Ww, rho1, rho2, u1, u2, V):
-    """Block-Cholesky hyperbolicity certificate in the frame moving with V.
-
-    Returns (ok, margin, R): ``ok`` where -L_rr and L_jj are positive
-    definite (A = Hess G is then), ``margin`` the smaller of the blocks'
-    scaled min-eigenvalues (> 0 exactly where ``ok``), R the rows of Hess L.
-    """
+    """Block-Cholesky hyperbolicity certificate in the frame moving with V:
+    (ok, L, R), ``ok`` where -L_rr and L_jj are positive definite (A = Hess
+    G is then), L their factors (:func:`_cholesky2`), R the Hess-L rows."""
     R = _lagrangian_hessian(H, Ww, rho1, rho2, u1 - V, u2 - V)
-    ok, margin, _ = _cholesky2(R)
-    return ok[0] & ok[1], np.minimum(margin[0], margin[1]), R
+    ok, L = _cholesky2(R)
+    return ok[0] & ok[1], L, R
 
 
 def _symmetric_system(R):
@@ -491,70 +482,92 @@ def _symmetric_system(R):
     return A
 
 
+def _congruence(F, s11, s22, s12):
+    """G S G^T (rows 11, 22, 12) and G = (g11, g21, g22) for S = [[s11, s12],
+    [s12, s22]] and G = F^-1, F = (l11, l21, l22) lower triangular."""
+    l11, l21, l22 = F
+    g11, g22 = 1.0 / l11, 1.0 / l22
+    g21 = -l21 * g11 * g22
+    t = g21 * s11 + g22 * s12
+    return ((g11 * g11 * s11, g21 * t + g22 * (g21 * s12 + g22 * s22),
+             g11 * t), (g11, g21, g22))
+
+
+def _pencil(R, L):
+    """The rows (x11, x22, x12, y11, y21, y22) of the pencil lambda^2 I +
+    lambda X - N, N = Y Y^T (module docstring), from the rows ``R`` and the
+    factors ``L`` = (F_r, F_j); meaningful where both are positive definite."""
+    h11, h21, h22 = L[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X, (g11, g21, g22) = _congruence(L[:, 1], 2.0 * R[3], 2.0 * R[4],
+                                         R[5] + R[6])
+        return np.array(X + (g11 * h11, g21 * h11 + g22 * h21, g22 * h22))
+
+
+#: A certificate (:func:`_certified_frame`) of states flattened from the
+#: shape ``shape``: per state the frame velocity ``V`` (0 for the lab frame),
+#: ``ok``, and in that frame the :func:`_pencil` rows ``pencil`` and the
+#: Hess-L rows ``R``; ``lab_margin``, the lab frame's margin of ``retried``.
+Certificate = namedtuple("Certificate",
+                         "V ok pencil R shape retried lab_margin")
+
+
 def _certified_frame(H, Ww, rho1, rho2, u1, u2):
-    """The certificate of a set of states, read by the speeds, the extreme
-    speeds and min-eig(A), from the law's Hessian ``H`` and ``Ww`` at
-    w = u2 - u1: in the lab frame, retried in the zero-mixture-momentum
-    frame (velocity V) for the states that fail there unless V = 0, where
-    it would rebuild the same rows; the retried columns, the rows ``R``
-    included, are overwritten.  Returns (V, ok, margin, R, S): the states
-    flattened from their broadcast shape S, V the velocity of each state's
-    frame (0 for the lab frame), the rest as for :func:`_certificate`."""
+    """The :data:`Certificate` of a set of states from the law's Hessian
+    ``H`` and ``Ww`` at w = u2 - u1: in the lab frame, retried at zero
+    mixture momentum (frame velocity V) where it fails there unless V = 0,
+    which would rebuild the same rows; one pencil, in each state's frame."""
     Www, *state = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in (
         H[4, 4], Ww, rho1, rho2, u1, u2)])
     shape = Www.shape
     H = np.broadcast_to(H, (5, 5) + shape).reshape(5, 5, -1)
     Ww, rho1, rho2, u1, u2 = (a.ravel() for a in state)
     V = np.zeros(rho1.size)
-    ok, margin, R = _certificate(H, Ww, rho1, rho2, u1, u2, V)
-    retry = np.flatnonzero(~ok)
+    ok, L, R = _certificate(H, Ww, rho1, rho2, u1, u2, V)
+    retry, lab_margin = np.flatnonzero(~ok), np.empty(0)
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
                     / (rho1[retry] + rho2[retry]))
         retry = retry[V[retry] != 0.0]
-    if retry.size:
-        ok_m, margin_m, R[:, retry] = _certificate(
+        lab_margin = _scaled_margin(R[:, retry])
+        ok[retry], L[..., retry], R[:, retry] = _certificate(
             H[..., retry], *(a[retry] for a in (Ww, rho1, rho2, u1, u2, V)))
-        ok[retry] = ok_m
-        margin[retry] = np.maximum(margin[retry], margin_m)
-    return V, ok, margin, R, shape
+    return Certificate(V, ok, _pencil(R, L), R, shape, retry, lab_margin)
+
+
+def _margin(cert):
+    """The :func:`_scaled_margin` per state of ``cert``, flat, in the frame
+    used (for a retried state the larger of it and the lab frame's)."""
+    margin, retried = _scaled_margin(cert.R), cert.retried
+    margin[retried] = np.maximum(cert.lab_margin, margin[retried])
+    return margin
 
 
 def min_eig_A_batch(cert):
     """min-eig(A) per state of the certificate ``cert`` of
     :func:`_certified_frame`, from its rows, in the frame it used; NaN
     where A is undefined (singular L_rr)."""
-    *_, R, shape = cert
-    A = _symmetric_system(R)
+    A = _symmetric_system(cert.R)
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
-    return np.where(finite, eig[..., 0], np.nan).reshape(shape)
+    return np.where(finite, eig[..., 0], np.nan).reshape(cert.shape)
 
 
 def _speeds(cert):
-    """Sorted speeds per state of the certificate ``cert``, by one symmetric
-    eigensolve of S; NaN where the certificate fails."""
-    V, ok, _, R, shape = cert
-    # F_r F_r^T = -L_rr with entries h, F_j F_j^T = L_jj with entries l
-    (h11, l11), (h21, l21), (h22, l22) = _cholesky2(R)[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # G = F_j^-1 (lower triangular), C = L_rj + L_jr
-        g11, g22 = 1.0 / l11, 1.0 / l22
-        g21 = -l21 * g11 * g22
-        c11, c22, c12 = 2.0 * R[3], 2.0 * R[4], R[5] + R[6]
-        t = g21 * c11 + g22 * c12
-        S = np.zeros(V.shape + (4, 4))
-        # -G C G^T in the upper-left block, N = G F_r beside it
-        S[..., 0, 0] = -g11 * g11 * c11
-        S[..., 0, 1] = S[..., 1, 0] = -g11 * t
-        S[..., 1, 1] = -(g21 * t + g22 * (g21 * c12 + g22 * c22))
-        S[..., 0, 2] = S[..., 2, 0] = g11 * h11
-        S[..., 1, 2] = S[..., 2, 1] = g21 * h11 + g22 * h21
-        S[..., 1, 3] = S[..., 3, 1] = g22 * h22
-    S[~ok] = 0.0
-    speeds = np.linalg.eigvalsh(S) + V[:, None]
-    speeds[~ok] = np.nan
-    return speeds.reshape(shape + (4,))
+    """Sorted speeds per state of the certificate ``cert``, the eigenvalues
+    of S = [[-X, Y], [Y^T, 0]] of its pencil by one symmetric eigensolve;
+    NaN where the certificate fails."""
+    x11, x22, x12, y11, y21, y22 = cert.pencil
+    S = np.zeros(cert.V.shape + (4, 4))
+    S[..., 0, 0], S[..., 1, 1] = -x11, -x22
+    S[..., 0, 1] = S[..., 1, 0] = -x12
+    S[..., 0, 2] = S[..., 2, 0] = y11
+    S[..., 1, 2] = S[..., 2, 1] = y21
+    S[..., 1, 3] = S[..., 3, 1] = y22
+    S[~cert.ok] = 0.0
+    speeds = np.linalg.eigvalsh(S) + cert.V[:, None]
+    speeds[~cert.ok] = np.nan
+    return speeds.reshape(cert.shape + (4,))
 
 
 def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -568,79 +581,66 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     """
     cert = _certified_frame(*_law_hessian(
         model, rho1, rho2, s1, s2, np.subtract(u2, u1)), rho1, rho2, u1, u2)
-    _, ok, margin, _, shape = cert
-    return _speeds(cert), ok.reshape(shape), margin.reshape(shape)
-
-
-#: The phase shifts 2 pi k / 3 of the resolvent cubic's trigonometric roots.
-_THIRDS = np.array([[0.0], [2.0 * np.pi / 3.0], [4.0 * np.pi / 3.0]])
-#: The sign of the half-line each extreme speed lies on.
-_SIDES = np.array([[-1.0], [1.0]])
+    return (_speeds(cert), cert.ok.reshape(cert.shape),
+            _margin(cert).reshape(cert.shape))
 
 
 def _extreme_speeds(cert):
-    """Smallest and largest characteristic speed per state of the
-    certificate ``cert`` of :func:`_certified_frame`, without an eigensolve.
-
-    ``extremes[..., 0]`` is the smallest and ``extremes[..., 1]`` the
-    largest speed, NaN where the certificate fails.  In the certifying
-    frame the speeds are the roots of det M(lambda), M(lambda) = lambda^2
-    L_jj + lambda (L_rj + L_jr) + L_rr, two positive and two negative
-    (Sylvester's law of inertia), so the smaller eigenvalue nu(lambda) of
-    M changes sign once on each half-line, at the extreme root there; that
-    zero stays simple where det M has a double root.  The extreme roots
-    are taken in closed form (Euler's resolvent cubic of the depressed
-    quartic, whose roots are >= 0, in trigonometric form) and polished by
-    two Newton steps on nu.
+    """Smallest and largest speed per state of the certificate ``cert``
+    (``[..., 0]`` and ``[..., 1]``, NaN where it fails), without an
+    eigensolve.  In the certifying frame the speeds are the roots of det
+    M(lambda), M(lambda) = lambda^2 I + lambda X - N the pencil, two of each
+    sign (Sylvester's law of inertia), so the smaller eigenvalue nu of M
+    has one simple zero on each half-line, at the extreme root there, also
+    where det M has a double root.  Those roots are taken in closed form
+    (Euler's resolvent cubic, in trigonometric form) and polished by Newton
+    on nu, at most three steps, until no certified state's step exceeds
+    1e-8 of its largest speed; the error left is of the order of its square.
     """
-    V, ok, _, R, shape = cert
-    # Q[k, e]: the coefficient of lambda^k in entry e = (11, 22, 12) of M,
-    # the rows of L_rr, L_rj + L_jr and L_jj
-    Q = np.empty((3,) + R[:3].shape)
-    Q[0], Q[2] = R[:3], R[7:]
-    np.multiply(R[3:5], 2.0, out=Q[1, :2])
-    np.add(R[5], R[6], out=Q[1, 2])
+    x11, x22, x12, y11, y21, y22 = cert.pencil
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # det M = M11 M22 - M12^2: P[i, k] is its part from lambda^i in the
-        # first factor and lambda^k in the second
-        P = Q[:, None, 0] * Q[None, :, 1] - Q[:, None, 2] * Q[None, :, 2]
-        # the monic quartic, depressed by lambda = y - b to
-        # y^4 + p y^2 + q y + r
-        a3, a2, a1, a0 = np.stack([P[1, 2] + P[2, 1],
-                                   P[0, 2] + P[1, 1] + P[2, 0],
-                                   P[0, 1] + P[1, 0], P[0, 0]]) / P[2, 2]
-        b = 0.25 * a3
-        bb = b * b
-        p = a2 - 6.0 * bb
-        q = a1 - 2.0 * b * a2 + 8.0 * b * bb
-        r = a0 - b * a1 + bb * (a2 - 3.0 * bb)
-        # Euler's resolvent z^3 + (p/2) z^2 + (p^2 - 4r)/16 z - q^2/64 has
-        # roots z0 >= z1 >= z2 >= 0, and the roots of the depressed quartic
-        # are +-sqrt(z0) +-sqrt(z1) +-sqrt(z2) with the product of the
-        # three terms -q/8.  With z = x - p/6: x^3 + e1 x + e0 = 0, three
-        # real roots m cos(phi - 2 pi k / 3) in that order.
-        e1 = -(p * p + 12.0 * r) / 48.0
-        e0 = p * (36.0 * r - p * p) / 864.0 - q * q / 64.0
-        m = 2.0 * np.sqrt(np.maximum(-e1 / 3.0, 0.0))
-        phi = np.arccos(np.clip(-4.0 * e0 / np.maximum(m * m * m, 1e-300),
-                                -1.0, 1.0)) / 3.0
-        t = np.sqrt(np.maximum(m * np.cos(phi - _THIRDS) - p / 6.0, 0.0))
-        t2 = np.where(q > 0.0, -t[2], t[2])
-        lam = np.stack([t2 - t[0] - t[1], t2 + t[0] + t[1]]) - b
-        # Newton on nu = mid - rad, both extremes at once; at rad = 0
-        # (M a multiple of I) nu' is the smaller eigenvalue of M'
-        Q0, Q1, Q2 = (X[:, None] for X in Q)
-        for _ in range(2):
-            M = (Q2 * lam + Q1) * lam + Q0
-            dM = 2.0 * Q2 * lam + Q1
-            half, dhalf = 0.5 * (M[0] - M[1]), 0.5 * (dM[0] - dM[1])
-            rad = np.hypot(half, M[2])
-            nu = 0.5 * (M[0] + M[1]) - rad
-            drad = np.hypot(dhalf, dM[2], where=rad == 0.0,
-                            out=(half * dhalf + M[2] * dM[2]) / rad)
-            new = lam - nu / (0.5 * (dM[0] + dM[1]) - drad)
+        # lambda = y - b, b = tr X / 4: M = y^2 I + y D - E for D = X - 2b I
+        # = [[d, x12], [x12, -d]], E = N + b X - b^2 I; det M = y^4 - P y^2
+        # + q y + r
+        b, d = 0.25 * (x11 + x22), 0.5 * (x11 - x22)
+        bb, dx = b * b, d * d + x12 * x12
+        e11 = y11 * y11 + b * x11 - bb
+        e22 = y21 * y21 + y22 * y22 + b * x22 - bb
+        e12 = y11 * y21 + b * x12
+        P = dx + e11 + e22
+        q = d * (e11 - e22) + 2.0 * x12 * e12
+        r = e11 * e22 - e12 * e12
+        # roots +-t0 +-t1 +-t2 with product -q/8, t_j^2 = z_j the roots
+        # z0 >= z1 >= z2 >= 0 of the resolvent z^3 - (P/2) z^2 + (P^2 -
+        # 4r)/16 z - q^2/64; x = 6z - P solves 4x^3 - 3k x = c for k = P^2
+        # + 12r, c = 27 q^2 / 2 - P (P^2 - 36r), so x_j = sqrt(k) cos(phi -
+        # 2 pi j / 3) with cos(3 phi) = c / k^(3/2), phi in [0, pi/3]
+        PP = P * P
+        m = np.sqrt(np.maximum(PP + 12.0 * r, 0.0))
+        c = 13.5 * q * q - P * (PP - 36.0 * r)
+        phi = np.arccos(np.minimum(np.maximum(
+            c / np.maximum(m * m * m, 1e-300), -1.0), 1.0)) / 3.0
+        mc, ms = m * np.cos(phi), (0.5 * math.sqrt(3.0)) * m * np.sin(phi)
+        z1 = P - 0.5 * mc
+        t = np.sqrt(np.maximum(np.array((mc + P, z1 + ms, z1 - ms)), 0.0) / 6.0)
+        sides = np.array([[-1.0], [1.0]])    # the half-line of each extreme
+        y = np.copysign(t[2], -q) + sides * (t[0] + t[1])
+        side_b = sides * b
+        # Newton on nu = mid - rad, both extremes at once: M's
+        # half-difference and off-diagonal entry are linear in y, and at
+        # rad = 0 (M a multiple of I) nu' is the smaller eigenvalue of M'
+        tol = 1e-8 * np.maximum(b - y[0], y[1] - b)
+        half0, mid0, flat = 0.5 * (e22 - e11), -0.5 * (e11 + e22), np.sqrt(dx)
+        for _ in range(3):
+            half, off = d * y + half0, x12 * y - e12
+            rad = np.sqrt(half * half + off * off)
+            drad = np.where(rad > 0.0, (half * d + off * x12) / rad, flat)
+            step = (y * y + mid0 - rad) / (2.0 * y - drad)
+            new = y - step
             # a step must stay finite and on its half-line
-            lam = np.where(np.isfinite(new) & (_SIDES * new > 0.0), new, lam)
-    ext = lam.T + V[:, None]
-    ext[~ok] = np.nan
-    return ext.reshape(shape + (2,))
+            y = np.where(np.isfinite(new) & (sides * new > side_b), new, y)
+            if np.all(np.abs(step) <= tol, where=cert.ok):
+                break
+    ext = (y - b + cert.V).T
+    ext[~cert.ok] = np.nan
+    return ext.reshape(cert.shape + (2,))

@@ -304,30 +304,37 @@ class SeparableAddedMass(PotentialModel):
 
     def _law(self, rho1, rho2, s1, s2, w, *outputs):
         """W (output 0), its gradient (1) and its Hessian (2), those asked
-        for in increasing order, from one evaluation of the phases and of a."""
+        for in increasing order, from one evaluation of the phases and of a;
+        a constant a leaves out the a-derivative terms, exact zeros."""
         e1, g1, cv1 = self._phase(1, rho1, s1)
         e2, g2, cv2 = self._phase(2, rho2, s2)
-        a, *da = self._a_derivs(rho1, rho2, outputs[-1])
+        varies = callable(self.params.a)
+        a, *da = self._a_derivs(rho1, rho2, outputs[-1] if varies else 0)
         w = np.asarray(w, dtype=float)
+        ww, re1, re2, ge1, ge2 = w ** 2, rho1 * e1, rho2 * e2, g1 * e1, g2 * e2
         out = []
         if 0 in outputs:
-            out.append(rho1 * e1 + rho2 * e2 - 0.5 * a * w ** 2)
+            out.append(re1 + re2 - 0.5 * a * ww)
         if 1 in outputs:
             out.append(np.stack(np.broadcast_arrays(
-                g1 * e1 - 0.5 * da[0] * w ** 2, g2 * e2 - 0.5 * da[1] * w ** 2,
-                rho1 * e1 / cv1, rho2 * e2 / cv2, -a * w)))
+                ge1 - 0.5 * da[0] * ww if varies else ge1,
+                ge2 - 0.5 * da[1] * ww if varies else ge2,
+                re1 / cv1, re2 / cv2, -a * w)))
         if 2 in outputs:
-            a1, a2, a11, a12, a22 = da
             H = np.zeros((5, 5) + np.broadcast(rho1, rho2, s1, s2, w).shape)
-            H[0, 0] = g1 * (g1 - 1.0) * e1 / rho1 - 0.5 * a11 * w ** 2
-            H[1, 1] = g2 * (g2 - 1.0) * e2 / rho2 - 0.5 * a22 * w ** 2
-            H[0, 1] = H[1, 0] = -0.5 * a12 * w ** 2
-            H[0, 2] = H[2, 0] = g1 * e1 / cv1
-            H[1, 3] = H[3, 1] = g2 * e2 / cv2
-            H[2, 2] = rho1 * e1 / cv1 ** 2
-            H[3, 3] = rho2 * e2 / cv2 ** 2
-            H[0, 4] = H[4, 0] = -a1 * w
-            H[1, 4] = H[4, 1] = -a2 * w
+            H[0, 0] = g1 * (g1 - 1.0) * e1 / rho1
+            H[1, 1] = g2 * (g2 - 1.0) * e2 / rho2
+            if varies:
+                a1, a2, a11, a12, a22 = da
+                H[0, 0] -= 0.5 * a11 * ww
+                H[1, 1] -= 0.5 * a22 * ww
+                H[0, 1] = H[1, 0] = -0.5 * a12 * ww
+                H[0, 4] = H[4, 0] = -a1 * w
+                H[1, 4] = H[4, 1] = -a2 * w
+            H[0, 2] = H[2, 0] = ge1 / cv1
+            H[1, 3] = H[3, 1] = ge2 / cv2
+            H[2, 2] = re1 / cv1 ** 2
+            H[3, 3] = re2 / cv2 ** 2
             H[4, 4] = -a
             out.append(H)
         return out

@@ -22,9 +22,11 @@ a failure becomes a :class:`StepError` naming the first failing cell),
 evaluates the potential once, W, its gradient and its Hessian in one pass
 of the law (:meth:`PotentialModel.derivatives`, read by the report, the
 heat cap, the drag update and the certificate), checks the temperatures
-once and certifies hyperbolicity once; the Rusanov speed, the CFL step
-(extreme speeds in closed form, no eigensolve) and the report's min-eig(A)
-all read that stage's certificate.
+once and certifies hyperbolicity once, reducing the speeds' quadratic
+eigenproblem once to a monic 2x2 pencil; the Rusanov speed and the CFL
+step (the extreme speeds of the pencil in closed form, polished by at most
+three Newton steps, no eigensolve) and the report's min-eig(A) all read
+that stage's certificate.
 
 A stage is one (6, n) array, a row per field in the order (rho1, rho2, K1,
 K2, s1, s2) and a column per cell, and its rates are another.  The state,
@@ -152,13 +154,14 @@ def _extend(arr, bc: str) -> np.ndarray:
 def _cell_speeds(cert, t: float | None = None):
     """Max |lambda| per cell of the certificate ``cert``, from the extreme
     speeds alone; errors on hyperbolicity loss."""
-    _, ok, margin, _, _ = cert
-    if not np.all(ok):
-        cell = int(np.argmin(ok))
+    if not np.all(cert.ok):
+        cell = int(np.argmin(cert.ok))
+        margin = float(hyperbolicity._margin(cert)[cell])
         raise NonHyperbolicError(
             f"cell {cell} left the hyperbolicity region "
-            f"(certificate margin {float(margin[cell]):g})", t=t, cell=cell)
-    return np.max(np.abs(hyperbolicity._extreme_speeds(cert)), axis=-1)
+            f"(certificate margin {margin:g})", t=t, cell=cell)
+    ext = np.abs(hyperbolicity._extreme_speeds(cert))
+    return np.maximum(ext[..., 0], ext[..., 1])
 
 
 _FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")
@@ -179,7 +182,8 @@ class RHSResult:
     ``zeta`` (the drag coefficient, f1 = zeta w) and ``dZ_dw`` (the slope
     1 - (1/rho1 + 1/rho2) W_ww of Z = K2 - K1 in w).  The heat exchange is
     in the s rows.  ``smax`` and the report read the stage's hyperbolicity
-    certificate ``certificate`` (:func:`hyperbolicity._certified_frame`).
+    certificate ``certificate`` (:func:`hyperbolicity._certified_frame`),
+    kept without its pencil, which only the speeds read.
     """
 
     rates: np.ndarray
@@ -226,6 +230,7 @@ def assemble_rhs(config: SimulationConfig, cells: EvolvedState,
                                           p.u2)
     del H  # not held through the speeds, the stage's peak of memory
     smax = _cell_speeds(cert, t=t)
+    cert = cert._replace(pencil=None)  # not held with the stage either
 
     omega1, omega2 = config.omega_at_centers
     R1 = 0.5 * p.u1 ** 2 - th.W_rho1 - omega1

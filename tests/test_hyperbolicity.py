@@ -7,9 +7,9 @@ from hypothesis import assume, given, strategies as st
 
 from twofluid import hyperbolicity
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
-                                    _extreme_speeds,
+                                    _extreme_speeds, _margin,
                                     _forward_maps, _lagrangian_hessian,
-                                    _law_hessian,
+                                    _law_hessian, _scaled_margin,
                                     _symmetric_system,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
@@ -22,6 +22,8 @@ from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
 from twofluid.potential import (RHO_FLOOR, AdmissibilityError,
                                 PotentialModel, SeparableAddedMass,
                                 SeparableAddedMassParams, evaluate)
+from twofluid.solver import (Grid1D, SimulationConfig, assemble_rhs,
+                             evolved_from_primitive_profiles)
 from twofluid.state import ConvergenceError, PrimitiveState
 
 from conftest import CoupledInW, CoupledInWGradient, certify, count_calls
@@ -516,7 +518,7 @@ class TestCertificate:
                  a=lambda r1, r2: a * r1 * r2 / (r1 + r2)),
              "cross_coupled": CrossCoupled}[law]()
         cert = certify(m, *np.array(states).T)
-        _, ok, margin, _, _ = cert
+        ok, margin = cert.ok, _margin(cert)
         clear = np.abs(margin) > 1e-9
         min_eig = min_eig_A_batch(cert)
         assert np.array_equal((min_eig > 0.0)[clear], ok[clear])
@@ -529,17 +531,19 @@ class TestCertificate:
         # those of each retried state, from its own H and W_w, in its frame
         m = make_model(a=a)
         state = random_lab_states(np.random.default_rng(61), 2000)
-        V, ok, margin, R, _ = certify(m, *state)
+        cert = certify(m, *state)
+        V, ok, margin, R = cert.V, cert.ok, _margin(cert), cert.R
         rho1, rho2, u1, u2, s1, s2 = state
         moved = np.flatnonzero(V != 0.0)
         assert moved.size > 100
-        ok_ref, margin_ref, ref = _certificate(
+        ok_ref, _, ref = _certificate(
             *_law_hessian(m, rho1, rho2, s1, s2, u2 - u1), rho1, rho2, u1, u2,
             V)
+        margin_ref = _scaled_margin(ref)
         assert np.array_equal(R[:, moved], ref[:, moved])
         assert np.array_equal(ok[moved], ok_ref[moved])
         assert np.array_equal(margin[moved], np.maximum(
-            certificate(m, *state, 0.0)[1], margin_ref)[moved])
+            _scaled_margin(certificate(m, *state, 0.0)[2]), margin_ref)[moved])
 
     def test_min_eig_A_reuses_the_certificate_rows(self, monkeypatch):
         # on lab-certified states the certificate makes the one law pass,
@@ -620,47 +624,46 @@ class TestCharacteristicSpeeds:
 
 def extreme_speeds_reference(cert):
     """:func:`_extreme_speeds` with the rad = 0 fallback of the Newton
-    polish evaluated over every state and picked by ``np.where``."""
-    V, ok, _, R, shape = cert
-    Q = np.empty((3,) + R[:3].shape)
-    Q[0], Q[2] = R[:3], R[7:]
-    np.multiply(R[3:5], 2.0, out=Q[1, :2])
-    np.add(R[5], R[6], out=Q[1, 2])
+    polish evaluated over every state at every step and picked by
+    ``np.where``."""
+    x11, x22, x12, y11, y21, y22 = cert.pencil
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P = Q[:, None, 0] * Q[None, :, 1] - Q[:, None, 2] * Q[None, :, 2]
-        a3, a2, a1, a0 = np.stack([P[1, 2] + P[2, 1],
-                                   P[0, 2] + P[1, 1] + P[2, 0],
-                                   P[0, 1] + P[1, 0], P[0, 0]]) / P[2, 2]
-        b = 0.25 * a3
-        bb = b * b
-        p = a2 - 6.0 * bb
-        q = a1 - 2.0 * b * a2 + 8.0 * b * bb
-        r = a0 - b * a1 + bb * (a2 - 3.0 * bb)
-        e1 = -(p * p + 12.0 * r) / 48.0
-        e0 = p * (36.0 * r - p * p) / 864.0 - q * q / 64.0
-        m = 2.0 * np.sqrt(np.maximum(-e1 / 3.0, 0.0))
-        phi = np.arccos(np.clip(-4.0 * e0 / np.maximum(m * m * m, 1e-300),
-                                -1.0, 1.0)) / 3.0
-        thirds = np.array([[0.0], [2.0 * np.pi / 3.0], [4.0 * np.pi / 3.0]])
-        t = np.sqrt(np.maximum(m * np.cos(phi - thirds) - p / 6.0, 0.0))
-        t2 = np.where(q > 0.0, -t[2], t[2])
-        lam = np.stack([t2 - t[0] - t[1], t2 + t[0] + t[1]]) - b
-        Q0, Q1, Q2 = (X[:, None] for X in Q)
-        for _ in range(2):
-            M = (Q2 * lam + Q1) * lam + Q0
-            dM = 2.0 * Q2 * lam + Q1
-            half, dhalf = 0.5 * (M[0] - M[1]), 0.5 * (dM[0] - dM[1])
-            rad = np.hypot(half, M[2])
-            nu = 0.5 * (M[0] + M[1]) - rad
-            drad = np.where(rad > 0.0, (half * dhalf + M[2] * dM[2]) / rad,
-                            np.hypot(dhalf, dM[2]))
-            new = lam - nu / (0.5 * (dM[0] + dM[1]) - drad)
-            lam = np.where(np.isfinite(new)
-                           & (np.array([[-1.0], [1.0]]) * new > 0.0),
-                           new, lam)
-    ext = lam.T + V[:, None]
-    ext[~ok] = np.nan
-    return ext.reshape(shape + (2,))
+        b, d = 0.25 * (x11 + x22), 0.5 * (x11 - x22)
+        bb, dx = b * b, d * d + x12 * x12
+        e11 = y11 * y11 + b * x11 - bb
+        e22 = y21 * y21 + y22 * y22 + b * x22 - bb
+        e12 = y11 * y21 + b * x12
+        P = dx + e11 + e22
+        q = d * (e11 - e22) + 2.0 * x12 * e12
+        r = e11 * e22 - e12 * e12
+        PP = P * P
+        m = np.sqrt(np.maximum(PP + 12.0 * r, 0.0))
+        c = 13.5 * q * q - P * (PP - 36.0 * r)
+        phi = np.arccos(np.clip(c / np.maximum(m * m * m, 1e-300), -1.0,
+                                1.0)) / 3.0
+        mc, ms = m * np.cos(phi), (0.5 * np.sqrt(3.0)) * m * np.sin(phi)
+        z1 = P - 0.5 * mc
+        t = np.sqrt(np.maximum(np.stack([mc + P, z1 + ms, z1 - ms]), 0.0)
+                    / 6.0)
+        t2 = np.copysign(t[2], -q)
+        y = np.stack([t2 - (t[0] + t[1]), t2 + (t[0] + t[1])])
+        tol = 1e-8 * np.maximum(b - y[0], y[1] - b)
+        sides = np.array([[-1.0], [1.0]])
+        for _ in range(3):
+            half = d * y + 0.5 * (e22 - e11)
+            off = x12 * y - e12
+            rad = np.sqrt(half * half + off * off)
+            drad = np.where(rad > 0.0, (half * d + off * x12) / rad,
+                            np.sqrt(d * d + x12 * x12))
+            step = (y * y + -0.5 * (e11 + e22) - rad) / (2.0 * y - drad)
+            new = y - step
+            y = np.where(np.isfinite(new) & (sides * new > sides * b), new,
+                         y)
+            if np.all((np.abs(step) <= tol)[:, cert.ok]):
+                break
+    ext = (y - b + cert.V).T
+    ext[~cert.ok] = np.nan
+    return ext.reshape(cert.shape + (2,))
 
 
 def random_lab_states(rng, n):
@@ -679,7 +682,7 @@ class TestExtremeSpeeds:
     @staticmethod
     def assert_matches_eigensolve(m, *state):
         cert = certify(m, *state)
-        ext, (ok, margin) = _extreme_speeds(cert), cert[1:3]
+        ext, ok, margin = _extreme_speeds(cert), cert.ok, _margin(cert)
         speeds, ok_ref, margin_ref = wave_speeds_batch(m, *state)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(margin, margin_ref)
@@ -747,6 +750,31 @@ class TestExtremeSpeeds:
         assert np.array_equal(_extreme_speeds(cert),
                               extreme_speeds_reference(cert), equal_nan=True)
 
+    @pytest.mark.parametrize("law", ["a_0", "a_0.2", "coupled_in_w"])
+    def test_nearly_identical_phases(self, law):
+        # the polish's stop rule: identical phases pulled apart by a
+        # relative gap of 1e-12 to 1e-1 in density, velocity or entropy,
+        # where the speeds of the two phases nearly coincide; each state on
+        # its own (no other state forces a further step), then in one batch
+        m = {"a_0": lambda: SeparableAddedMass(SeparableAddedMassParams(
+                 gamma1=1.6, gamma2=1.6, a=0.0)),
+             "a_0.2": lambda: SeparableAddedMass(SeparableAddedMassParams(
+                 gamma1=1.6, gamma2=1.6, a=0.2)),
+             "coupled_in_w": CoupledInW}[law]()
+        rng = np.random.default_rng(59)
+        rho, u, s = (rng.uniform(0.1, 3.0, 4), rng.normal(0.0, 1.0, 4),
+                     rng.uniform(-0.3, 0.3, 4))
+        states = []
+        for gap in 10.0 ** np.arange(-12.0, 0.0):
+            states += [(rho, rho * (1.0 + gap), u, u, s, s),
+                       (rho, rho, u, u + gap * np.maximum(1.0, np.abs(u)),
+                        s, s),
+                       (rho, rho, u, u, s, s + gap)]
+        batch = np.concatenate(states, axis=1)
+        for state in batch.T:
+            assert np.all(self.assert_matches_eigensolve(m, *state[:, None]))
+        assert np.all(self.assert_matches_eigensolve(m, *batch))
+
     def test_states_certified_only_at_zero_mixture_momentum(self):
         m = make_model(a=0.4)
         state = random_lab_states(np.random.default_rng(53), 20000)
@@ -802,6 +830,47 @@ class TestExtremeSpeeds:
         ext, boosted = _extreme_speeds(cert), _extreme_speeds(boosted_cert)
         scale = max(np.max(np.abs(ext)), np.max(np.abs(boosted)))
         assert np.max(np.abs(boosted - ext[0] - boost)) <= 1e-12 * scale
+
+
+class TestOneReduction:
+    """One reduction of the pencil (:func:`hyperbolicity._pencil`) per set
+    of states, its zero-mixture-momentum retry included."""
+
+    @staticmethod
+    def count_reductions(monkeypatch):
+        calls, pencil = [], hyperbolicity._pencil
+
+        def counted(R, L):
+            calls.append(R.shape[1])
+            return pencil(R, L)
+
+        monkeypatch.setattr(hyperbolicity, "_pencil", counted)
+        return calls
+
+    def test_one_reduction_per_solver_stage(self, monkeypatch):
+        # a common velocity rising across the grid: the lab frame certifies
+        # the slow cells, the zero-mixture-momentum frame the fast ones
+        m = make_model(a=0.3)
+        grid = Grid1D(0.0, 1.0, 32)
+        cells = evolved_from_primitive_profiles(
+            m, grid, rho1=lambda x: 1.0 + 0.03 * np.sin(2 * np.pi * x),
+            rho2=lambda x: 0.8 + 0.02 * np.cos(2 * np.pi * x),
+            u1=lambda x: 1.5 * x, u2=lambda x: 1.5 * x + 0.05, s1=0.0,
+            s2=0.1)
+        calls = self.count_reductions(monkeypatch)
+        rhs = assemble_rhs(SimulationConfig(grid=grid, model=m), cells)
+        V = rhs.certificate.V
+        assert np.all(rhs.certificate.ok)
+        assert 0 < np.sum(V != 0.0) < grid.n
+        assert calls == [grid.n]
+
+    def test_one_reduction_per_map(self, monkeypatch):
+        calls = self.count_reductions(monkeypatch)
+        maps = map_hyperbolic_region(
+            make_model(a=0.2), np.linspace(0.5, 1.5, 8),
+            np.linspace(0.5, 1.5, 8), np.linspace(0.0, 2.5, 10))
+        assert calls == [640]
+        assert 0 < maps.hyperbolic.sum() < 640
 
 
 class TestStabilityInequalities:
