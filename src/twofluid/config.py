@@ -13,7 +13,8 @@ integrates once through them), and every grid size is at least 4 and
 divides the reference grid of ``reduce-check``, ``ref_factor`` times the
 largest.  So are the scenario ranges: every count (``n_fields``,
 ``n_rho1``, ``n_rho2``, ``n_w``, ``ref_factor``) is at least 1,
-``t_lo <= t_hi``, and ``theta_bound`` and ``[run] theta0`` are positive.
+``t_lo <= t_hi``, and ``theta_bound``, ``[run] theta0`` and the density
+bounds of ``[hyperbolicity]`` are positive.  Every number is finite.
 
 Initial profiles and external potentials are given as expressions in x
 (e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
@@ -188,9 +189,15 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise _range_error(cfg, section, key, "must be at least 1")
     if cfg.getfloat("gibbs", "t_hi") < cfg.getfloat("gibbs", "t_lo"):
         raise _range_error(cfg, "gibbs", "t_hi", "must not be below t_lo")
-    for section, key in (("fick", "theta_bound"), ("run", "theta0")):
+    for section, key in (("fick", "theta_bound"), ("run", "theta0"),
+                         ("hyperbolicity", "rho1_min"),
+                         ("hyperbolicity", "rho1_max"),
+                         ("hyperbolicity", "rho2_min"),
+                         ("hyperbolicity", "rho2_max")):
         if cfg.getfloat(section, key) <= 0.0:
             raise _range_error(cfg, section, key, "must be positive")
+    for key in ("w_min", "w_max", "s1", "s2"):
+        cfg.getfloat("hyperbolicity", key)
     ref_n = cfg.getint("reduce", "ref_factor") * max(n_values)
     if any(ref_n % n for n in n_values):
         raise ConfigError(

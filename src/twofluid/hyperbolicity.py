@@ -29,17 +29,16 @@ and L_jj (11, 22, 12) of each state.  With these 2x2 blocks
 so A is positive definite exactly when -L_rr and L_jj are: a closed-form
 2x2 Cholesky of the two blocks certifies hyperbolicity.  The speeds are
 Galilean covariant but A is not (a phase that outruns its sound speed
-fails in the lab frame), so a state the lab frame does not certify is
-tried again at zero mixture momentum, with the same H and W_w.  Each set
-of states is certified once (:func:`_certified_frame`), with one
-reduction of the speeds' problem det M(lambda) = 0, M(lambda) = lambda^2
-L_jj + lambda (L_rj + L_jr) + L_rr: for F_j F_j^T = L_jj, F_r F_r^T =
--L_rr and G = F_j^-1, G M G^T = lambda^2 I + lambda X - N with X = G
-(L_rj + L_jr) G^T, N = Y Y^T and Y = G F_r.  The map's sorted speeds are
-the eigenvalues of S = [[-X, Y], [Y^T, 0]] (:func:`wave_speeds_batch`);
-the solver's extreme speeds come from the quartic det M in closed form,
-polished by Newton (:func:`_extreme_speeds`).  The decoupled (a = 0) case
-has a closed-form oracle.
+fails in the lab frame), so a state the lab frame does not certify and
+whose mixture momentum is not round-off is tried again at zero mixture
+momentum, with the same H and W_w; its margin and min-eig(A) read the
+rows of the frame it keeps.  Each set of states (flat arrays) is certified
+once (:func:`_certified_frame`), with one reduction of det M(lambda) = 0,
+M(lambda) = lambda^2 L_jj + lambda (L_rj + L_jr) + L_rr: for F_j F_j^T =
+L_jj, F_r F_r^T = -L_rr and G = F_j^-1, G M G^T = lambda^2 I + lambda X -
+N with X = G (L_rj + L_jr) G^T, N = Y Y^T and Y = G F_r.  One root-finder
+of the quartic det M (:func:`_speeds`) gives the solver's extreme pair and
+the map's four speeds.  The decoupled (a = 0) case has a closed-form oracle.
 
 The critical relative velocity w*, where the certificate first fails in
 the zero-mixture-momentum frame, comes in closed form for the built-in
@@ -331,27 +330,30 @@ def map_hyperbolic_region(model: PotentialModel, rho1_vals, rho2_vals, w_vals,
     ineq = check_stability_inequalities(model, p, H)
     maps.ineq1, maps.ineq2, maps.ineq3 = ineq.ineq1, ineq.ineq2, ineq.ineq3
     cert = _certified_frame(H, Ww, r1, r2, p.u1, p.u2)
-    maps.hyperbolic, maps.speeds = cert.ok, _speeds(cert)
+    del H, ineq  # not held through the speeds, the map's peak of memory
+    maps.hyperbolic, maps.speeds = cert.ok, _speeds(cert, range(4))
     maps.min_eig_A = min_eig_A_batch(cert)
     return maps
 
 
+#: Sub-intervals per pass of the w* scan, and its relative width at the end.
+N_SCAN, SCAN_REL_TOL = 64, 1e-6
+
+
 def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
                                s1: float = 0.0, s2: float = 0.0,
-                               w_max: float = 20.0, n_scan: int = 64,
-                               rel_tol: float = 1e-6):
+                               w_max: float = 20.0):
     """The w* where the hyperbolicity certificate fails at fixed densities.
 
     States are taken in the zero-mixture-momentum frame.  Returns 0.0 if
     the certificate already fails at w = 0, and None if it holds up to
     ``w_max`` (positive and finite).  For a :class:`SeparableAddedMass`
     (not a subclass, which may change how W depends on w) w* is taken in
-    closed form, and ``n_scan`` and ``rel_tol`` do not apply.  For any
-    other law each pass of a scan evaluates the certificate at
-    ``n_scan + 1`` evenly spaced w in [lo, hi] in one batched call and
-    keeps the first sub-interval on which it fails, starting from
-    [0, ``w_max``], until it is narrower than ``rel_tol`` times its upper
-    end, and returns its midpoint.
+    closed form.  For any other law each pass of a scan evaluates the
+    certificate at ``N_SCAN + 1`` evenly spaced w in [lo, hi] in one
+    batched call and keeps the first sub-interval on which it fails,
+    starting from [0, ``w_max``], until it is narrower than
+    ``SCAN_REL_TOL`` times its upper end, and returns its midpoint.
     """
     if not 0.0 < w_max < math.inf:
         raise ValueError(f"w_max must be positive and finite; got {w_max!r}")
@@ -373,8 +375,8 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
         mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
         return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
     lo, hi = 0.0, float(w_max)
-    while hi - lo > rel_tol * hi:
-        ws = np.linspace(lo, hi, n_scan + 1)
+    while hi - lo > SCAN_REL_TOL * hi:
+        ws = np.linspace(lo, hi, N_SCAN + 1)
         failed = np.flatnonzero(~_certificate(
             *_law_hessian(model, rho1, rho2, s1, s2, ws), rho1, rho2,
             -rho2 * ws / rho, rho1 * ws / rho, 0.0)[0])
@@ -504,70 +506,38 @@ def _pencil(R, L):
         return np.array(X + (g11 * h11, g21 * h11 + g22 * h21, g22 * h22))
 
 
-#: A certificate (:func:`_certified_frame`) of states flattened from the
-#: shape ``shape``: per state the frame velocity ``V`` (0 for the lab frame),
-#: ``ok``, and in that frame the :func:`_pencil` rows ``pencil`` and the
-#: Hess-L rows ``R``; ``lab_margin``, the lab frame's margin of ``retried``.
-Certificate = namedtuple("Certificate",
-                         "V ok pencil R shape retried lab_margin")
+#: The record of :func:`_certified_frame`, per state: the frame velocity ``V``
+#: (0: lab), ``ok`` and, in that frame, the rows ``pencil`` and Hess-L ``R``.
+Certificate = namedtuple("Certificate", "V ok pencil R")
 
 
 def _certified_frame(H, Ww, rho1, rho2, u1, u2):
-    """The :data:`Certificate` of a set of states from the law's Hessian
-    ``H`` and ``Ww`` at w = u2 - u1: in the lab frame, retried at zero
-    mixture momentum (frame velocity V) where it fails there unless V = 0,
-    which would rebuild the same rows; one pencil, in each state's frame."""
-    Www, *state = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in (
-        H[4, 4], Ww, rho1, rho2, u1, u2)])
-    shape = Www.shape
-    H = np.broadcast_to(H, (5, 5) + shape).reshape(5, 5, -1)
-    Ww, rho1, rho2, u1, u2 = (a.ravel() for a in state)
-    V = np.zeros(rho1.size)
-    ok, L, R = _certificate(H, Ww, rho1, rho2, u1, u2, V)
-    retry, lab_margin = np.flatnonzero(~ok), np.empty(0)
+    """The :data:`Certificate` of states (flat, equal-length arrays) from the
+    law's ``H`` and ``Ww`` at w = u2 - u1: in the lab frame, retried at zero
+    mixture momentum (frame velocity V) where it fails unless rho1 u1 + rho2
+    u2 is round-off, at most 4 eps (|rho1 u1| + |rho2 u2|); one pencil."""
+    ok, L, R = _certificate(H, Ww, rho1, rho2, u1, u2, 0.0)
+    V = np.zeros(ok.shape)
+    retry = np.flatnonzero(~ok)
+    if retry.size:
+        j1, j2 = rho1[retry] * u1[retry], rho2[retry] * u2[retry]
+        retry = retry[np.abs(j1 + j2) > 4.0 * np.finfo(float).eps
+                      * (np.abs(j1) + np.abs(j2))]
     if retry.size:
         V[retry] = ((rho1[retry] * u1[retry] + rho2[retry] * u2[retry])
                     / (rho1[retry] + rho2[retry]))
-        retry = retry[V[retry] != 0.0]
-        lab_margin = _scaled_margin(R[:, retry])
         ok[retry], L[..., retry], R[:, retry] = _certificate(
             H[..., retry], *(a[retry] for a in (Ww, rho1, rho2, u1, u2, V)))
-    return Certificate(V, ok, _pencil(R, L), R, shape, retry, lab_margin)
-
-
-def _margin(cert):
-    """The :func:`_scaled_margin` per state of ``cert``, flat, in the frame
-    used (for a retried state the larger of it and the lab frame's)."""
-    margin, retried = _scaled_margin(cert.R), cert.retried
-    margin[retried] = np.maximum(cert.lab_margin, margin[retried])
-    return margin
+    return Certificate(V, ok, _pencil(R, L), R)
 
 
 def min_eig_A_batch(cert):
-    """min-eig(A) per state of the certificate ``cert`` of
-    :func:`_certified_frame`, from its rows, in the frame it used; NaN
-    where A is undefined (singular L_rr)."""
+    """min-eig(A) per state of the :data:`Certificate` ``cert``, from its
+    rows, in its frame; NaN where A is undefined (singular L_rr)."""
     A = _symmetric_system(cert.R)
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     eig = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
-    return np.where(finite, eig[..., 0], np.nan).reshape(cert.shape)
-
-
-def _speeds(cert):
-    """Sorted speeds per state of the certificate ``cert``, the eigenvalues
-    of S = [[-X, Y], [Y^T, 0]] of its pencil by one symmetric eigensolve;
-    NaN where the certificate fails."""
-    x11, x22, x12, y11, y21, y22 = cert.pencil
-    S = np.zeros(cert.V.shape + (4, 4))
-    S[..., 0, 0], S[..., 1, 1] = -x11, -x22
-    S[..., 0, 1] = S[..., 1, 0] = -x12
-    S[..., 0, 2] = S[..., 2, 0] = y11
-    S[..., 1, 2] = S[..., 2, 1] = y21
-    S[..., 1, 3] = S[..., 3, 1] = y22
-    S[~cert.ok] = 0.0
-    speeds = np.linalg.eigvalsh(S) + cert.V[:, None]
-    speeds[~cert.ok] = np.nan
-    return speeds.reshape(cert.shape + (4,))
+    return np.where(finite, eig[..., 0], np.nan)
 
 
 def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
@@ -576,28 +546,38 @@ def wave_speeds_batch(model: PotentialModel, rho1, rho2, u1, u2, s1, s2):
     ``ok_mask`` is the block-Cholesky hyperbolicity certificate: A = Hess G
     positive definite in the lab frame or, failing that, in the
     zero-mixture-momentum frame.  ``margin`` is the scale-free distance to
-    losing it in the frame used, > 0 exactly where ``ok_mask`` holds.
-    Speeds are sorted; they are NaN where the certificate fails.
+    losing it in the frame min-eig(A) is read in, > 0 exactly where
+    ``ok_mask`` holds.  Speeds are sorted, NaN where the certificate fails;
+    the states broadcast to the outputs' shape.
     """
-    cert = _certified_frame(*_law_hessian(
-        model, rho1, rho2, s1, s2, np.subtract(u2, u1)), rho1, rho2, u1, u2)
-    return (_speeds(cert), cert.ok.reshape(cert.shape),
-            _margin(cert).reshape(cert.shape))
+    state = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in (
+        rho1, rho2, u1, u2, s1, s2)])
+    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in state)
+    cert = _certified_frame(*_law_hessian(model, rho1, rho2, s1, s2, u2 - u1),
+                            rho1, rho2, u1, u2)
+    shape = state[0].shape
+    return (_speeds(cert, range(4)).reshape(shape + (4,)),
+            cert.ok.reshape(shape), _scaled_margin(cert.R).reshape(shape))
 
 
-def _extreme_speeds(cert):
-    """Smallest and largest speed per state of the certificate ``cert``
-    (``[..., 0]`` and ``[..., 1]``, NaN where it fails), without an
-    eigensolve.  In the certifying frame the speeds are the roots of det
-    M(lambda), M(lambda) = lambda^2 I + lambda X - N the pencil, two of each
-    sign (Sylvester's law of inertia), so the smaller eigenvalue nu of M
-    has one simple zero on each half-line, at the extreme root there, also
-    where det M has a double root.  Those roots are taken in closed form
-    (Euler's resolvent cubic, in trigonometric form) and polished by Newton
-    on nu, at most three steps, until no certified state's step exceeds
-    1e-8 of its largest speed; the error left is of the order of its square.
-    """
+#: Per root of det M in increasing order, its half-line and the eigenvalue
+#: of M that vanishes there (-1 the smaller, +1 the larger).
+_ROOTS = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
+
+
+def _speeds(cert, rows=(0, 3)):
+    """The speeds ``rows`` of the four sorted ones (by default the outer
+    pair), a row per state of the certificate ``cert``, NaN where it fails.
+    In the certifying frame they are the roots of det M, M(lambda) =
+    lambda^2 I + lambda X - N the pencil, two of each sign, and M(0) = -N <
+    0: the smaller eigenvalue of M vanishes once on each half-line at the
+    outer root, the larger at the inner one, also at double roots.  Roots
+    in closed form (Euler's resolvent cubic) are polished by Newton on that
+    eigenvalue, each until its first step within 1e-8 of its state's
+    largest speed (at most three): the error left is of the order of its
+    square, and no state's speeds depend on the others'."""
     x11, x22, x12, y11, y21, y22 = cert.pencil
+    side, branch = _ROOTS[:, rows, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # lambda = y - b, b = tr X / 4: M = y^2 I + y D - E for D = X - 2b I
         # = [[d, x12], [x12, -d]], E = N + b X - b^2 I; det M = y^4 - P y^2
@@ -623,24 +603,29 @@ def _extreme_speeds(cert):
         mc, ms = m * np.cos(phi), (0.5 * math.sqrt(3.0)) * m * np.sin(phi)
         z1 = P - 0.5 * mc
         t = np.sqrt(np.maximum(np.array((mc + P, z1 + ms, z1 - ms)), 0.0) / 6.0)
-        sides = np.array([[-1.0], [1.0]])    # the half-line of each extreme
-        y = np.copysign(t[2], -q) + sides * (t[0] + t[1])
-        side_b = sides * b
-        # Newton on nu = mid - rad, both extremes at once: M's
-        # half-difference and off-diagonal entry are linear in y, and at
-        # rad = 0 (M a multiple of I) nu' is the smaller eigenvalue of M'
-        tol = 1e-8 * np.maximum(b - y[0], y[1] - b)
-        half0, mid0, flat = 0.5 * (e22 - e11), -0.5 * (e11 + e22), np.sqrt(dx)
+        # with s = sign(-q), the outer roots s t2 -+ (t0 + t1) and the
+        # inner ones -s t2 -+ (t0 - t1), in increasing order
+        st2, t01 = np.copysign(t[2], -q), t[0] + t[1]
+        y = -branch * st2 + side * (t[0] - branch * t[1])
+        # Newton on mid + rad, rad signed by the branch: M's half-difference
+        # and off-diagonal entry are linear in y, and at rad = 0 (M a
+        # multiple of I) each eigenvalue's derivative is that of 2y I + D
+        tol = 1e-8 * np.maximum(b - (st2 - t01), st2 + t01 - b)
+        half0, mid0 = 0.5 * (e22 - e11), -0.5 * (e11 + e22)
+        flat, side_b = branch * np.sqrt(dx), side * b
+        active = np.broadcast_to(cert.ok, y.shape).copy()
         for _ in range(3):
             half, off = d * y + half0, x12 * y - e12
-            rad = np.sqrt(half * half + off * off)
-            drad = np.where(rad > 0.0, (half * d + off * x12) / rad, flat)
-            step = (y * y + mid0 - rad) / (2.0 * y - drad)
+            rad = branch * np.sqrt(half * half + off * off)
+            drad = np.where(rad != 0.0, (half * d + off * x12) / rad, flat)
+            step = (y * y + mid0 + rad) / (2.0 * y + drad)
             new = y - step
-            # a step must stay finite and on its half-line
-            y = np.where(np.isfinite(new) & (sides * new > side_b), new, y)
-            if np.all(np.abs(step) <= tol, where=cert.ok):
+            # a step must stay finite and on its half-line, else it recurs
+            y = np.where(active & np.isfinite(new) & (side * new > side_b),
+                         new, y)
+            active &= np.abs(step) > tol
+            if not active.any():
                 break
-    ext = (y - b + cert.V).T
-    ext[~cert.ok] = np.nan
-    return ext.reshape(cert.shape + (2,))
+    speeds = (y - b + cert.V).T
+    speeds[~cert.ok] = np.nan
+    return speeds

@@ -24,9 +24,9 @@ of the law (:meth:`PotentialModel.derivatives`, read by the report, the
 heat cap, the drag update and the certificate), checks the temperatures
 once and certifies hyperbolicity once, reducing the speeds' quadratic
 eigenproblem once to a monic 2x2 pencil; the Rusanov speed and the CFL
-step (the extreme speeds of the pencil in closed form, polished by at most
-three Newton steps, no eigensolve) and the report's min-eig(A) all read
-that stage's certificate.
+step (the outer pair of the pencil's roots from the speed layer's one
+root-finder, no eigensolve), the report's min-eig(A) and the margin of a
+hyperbolicity error all read that stage's certificate.
 
 A stage is one (6, n) array, a row per field in the order (rho1, rho2, K1,
 K2, s1, s2) and a column per cell, and its rates are another.  The state,
@@ -153,15 +153,16 @@ def _extend(arr, bc: str) -> np.ndarray:
 
 def _cell_speeds(cert, t: float | None = None):
     """Max |lambda| per cell of the certificate ``cert``, from the extreme
-    speeds alone; errors on hyperbolicity loss."""
+    speeds alone; errors on hyperbolicity loss, with the margin of the
+    rows the report's min-eig(A) reads."""
     if not np.all(cert.ok):
         cell = int(np.argmin(cert.ok))
-        margin = float(hyperbolicity._margin(cert)[cell])
+        margin = float(hyperbolicity._scaled_margin(cert.R[:, cell]))
         raise NonHyperbolicError(
             f"cell {cell} left the hyperbolicity region "
             f"(certificate margin {margin:g})", t=t, cell=cell)
-    ext = np.abs(hyperbolicity._extreme_speeds(cert))
-    return np.maximum(ext[..., 0], ext[..., 1])
+    ext = np.abs(hyperbolicity._speeds(cert))
+    return np.maximum(ext[:, 0], ext[:, 1])
 
 
 _FIELDS = ("rho1", "rho2", "K1", "K2", "s1", "s2")

@@ -181,8 +181,11 @@ def gibbs_residual(model: PotentialModel, closures: ClosureParams,
          - rho1[0] * ddt(om1) - rho2[0] * ddt(om2))
     combination = (E - (M[0] * u1[0] + (K1[0] * u1[0] - R1[0]) * B[0])
                    - (M[1] * u2[0] + (K2[0] * u2[0] - R2[0]) * B[1]) - S)
-    work = forces.f1[0] * u1[0] + forces.f2[0] * u2[0]
-    sub = {"a": work - (forces.f1[0] * u1[0] + forces.f2[0] * u2[0])}
+    # the drag power of the momentum equations against the drag term of
+    # the entropy equations, sum f_a (u_a - u) (closures.entropy_sources)
+    f1, f2, u = forces.f1[0], forces.f2[0], mixture_aggregates(p).u[0]
+    uc1, uc2 = u1[0], u2[0]
+    sub = {"a": f1 * uc1 + f2 * uc2 - (f1 * (uc1 - u) + f2 * (uc2 - u))}
     sub.update((key, sum(terms)) for key, terms in parts.items())
     sub["f"] = ddt(i_star) * p.w[0] + sub["f"]
 
@@ -201,7 +204,8 @@ def balance_subidentities(model: PotentialModel, closures: ClosureParams,
                           h: float | Sequence[float]) -> Dict[str, ArrayLike]:
     """The six algebraic identities whose sum is the Gibbs identity.
 
-    a: drag-work cancellation (no derivatives; exact to round-off);
+    a: drag work, sum f_a u_a against sum f_a (u_a - u) (no derivatives;
+       zero to round-off for an antisymmetric pair f2 = -f1);
     b: external-potential bookkeeping;
     c: kinetic-energy bookkeeping;
     d: compression-work terms (dW/drho_a);

@@ -37,11 +37,13 @@ def count_calls(monkeypatch, owner, name):
 
 
 def certify(model, rho1, rho2, u1, u2, s1, s2):
-    """The hyperbolicity certificate of states given by their fields, from
-    the law's Hessian and W_w at w = u2 - u1, both from one law pass
-    (``model.derivatives``)."""
-    return _certified_frame(*_law_hessian(
-        model, rho1, rho2, s1, s2, np.subtract(u2, u1)), rho1, rho2, u1, u2)
+    """The hyperbolicity certificate of states given by their fields,
+    broadcast together and flattened, from the law's Hessian and W_w at
+    w = u2 - u1, both from one law pass (``model.derivatives``)."""
+    rho1, rho2, u1, u2, s1, s2 = (a.ravel() for a in np.broadcast_arrays(
+        *[np.asarray(a, dtype=float) for a in (rho1, rho2, u1, u2, s1, s2)]))
+    return _certified_frame(*_law_hessian(model, rho1, rho2, s1, s2, u2 - u1),
+                            rho1, rho2, u1, u2)
 
 
 class CoupledInW(PotentialModel):

@@ -346,6 +346,15 @@ class TestErrorPaths:
         assert main(["fick-relax", "--config", cfgp, "--out", str(out)]) == 1
         assert not (out / "diagnostics.json").exists()
 
+    def test_bad_map_density_exit_1(self, tmp_path):
+        # caught by the config check, not by the map's admissibility check
+        cfgp = write_config(tmp_path,
+                            BASE + "\n[hyperbolicity]\nrho1_min = 0.0\n")
+        out = tmp_path / "out"
+        assert main(["hyperbolicity-map", "--config", cfgp,
+                     "--out", str(out)]) == 1
+        assert not (out / "diagnostics.json").exists()
+
     def test_reference_grid_not_dividing_exit_1(self, tmp_path):
         # caught by the config check, before any integration
         text = (BASE.replace("gamma2 = 1.4", "gamma2 = 2.0")

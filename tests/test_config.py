@@ -113,6 +113,12 @@ class TestValidation:
         range_case("fick", "theta_bound = 0", "must be positive"),
         range_case("run", "theta0 = -1", "must be positive"),
         range_case("run", "theta0 = 0", "must be positive"),
+        range_case("hyperbolicity", "rho1_min = 0.0", "must be positive"),
+        range_case("hyperbolicity", "rho1_max = -1", "must be positive"),
+        range_case("hyperbolicity", "rho2_min = -0.5", "must be positive"),
+        range_case("hyperbolicity", "rho2_max = 0", "must be positive"),
+        ("hyperbolicity", "w_max = abc", "not a number"),
+        ("hyperbolicity", "s2 = abc", "not a number"),
     ])
     def test_bad_list_or_interval_rejected(self, section, line, match):
         with pytest.raises(ConfigError, match=match):
@@ -136,6 +142,9 @@ class TestValidation:
         ("closures", "k = nan"),
         ("potential", "a = inf"),
         ("gibbs", "h_values = 1e-2,inf"),
+        ("hyperbolicity", "rho2_max = inf"),
+        ("hyperbolicity", "w_min = nan"),
+        ("hyperbolicity", "s1 = -inf"),
     ])
     def test_non_finite_number_rejected(self, section, line):
         key, val = line.split(" = ")

@@ -7,9 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from twofluid import hyperbolicity
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
-                                    _extreme_speeds, _margin,
                                     _forward_maps, _lagrangian_hessian,
-                                    _law_hessian, _scaled_margin,
+                                    _law_hessian, _scaled_margin, _speeds,
                                     _symmetric_system,
                                     assemble_symmetric_system,
                                     characteristic_speeds,
@@ -518,7 +517,7 @@ class TestCertificate:
                  a=lambda r1, r2: a * r1 * r2 / (r1 + r2)),
              "cross_coupled": CrossCoupled}[law]()
         cert = certify(m, *np.array(states).T)
-        ok, margin = cert.ok, _margin(cert)
+        ok, margin = cert.ok, _scaled_margin(cert.R)
         clear = np.abs(margin) > 1e-9
         min_eig = min_eig_A_batch(cert)
         assert np.array_equal((min_eig > 0.0)[clear], ok[clear])
@@ -532,18 +531,15 @@ class TestCertificate:
         m = make_model(a=a)
         state = random_lab_states(np.random.default_rng(61), 2000)
         cert = certify(m, *state)
-        V, ok, margin, R = cert.V, cert.ok, _margin(cert), cert.R
+        V, ok, R = cert.V, cert.ok, cert.R
         rho1, rho2, u1, u2, s1, s2 = state
         moved = np.flatnonzero(V != 0.0)
         assert moved.size > 100
         ok_ref, _, ref = _certificate(
             *_law_hessian(m, rho1, rho2, s1, s2, u2 - u1), rho1, rho2, u1, u2,
             V)
-        margin_ref = _scaled_margin(ref)
         assert np.array_equal(R[:, moved], ref[:, moved])
         assert np.array_equal(ok[moved], ok_ref[moved])
-        assert np.array_equal(margin[moved], np.maximum(
-            _scaled_margin(certificate(m, *state, 0.0)[2]), margin_ref)[moved])
 
     def test_min_eig_A_reuses_the_certificate_rows(self, monkeypatch):
         # on lab-certified states the certificate makes the one law pass,
@@ -556,7 +552,7 @@ class TestCertificate:
         cert = certify(m, *state)
         assert np.all(cert[0] == 0.0)
         assert np.all(min_eig_A_batch(cert) > 0.0)
-        assert np.all(np.isfinite(_extreme_speeds(cert)))
+        assert np.all(np.isfinite(_speeds(cert, range(4))))
         assert calls == {"derivatives": [50], "hessian": [], "dW_dw": []}
 
 
@@ -622,10 +618,10 @@ class TestCharacteristicSpeeds:
         assert np.all(np.isfinite(speeds[posdef]))
 
 
-def extreme_speeds_reference(cert):
-    """:func:`_extreme_speeds` with the rad = 0 fallback of the Newton
-    polish evaluated over every state at every step and picked by
-    ``np.where``."""
+def speeds_reference(cert, rows=(0, 3)):
+    """:func:`_speeds` with the rad = 0 fallback of the Newton polish
+    evaluated over every root at every step and picked by ``np.where``,
+    and the roots and their half-lines written out."""
     x11, x22, x12, y11, y21, y22 = cert.pencil
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b, d = 0.25 * (x11 + x22), 0.5 * (x11 - x22)
@@ -646,24 +642,48 @@ def extreme_speeds_reference(cert):
         t = np.sqrt(np.maximum(np.stack([mc + P, z1 + ms, z1 - ms]), 0.0)
                     / 6.0)
         t2 = np.copysign(t[2], -q)
-        y = np.stack([t2 - (t[0] + t[1]), t2 + (t[0] + t[1])])
-        tol = 1e-8 * np.maximum(b - y[0], y[1] - b)
-        sides = np.array([[-1.0], [1.0]])
+        # outer-, inner-, inner+, outer+; the outer roots are zeros of the
+        # smaller eigenvalue of M, the inner ones of the larger
+        y = np.stack([t2 - (t[0] + t[1]), -t2 - (t[0] - t[1]),
+                      -t2 + (t[0] - t[1]), t2 + (t[0] + t[1])])
+        sign = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+        sides = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+        tol = 1e-8 * np.maximum(b - y[0], y[3] - b)
+        active = np.stack([cert.ok] * 4)
         for _ in range(3):
             half = d * y + 0.5 * (e22 - e11)
             off = x12 * y - e12
             rad = np.sqrt(half * half + off * off)
             drad = np.where(rad > 0.0, (half * d + off * x12) / rad,
                             np.sqrt(d * d + x12 * x12))
-            step = (y * y + -0.5 * (e11 + e22) - rad) / (2.0 * y - drad)
+            step = ((y * y + -0.5 * (e11 + e22) + sign * rad)
+                    / (2.0 * y + sign * drad))
             new = y - step
-            y = np.where(np.isfinite(new) & (sides * new > sides * b), new,
-                         y)
-            if np.all((np.abs(step) <= tol)[:, cert.ok]):
+            y = np.where(active & np.isfinite(new)
+                         & (sides * new > sides * b), new, y)
+            active &= ~(np.abs(step) <= tol)
+            if not np.any(active):
                 break
-    ext = (y - b + cert.V).T
-    ext[~cert.ok] = np.nan
-    return ext.reshape(cert.shape + (2,))
+    speeds = (y - b + cert.V).T
+    speeds[~cert.ok] = np.nan
+    return speeds[:, list(rows)]
+
+
+def eigensolve_speeds(cert):
+    """The four sorted speeds per state of the certificate ``cert``, the
+    eigenvalues of S = [[-X, Y], [Y^T, 0]] of its pencil by one symmetric
+    eigensolve per state; NaN where the certificate fails."""
+    x11, x22, x12, y11, y21, y22 = cert.pencil
+    S = np.zeros(cert.V.shape + (4, 4))
+    S[:, 0, 0], S[:, 1, 1] = -x11, -x22
+    S[:, 0, 1] = S[:, 1, 0] = -x12
+    S[:, 0, 2] = S[:, 2, 0] = y11
+    S[:, 1, 2] = S[:, 2, 1] = y21
+    S[:, 1, 3] = S[:, 3, 1] = y22
+    S[~cert.ok] = 0.0
+    speeds = np.linalg.eigvalsh(S) + cert.V[:, None]
+    speeds[~cert.ok] = np.nan
+    return speeds
 
 
 def random_lab_states(rng, n):
@@ -676,20 +696,24 @@ def random_lab_states(rng, n):
 
 
 class TestExtremeSpeeds:
-    """The closed-form extreme speeds against the full sorted speeds of
-    :func:`wave_speeds_batch` (one symmetric eigensolve per state)."""
+    """The root-finder's four speeds (those of :func:`wave_speeds_batch`)
+    and its extreme pair (the solver's) against one symmetric eigensolve
+    per state (:func:`eigensolve_speeds`)."""
 
     @staticmethod
     def assert_matches_eigensolve(m, *state):
         cert = certify(m, *state)
-        ext, ok, margin = _extreme_speeds(cert), cert.ok, _margin(cert)
-        speeds, ok_ref, margin_ref = wave_speeds_batch(m, *state)
-        assert np.array_equal(ok, ok_ref)
-        assert np.array_equal(margin, margin_ref)
-        assert np.all(np.isnan(ext[~ok]))
-        ref = speeds[..., [0, -1]][ok]
-        scale = np.max(np.abs(speeds[ok]), axis=-1, keepdims=True)
-        assert np.max(np.abs(ext[ok] - ref) / scale) <= 1e-12
+        ok, pair = cert.ok, _speeds(cert)
+        speeds, ok_batch, margin = wave_speeds_batch(m, *state)
+        assert np.array_equal(ok, ok_batch)
+        assert np.array_equal(margin, _scaled_margin(cert.R))
+        assert np.array_equal(speeds, _speeds(cert, range(4)),
+                              equal_nan=True)
+        assert np.all(np.isnan(speeds[~ok])) and np.all(np.isnan(pair[~ok]))
+        ref = eigensolve_speeds(cert)[ok]
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.max(np.abs(speeds[ok] - ref) / scale) <= 1e-12
+        assert np.max(np.abs(pair[ok] - ref[:, [0, 3]]) / scale) <= 1e-12
         return ok
 
     def test_acceptance_05_states(self):
@@ -747,15 +771,17 @@ class TestExtremeSpeeds:
                 case, lambda r1, r2: 0.3 + 0.2 * r1 * r2 / (r1 + r2)))
             state = random_lab_states(np.random.default_rng(43), 20000)
         cert = certify(m, *state)
-        assert np.array_equal(_extreme_speeds(cert),
-                              extreme_speeds_reference(cert), equal_nan=True)
+        for rows in ((0, 3), range(4)):
+            assert np.array_equal(_speeds(cert, rows),
+                                  speeds_reference(cert, rows),
+                                  equal_nan=True)
 
     @pytest.mark.parametrize("law", ["a_0", "a_0.2", "coupled_in_w"])
     def test_nearly_identical_phases(self, law):
         # the polish's stop rule: identical phases pulled apart by a
         # relative gap of 1e-12 to 1e-1 in density, velocity or entropy,
         # where the speeds of the two phases nearly coincide; each state on
-        # its own (no other state forces a further step), then in one batch
+        # its own, then in one batch
         m = {"a_0": lambda: SeparableAddedMass(SeparableAddedMassParams(
                  gamma1=1.6, gamma2=1.6, a=0.0)),
              "a_0.2": lambda: SeparableAddedMass(SeparableAddedMassParams(
@@ -784,17 +810,21 @@ class TestExtremeSpeeds:
         self.assert_matches_eigensolve(m, *(x[only_zmm] for x in state))
 
     def test_shapes_follow_the_state(self):
+        # wave_speeds_batch takes the broadcast shape of its fields; a
+        # certificate is of flat states, a row each
         m = make_model()
         state = (np.full((2, 3), 1.0), 0.9, 0.0, 0.1, 0.0, 0.0)
-        cert = certify(m, *state)
-        assert _extreme_speeds(cert).shape == (2, 3, 2)
-        assert min_eig_A_batch(cert).shape == (2, 3)
         speeds, ok, margin = wave_speeds_batch(m, *state)
         assert speeds.shape == (2, 3, 4)
         assert ok.shape == margin.shape == (2, 3)
-        cert = certify(m, 1.0, 0.9, 0.0, 0.1, 0.0, 0.0)
-        assert _extreme_speeds(cert).shape == (2,)
-        assert min_eig_A_batch(cert).shape == ()
+        cert = certify(m, *state)
+        assert _speeds(cert).shape == (6, 2)
+        assert _speeds(cert, range(4)).shape == (6, 4)
+        assert min_eig_A_batch(cert).shape == (6,)
+        speeds, ok, margin = wave_speeds_batch(m, 1.0, 0.9, 0.0, 0.1, 0.0,
+                                               0.0)
+        assert speeds.shape == (4,)
+        assert ok.shape == margin.shape == ()
 
     @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
            u1=st.floats(-2.0, 2.0), u2=st.floats(-2.0, 2.0),
@@ -809,7 +839,7 @@ class TestExtremeSpeeds:
         assume(ok[0])
         speeds = wave_speeds_batch(m, *state)[0][0] - V[0]
         assert np.sum(speeds > 0.0) == 2 and np.sum(speeds < 0.0) == 2
-        ext = _extreme_speeds(cert)[0] - V[0]
+        ext = _speeds(cert)[0] - V[0]
         assert ext[0] < 0.0 < ext[1]
 
     @given(rho1=st.floats(0.03, 3.0), rho2=st.floats(0.03, 3.0),
@@ -819,7 +849,7 @@ class TestExtremeSpeeds:
     def test_galilean_covariance(self, rho1, rho2, u1, u2, s1, s2, a,
                                  boost):
         # a state the zero-mixture-momentum frame certifies is certified in
-        # every frame, and its extreme speeds shift with the frame
+        # every frame, and its four speeds shift with the frame
         m = make_model(a=a)
         state = [np.array([v]) for v in (rho1, rho2, u1, u2, s1, s2)]
         V = (rho1 * u1 + rho2 * u2) / (rho1 + rho2)
@@ -827,9 +857,35 @@ class TestExtremeSpeeds:
         cert = certify(m, *state)
         boosted_cert = certify(m, rho1, rho2, u1 + boost, u2 + boost, s1, s2)
         assert cert[1][0] and boosted_cert[1][0]
-        ext, boosted = _extreme_speeds(cert), _extreme_speeds(boosted_cert)
-        scale = max(np.max(np.abs(ext)), np.max(np.abs(boosted)))
-        assert np.max(np.abs(boosted - ext[0] - boost)) <= 1e-12 * scale
+        speeds = _speeds(cert, range(4))
+        boosted = _speeds(boosted_cert, range(4))
+        scale = max(np.max(np.abs(speeds)), np.max(np.abs(boosted)))
+        assert np.max(np.abs(boosted - speeds - boost)) <= 1e-12 * scale
+        for c, four in ((cert, speeds), (boosted_cert, boosted)):
+            assert np.array_equal(_speeds(c), four[:, [0, 3]])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           a=st.floats(0.0, 1.0))
+    def test_a_states_speeds_do_not_depend_on_the_batch(self, seed, n, a):
+        # random lab states, some certified in the lab frame, some at zero
+        # mixture momentum, some in neither, and about half of them with
+        # nearly identical phases, whose polish takes more steps: each
+        # state's four speeds and extreme pair are the same bits alone as
+        # inside the batch
+        m = make_model(a=a)
+        rng = np.random.default_rng(seed)
+        rho1, rho2, u1, u2, s1, s2 = random_lab_states(rng, n)
+        near = rng.random(n) < 0.5
+        gap = 10.0 ** rng.uniform(-12.0, -1.0, n)
+        state = (rho1, np.where(near, rho1 * (1.0 + gap), rho2), u1,
+                 np.where(near, u1, u2), s1, np.where(near, s1, s2))
+        cert = certify(m, *state)
+        four, pair = _speeds(cert, range(4)), _speeds(cert)
+        for i in range(n):
+            one = certify(m, *(x[i:i + 1] for x in state))
+            assert np.array_equal(_speeds(one, range(4))[0], four[i],
+                                  equal_nan=True)
+            assert np.array_equal(_speeds(one)[0], pair[i], equal_nan=True)
 
 
 class TestOneReduction:
@@ -957,6 +1013,19 @@ class TestRegionMapping:
             np.linspace(0.0, 2.5, 20), 0.03, -0.05)
         assert len(certs) == 1
         assert calls == {"derivatives": [5120], "hessian": [], "dW_dw": []}
+        assert 0 < maps.hyperbolic.sum() < 5120
+
+    def test_no_retry_on_a_map_grid(self, monkeypatch):
+        # the hyper_scan benchmark grid: its points are at zero mixture
+        # momentum up to round-off, so a point the lab frame does not
+        # certify is not certified again in a frame boosted by round-off
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=1.4, a=0.2))
+        calls = count_calls(monkeypatch, hyperbolicity, "_certificate")
+        maps = map_hyperbolic_region(
+            m, np.linspace(0.5, 1.5, 16), np.linspace(0.5, 1.5, 16),
+            np.linspace(0.0, 2.5, 20), 0.03, -0.05)
+        assert len(calls) == 1
         assert 0 < maps.hyperbolic.sum() < 5120
 
     def test_critical_w_decreases_with_coupling(self):

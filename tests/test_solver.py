@@ -469,6 +469,40 @@ class TestStiffDrag:
             assert np.max(np.abs(getattr(out[-1][1], f) - ref)) <= (
                 1e-13 * np.max(np.abs(ref)))
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.0, 0.4),
+           kappa=st.floats(0.0, 1.0), cfl=st.floats(0.1, 0.45))
+    def test_step_without_drag_is_heun(self, seed, a, kappa, cfl):
+        # random smooth periodic data, two sine modes per field: at
+        # k = 0 the exponential drag update is the plain Heun stage average
+        rng = np.random.default_rng(seed)
+
+        def profile(mean, amp):
+            k, phase = rng.integers(1, 4, 2), rng.uniform(0.0, 2 * np.pi, 2)
+            c = rng.uniform(0.5 * amp, amp, 2)
+            return lambda x: mean + sum(
+                c[i] * np.sin(2 * np.pi * k[i] * x + phase[i])
+                for i in range(2))
+
+        m = make_model(a=a)
+        grid = Grid1D(0.0, 1.0, 16)
+        cells = evolved_from_primitive_profiles(
+            m, grid, rho1=profile(1.0, 0.1), rho2=profile(0.8, 0.1),
+            u1=profile(0.0, 0.1), u2=profile(0.1, 0.1),
+            s1=profile(0.0, 0.1), s2=profile(0.1, 0.1))
+        cfg = SimulationConfig(grid=grid, model=m,
+                               closures=ClosureParams(k=0.0, kappa=kappa))
+        rhs = assemble_rhs(cfg, cells)
+        dt = cfl * grid.dx / np.max(rhs.smax)
+        q = np.stack([getattr(cells, f) for f in FIELDS])
+        mid = q + dt * rhs.rates
+        end = mid + dt * assemble_rhs(
+            cfg, EvolvedState(**dict(zip(FIELDS, mid)))).rates
+        ref = 0.5 * (q + end)
+        got = step(cfg, cells, dt, rhs0=rhs)
+        for f, want in zip(FIELDS, ref):
+            assert np.max(np.abs(getattr(got, f) - want)) <= (
+                1e-13 * np.max(np.abs(want)))
+
 
 class TestFailureModes:
     def test_non_hyperbolic_cell_reported(self):

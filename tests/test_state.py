@@ -214,6 +214,23 @@ class TestGalileanCovariance:
         assert np.max(np.abs(eb.K1 - e.K1 - 2.5)) < 1e-12
         assert np.max(np.abs(eb.K2 - e.K2 - 2.5)) < 1e-12
 
+    @given(rho1=densities, rho2=densities, u1=velocities, u2=velocities,
+           s1=entropies, s2=entropies, c=couplings, kind=kinds,
+           boost=st.floats(-10.0, 10.0))
+    def test_random_boost_shifts_K(self, rho1, rho2, u1, u2, s1, s2, c,
+                                   kind, boost):
+        # K_a(u + c) = K_a(u) + c: W_w depends on u only through w, which
+        # the boost keeps up to the rounding of u_a + c
+        m = law(c, kind)
+        p = PrimitiveState(rho1=rho1, rho2=rho2, u1=u1, u2=u2, s1=s1, s2=s2)
+        boosted = PrimitiveState(rho1=rho1, rho2=rho2, u1=u1 + boost,
+                                 u2=u2 + boost, s1=s1, s2=s2)
+        e = primitive_to_evolved(m, p)
+        eb = primitive_to_evolved(m, boosted)
+        scale = max(1.0, abs(e.K1), abs(e.K2), abs(boost))
+        assert abs(eb.K1 - e.K1 - boost) <= 1e-12 * scale
+        assert abs(eb.K2 - e.K2 - boost) <= 1e-12 * scale
+
 
 class TestMixtureAggregates:
     def test_symmetric_counterflow(self):

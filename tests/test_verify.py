@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofluid import verify
-from twofluid.closures import ClosureParams
-from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
+from twofluid.closures import ClosureParams, DissipationForces, drag_and_heat
+from twofluid.potential import (SeparableAddedMass, SeparableAddedMassParams,
+                                evaluate)
 from twofluid.solver import (Grid1D, SimulationConfig,
                              evolved_from_primitive_profiles, integrate)
-from twofluid.state import PrimitiveState, evolved_to_primitive
+from twofluid.state import (PrimitiveState, evolved_to_primitive,
+                            mixture_aggregates)
 from twofluid.verify import (ManufacturedField, balance_subidentities,
                              conservation_drift, fick_residual,
                              gibbs_residual, random_trig_fields,
@@ -31,6 +33,22 @@ def constant_field(rho1=1.0, rho2=0.8, u1=0.1, u2=0.3, s1=0.0, s2=0.1,
                              u1=const(u1), u2=const(u2),
                              s1=const(s1), s2=const(s2),
                              omega1=const(om1), omega2=const(om2))
+
+
+def drag_at(model, closures, field, point):
+    """(p, f): the state of ``field`` at ``point`` and the built-in drag
+    and heat pair there."""
+    p = PrimitiveState(**{key: getattr(field, key)(*point) for key in (
+        "rho1", "rho2", "u1", "u2", "s1", "s2")})
+    th = evaluate(model, p.rho1, p.rho2, p.s1, p.s2, p.w)
+    return p, drag_and_heat(closures, p, th.theta1, th.theta2)
+
+
+def drag_work(model, closures, field, point):
+    """|f1 u1| + |f2 u2| at ``point``, the size of either side of
+    identity a."""
+    p, f = drag_at(model, closures, field, point)
+    return abs(f.f1 * p.u1) + abs(f.f2 * p.u2)
 
 
 class TestGibbsResidual:
@@ -95,8 +113,8 @@ class TestBatchedSteps:
                         <= 1e-12 * scale)
             for key, value in one.subidentities.items():
                 assert abs(batch.subidentities[key][j] - value) <= 1e-12 * scale
-            assert one.subidentities["a"] == 0.0
-            assert batch.subidentities["a"][j] == 0.0
+            work = drag_work(m, cl, field, (t, x))
+            assert abs(one.subidentities["a"]) <= 1e-14 * work
             assert abs(one.subidentities["e"]) <= 1e-13 * scale
 
     def test_sequence_gives_arrays_scalar_gives_floats(self):
@@ -113,6 +131,7 @@ class TestBatchedSteps:
 
 class TestBalanceSubidentities:
     def test_identity_a_exact_bulk(self):
+        # the built-in pair is antisymmetric: both sides agree to round-off
         m = make_model()
         cl = ClosureParams(k=1.3, kappa=0.6)
         rng = np.random.default_rng(55)
@@ -120,7 +139,25 @@ class TestBalanceSubidentities:
         for _ in range(50):
             pt = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             ids = balance_subidentities(m, cl, field, pt, 1e-3)
-            assert ids["a"] == 0.0
+            assert abs(ids["a"]) <= 1e-14 * drag_work(m, cl, field, pt)
+
+    def test_identity_a_reads_the_force_pair(self, monkeypatch):
+        # a pair with f2 = -f1 / 2 leaves the mixture's share u (f1 + f2)
+        # of the drag power in identity a
+        def lopsided(closures, p, theta1, theta2):
+            f = drag_and_heat(closures, p, theta1, theta2)
+            return DissipationForces(f1=f.f1, f2=0.5 * f.f2, q1=f.q1,
+                                     q2=f.q2)
+
+        m, cl = make_model(), ClosureParams(k=1.3, kappa=0.6)
+        field = random_trig_fields(np.random.default_rng(55))
+        pt = (0.3, 0.6)
+        p, f = drag_at(m, cl, field, pt)
+        monkeypatch.setattr(verify, "drag_and_heat", lopsided)
+        ids = balance_subidentities(m, cl, field, pt, 1e-3)
+        expect = 0.5 * f.f1 * mixture_aggregates(p).u
+        assert abs(expect) > 1e-6
+        assert ids["a"] == pytest.approx(expect, rel=1e-9)
 
     def test_identity_b_zero_without_potentials(self):
         def zero(t, x):
