@@ -219,24 +219,15 @@ def _run_reduce_check(cfg: ScenarioConfig, outdir: str,
             "reduce-check requires identical phases and a = 0")
     model = build_model(cfg)
     prof = initial_profiles(cfg)
-    rho_total = prof["rho1"]
     n_values = cfg.getints("reduce", "n_values")
-    ref_factor = cfg.getint("reduce", "ref_factor")
-    t_end = cfg.getfloat("run", "t_end")
-    rows = []
-    prev = None
-    for n in n_values:
-        r = single_fluid_reduction(
-            model, n, t_end, rho0=rho_total, u0=prof["u1"], s0=prof["s1"],
-            x_lo=cfg.getfloat("grid", "x_lo"),
-            x_hi=cfg.getfloat("grid", "x_hi"),
-            ref_n=ref_factor * max(n_values),
-            cfl=cfg.getfloat("run", "cfl"))
-        order = (math.log2(prev / r["l1_rho"]) if prev else math.nan)
-        rows.append([float(n), r["l1_rho"], r["l1_u"], order])
-        prev = r["l1_rho"]
-    write_csv(os.path.join(outdir, "reduce.csv"),
-              ["n", "l1_rho", "l1_u", "order_rho"], rows)
+    rows = single_fluid_reduction(
+        model, n_values, cfg.getfloat("run", "t_end"), rho0=prof["rho1"],
+        u0=prof["u1"], s0=prof["s1"], x_lo=cfg.getfloat("grid", "x_lo"),
+        x_hi=cfg.getfloat("grid", "x_hi"),
+        ref_n=cfg.getint("reduce", "ref_factor") * max(n_values),
+        cfl=cfg.getfloat("run", "cfl"))
+    write_csv(os.path.join(outdir, "reduce.csv"), list(rows[0]),
+              [list(r.values()) for r in rows])
 
 
 _SUBCOMMANDS = {

@@ -118,7 +118,7 @@ class SimulationConfig:
     def omega_at_centers(self) -> Tuple[np.ndarray, np.ndarray]:
         """(Omega1, Omega2) at the cell centers, sampled once per config."""
         x = self.grid.centers()
-        return self.omega1(x), self.omega2(x)
+        return _sample(self.omega1, x), _sample(self.omega2, x)
 
 
 @dataclass(frozen=True, eq=False)

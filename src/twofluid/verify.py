@@ -18,10 +18,12 @@ Also here: conservation drift bookkeeping for solver trajectories, the
 diffusion-law (Fick) residual for drag-dominated near-isothermal states
 (balanced with the local temperatures), and the
 single-fluid reduction check (two identical phases with no velocity coupling
-against a plain one-component Euler reference).  The reference keeps its own
-Euler equations but shares the solver's ghost-cell extension, Rusanov
-divergence and profile sampling; the two-fluid run takes the external
-potential as a plain callable Omega(x) and the reference its gradient.
+against a plain one-component Euler reference), which runs the two-fluid
+solver at every grid size asked for against one reference integration.  The
+reference keeps its own Euler equations but shares the solver's ghost-cell
+extension, Rusanov divergence and profile sampling; the two-fluid runs take
+the external potential as a plain callable Omega(x) and the reference its
+gradient.
 """
 from __future__ import annotations
 
@@ -317,56 +319,61 @@ def _block_average(fine: np.ndarray, n_coarse: int) -> np.ndarray:
     return fine.reshape(n_coarse, ratio).mean(axis=1)
 
 
-def single_fluid_reduction(model, n: int, t_end: float,
+def single_fluid_reduction(model, n_values: Sequence[int], t_end: float,
                            rho0, u0, s0,
                            x_lo: float = 0.0, x_hi: float = 1.0,
                            ref_n: int | None = None,
                            omega_value=None, omega_grad=None,
-                           cfl: float = 0.45) -> Dict[str, float]:
-    """L1 distance of the two-fluid solution from a one-component reference.
+                           cfl: float = 0.45) -> List[Dict[str, float]]:
+    """L1 distances of the two-fluid solution from a one-component reference,
+    one row (n, l1_rho, l1_u, order_rho) per grid size in ``n_values``.
 
     Both phases get identical initial data (rho0/2 each) so, with no velocity
     coupling in the potential, each phase evolves as an independent single
     fluid of density rho0/2; the reference therefore runs at half density and
-    its output is doubled.  The reference runs on a finer grid (ref_n,
-    default 8n, a multiple of n, checked before either run) and is
-    restricted by block averaging before comparison.
-    An external potential is given as ``omega_value`` (the two-fluid run)
-    together with ``omega_grad`` (the reference); one without the other
-    would compare two different problems and raises ``ValueError``.
+    its output is doubled.  The reference is integrated once, on a finer grid
+    (ref_n, default 8 max(n_values), a multiple of every n; every grid is
+    checked before any run), and restricted to each n by block averaging.
+    ``order_rho`` is log2 of the previous row's l1_rho over this one (NaN on
+    the first row).  An external potential is given as ``omega_value`` (the
+    two-fluid runs) together with ``omega_grad`` (the reference); one
+    without the other would compare two different problems and raises
+    ``ValueError``.
     """
     if (omega_value is None) != (omega_grad is None):
         raise ValueError("an external potential needs both omega_value and "
                          "omega_grad, or neither")
-    grid = Grid1D(x_lo, x_hi, n)
+    grids = [Grid1D(x_lo, x_hi, n) for n in n_values]
     if ref_n is None:
-        ref_n = 8 * n
-    if ref_n % n:
-        raise ValueError(f"ref_n = {ref_n} is not a multiple of n = {n}")
+        ref_n = 8 * max(n_values)
+    for n in n_values:
+        if ref_n % n:
+            raise ValueError(f"ref_n = {ref_n} is not a multiple of n = {n}")
     ref_grid = Grid1D(x_lo, x_hi, ref_n)
 
     def rho0_half(xx):
         return 0.5 * _sample(rho0, xx)
 
-    if omega_value is None:
-        omega_value = np.zeros_like
-    cfg = SimulationConfig(grid=grid, model=model, omega1=omega_value,
-                           omega2=omega_value, cfl=cfl, t_end=t_end,
-                           report_interval=t_end)
-    init = evolved_from_primitive_profiles(
-        model, grid, rho1=rho0_half, rho2=rho0_half,
-        u1=u0, u2=u0, s1=s0, s2=s0)
-    _, cells, _ = integrate(cfg, init)[-1]
-    p = evolved_to_primitive(model, cells)
-    rho_tf = np.asarray(p.rho1 + p.rho2, dtype=float)
-    u_tf = np.asarray(mixture_aggregates(p).u, dtype=float)
-
     rho_ref, u_ref, _ = single_fluid_reference(
         model, ref_grid, rho0_half, u0, s0, t_end, omega=omega_grad, cfl=cfl)
     rho_ref = 2.0 * rho_ref
-    rho_ref_c = _block_average(rho_ref, n)
-    u_ref_c = _block_average(u_ref, n)
-
-    dxc = grid.dx
-    return {"l1_rho": float(np.sum(np.abs(rho_tf - rho_ref_c)) * dxc),
-            "l1_u": float(np.sum(np.abs(u_tf - u_ref_c)) * dxc)}
+    if omega_value is None:
+        omega_value = np.zeros_like
+    rows, prev = [], None
+    for grid in grids:
+        cfg = SimulationConfig(grid=grid, model=model, omega1=omega_value,
+                               omega2=omega_value, cfl=cfl, t_end=t_end,
+                               report_interval=t_end)
+        init = evolved_from_primitive_profiles(
+            model, grid, rho1=rho0_half, rho2=rho0_half,
+            u1=u0, u2=u0, s1=s0, s2=s0)
+        p = evolved_to_primitive(model, integrate(cfg, init)[-1][1])
+        l1_rho, l1_u = (
+            float(np.sum(np.abs(tf - _block_average(ref, grid.n))) * grid.dx)
+            for tf, ref in ((p.rho1 + p.rho2, rho_ref),
+                            (mixture_aggregates(p).u, u_ref)))
+        rows.append({"n": grid.n, "l1_rho": l1_rho, "l1_u": l1_u,
+                     "order_rho": (math.log2(prev / l1_rho) if prev
+                                   else math.nan)})
+        prev = l1_rho
+    return rows

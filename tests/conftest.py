@@ -23,13 +23,18 @@ settings.load_profile("twofluid")
 
 def count_calls(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper; returns the list to which each
-    call appends the number of states it was given (the broadcast size of
-    its arguments, keyword arguments included)."""
+    call appends the number of states it was given: the broadcast size of
+    its arguments (keyword arguments included), where an argument stacked
+    over states, such as a Hessian (5, 5, n), counts only its trailing axes,
+    as many as the arguments of fewest axes have."""
     calls = []
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(np.broadcast(*args, *kwargs.values()).size)
+        shapes = [np.shape(a) for a in (*args, *kwargs.values())]
+        rank = min((len(s) for s in shapes if s), default=0)
+        calls.append(int(np.prod(np.broadcast_shapes(
+            *(s[len(s) - rank:] for s in shapes)))))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)

@@ -14,7 +14,7 @@ from twofluid.hyperbolicity import (check_stability_inequalities,
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import StepError, integrate
 
-from conftest import certify
+from conftest import certify, count_calls
 
 BASE = """
 [potential]
@@ -300,6 +300,22 @@ ref_factor = 2
         assert main(["reduce-check", "--config", cfgp,
                      "--out", str(out)]) == 0
         assert len((out / "reduce.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("n_values", ["16", "16,32", "8,16,32"])
+    def test_one_reference_per_run(self, tmp_path, monkeypatch, n_values):
+        calls = count_calls(monkeypatch, verify, "single_fluid_reference")
+        # the sizes of one run share one reference integration
+        text = ("[potential]\ngamma1 = 1.4\ngamma2 = 1.4\n\n[initial]\n"
+                "rho1 = 1.0 + 0.1*exp(-100*(x-0.5)**2)\n\n[run]\n"
+                f"t_end = 0.01\n\n[reduce]\nn_values = {n_values}\n"
+                "ref_factor = 2\n")
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["reduce-check", "--config", cfgp,
+                     "--out", str(out)]) == 0
+        lines = (out / "reduce.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(n_values.split(","))
+        assert len(calls) == 1
 
     def test_comparison_table(self, tmp_path):
         text = """

@@ -1025,7 +1025,7 @@ class TestRegionMapping:
         maps = map_hyperbolic_region(
             m, np.linspace(0.5, 1.5, 16), np.linspace(0.5, 1.5, 16),
             np.linspace(0.0, 2.5, 20), 0.03, -0.05)
-        assert len(calls) == 1
+        assert calls == [5120]
         assert 0 < maps.hyperbolic.sum() < 5120
 
     def test_critical_w_decreases_with_coupling(self):

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from twofluid.closures import ClosureParams, drag_and_heat, entropy_sources
 from twofluid.potential import (RHO_FLOOR, SeparableAddedMass,
@@ -262,6 +262,18 @@ class TestIntegrate:
         assert len(out) >= 3
         assert calls == [16, 16]
 
+    def test_scalar_potential_sampled_like_the_grid(self):
+        # one sampler for every profile: a potential that returns a scalar,
+        # or is a constant, comes back shaped like the grid
+        m = make_model()
+        grid = Grid1D(0.0, 1.0, 16)
+        cfg = SimulationConfig(grid=grid, model=m, omega1=lambda x: 0.5,
+                               omega2=0.25)
+        omega1, omega2 = cfg.omega_at_centers
+        assert isinstance(omega1, np.ndarray)
+        assert omega1.shape == omega2.shape == (16,)
+        assert np.all(omega1 == 0.5) and np.all(omega2 == 0.25)
+
     def test_no_constructor_check_after_the_initial_state(self,
                                                           monkeypatch):
         # every stage state is built from densities _update has checked
@@ -335,6 +347,74 @@ def uniform_ode_state(m, cl, init, t_end, **solver_options):
     return evolved_to_primitive(m, EvolvedState(
         rho1=rho1, rho2=rho2, K1=sol.y[0, -1], K2=sol.y[1, -1],
         s1=sol.y[2, -1], s2=sol.y[3, -1]))
+
+
+def quad01(f, hi=1.0):
+    return quad(f, 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def phi_1(y):
+    return 1.0 if y == 0.0 else -np.expm1(-y) / y
+
+
+class TestDragWeights:
+    """The weights of the exponential drag update against quadrature of
+    their defining integrals (:func:`solver._exponential_weights`)."""
+
+    X = [0.0, 1e-12, 1e-8, 1e-4, 0.3, 0.999, 1.0, 1.001, 5.0, 50.0, 700.0]
+
+    @staticmethod
+    def by_quadrature(x):
+        phi = [quad01(lambda s: np.exp(-x * s)),
+               quad01(lambda s: (1.0 - s) * np.exp(-x * s))]
+        ys = (lambda s: np.exp(-2.0 * x * s),
+              lambda s: s * np.exp(-x * s) * phi_1(x * s),
+              lambda s: (s * phi_1(x * s)) ** 2)
+        M = [[quad01(lambda s, y=y: s ** m * y(s)) for y in ys]
+             for m in (0, 1)]
+        return np.array(phi), np.array(M)
+
+    @pytest.mark.parametrize("x", X)
+    def test_weights_match_quadrature(self, x):
+        phi, M = solver._exponential_weights(np.array([x]))
+        want_phi, want_M = self.by_quadrature(x)
+        assert phi.shape == (2, 1) and M.shape == (2, 3, 1)
+        assert np.allclose(phi[:, 0], want_phi, rtol=1e-12, atol=0.0)
+        assert np.allclose(M[..., 0], want_M, rtol=1e-12, atol=0.0)
+
+    def test_mixed_batch(self):
+        # values either side of 1 take the series and the closed form in
+        # one call; the series' term count follows the batch's largest x,
+        # so a cell agrees with its own evaluation to round-off, not bits
+        x = np.array(self.X)
+        phi, M = solver._exponential_weights(x)
+        for i, xi in enumerate(self.X):
+            one_phi, one_M = solver._exponential_weights(np.array([xi]))
+            want_phi, want_M = self.by_quadrature(xi)
+            assert np.allclose(phi[:, i], one_phi[:, 0], rtol=1e-14,
+                               atol=0.0)
+            assert np.allclose(M[..., i], one_M[..., 0], rtol=1e-14,
+                               atol=0.0)
+            assert np.allclose(phi[:, i], want_phi, rtol=1e-12, atol=0.0)
+            assert np.allclose(M[..., i], want_M, rtol=1e-12, atol=0.0)
+
+    def test_dissipation_matches_quadrature(self):
+        # int_0^dt c(t) Z(t)^2 dt along Z = z0 e^(-r t) + g t phi_1(r t),
+        # with c linear from c0 to c1, is nonnegative
+        rng = np.random.default_rng(11)
+        dt = 0.01
+        x = np.repeat(self.X, 8)
+        z0, g = rng.normal(size=(2, x.size))
+        c0, c1 = rng.uniform(0.0, 2.0, size=(2, x.size))
+        _, M = solver._exponential_weights(x)
+        got = solver._drag_dissipation(z0, g, dt, M, c0, c1)
+        assert np.all(got >= 0.0)
+        for i, r in enumerate(x / dt):
+            want = quad01(lambda t: (c0[i] + (c1[i] - c0[i]) * t / dt)
+                          * (z0[i] * np.exp(-r * t)
+                             + g[i] * t * phi_1(r * t)) ** 2, dt)
+            scale = dt * max(c0[i], c1[i]) * (abs(z0[i]) + abs(g[i]) * dt) ** 2
+            assert abs(got[i] - want) <= 1e-14 * scale
 
 
 class TestDragRelaxationODE:

@@ -19,6 +19,8 @@ from twofluid.verify import (ManufacturedField, balance_subidentities,
                              gibbs_residual, random_trig_fields,
                              single_fluid_reduction, single_fluid_reference)
 
+from conftest import count_calls
+
 
 def make_model(a=0.3):
     return SeparableAddedMass(SeparableAddedMassParams(
@@ -284,45 +286,70 @@ class TestFickResidual:
         assert max(rels) <= 0.05
 
 
+PULSE = dict(rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
+             u0=lambda x: 0.05 * np.exp(-100 * (x - 0.5) ** 2), s0=0.0)
+
+
 class TestSingleFluidReduction:
     def test_uniform_state_zero_error(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
-        r = single_fluid_reduction(m, 16, 0.05, rho0=1.0, u0=0.0, s0=0.0,
-                                   ref_n=64)
+        [r] = single_fluid_reduction(m, [16], 0.05, rho0=1.0, u0=0.0, s0=0.0,
+                                     ref_n=64)
+        assert r["n"] == 16 and math.isnan(r["order_rho"])
         assert r["l1_rho"] < 1e-13
         assert r["l1_u"] < 1e-13
 
     def test_isentropic_pulse_first_order(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
-        errs = []
-        for n in (100, 200):
-            r = single_fluid_reduction(
-                m, n, 0.1,
-                rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
-                u0=lambda x: 0.05 * np.exp(-100 * (x - 0.5) ** 2),
-                s0=0.0, ref_n=1600)
-            errs.append(r["l1_rho"])
-        assert math.log2(errs[0] / errs[1]) > 0.7
+        rows = single_fluid_reduction(m, (100, 200), 0.1, ref_n=1600, **PULSE)
+        assert rows[1]["order_rho"] > 0.7
 
     def test_with_gentle_external_potential(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
-        errs = []
-        for n in (100, 200):
-            r = single_fluid_reduction(
-                m, n, 0.1,
-                rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
-                u0=0.0, s0=0.0, ref_n=1600,
-                omega_value=lambda x: 0.05 * np.sin(2 * np.pi * x),
-                omega_grad=lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x))
-            errs.append(r["l1_rho"])
-        assert math.log2(errs[0] / errs[1]) > 0.7
+        rows = single_fluid_reduction(
+            m, (100, 200), 0.1,
+            rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
+            u0=0.0, s0=0.0, ref_n=1600,
+            omega_value=lambda x: 0.05 * np.sin(2 * np.pi * x),
+            omega_grad=lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x))
+        assert rows[1]["order_rho"] > 0.7
 
-    @pytest.mark.parametrize("n, ref_n", [(12, 16), (16, 12), (16, 0)])
+    def test_one_reference_per_call(self, monkeypatch):
+        # the sizes share one reference integration, whatever their number
+        calls = count_calls(monkeypatch, verify, "single_fluid_reference")
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=1.4, gamma2=1.4))
+        for sizes in ((16,), (16, 32), (16, 32, 64)):
+            calls.clear()
+            rows = single_fluid_reduction(m, sizes, 0.01, **PULSE)
+            assert len(rows) == len(sizes)
+            assert len(calls) == 1
+
+    def test_rows_match_one_size_calls(self):
+        # one call over several sizes gives, bit for bit, the rows of
+        # one-size calls against the same reference grid
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=1.4, gamma2=1.4))
+        rows = single_fluid_reduction(m, (16, 32, 64), 0.02, **PULSE)
+        for r in rows:
+            [one] = single_fluid_reduction(m, [r["n"]], 0.02, ref_n=512,
+                                           **PULSE)
+            assert one["n"] == r["n"]
+            assert (one["l1_rho"], one["l1_u"]) == (r["l1_rho"], r["l1_u"])
+        assert math.isnan(rows[0]["order_rho"])
+        assert [r["order_rho"] for r in rows[1:]] == [
+            math.log2(a["l1_rho"] / b["l1_rho"])
+            for a, b in zip(rows, rows[1:])]
+
+    @pytest.mark.parametrize("sizes, ref_n", [
+        ([12], 16), ([16], 12), ([16], 0), ([16, 12], 32), ([16, 2], 32)],
+        ids=["12-16", "16-12", "16-0", "16,12-32", "16,2-32"])
     def test_reference_grid_not_a_multiple_rejected_first(
-            self, monkeypatch, n, ref_n):
+            self, monkeypatch, sizes, ref_n):
+        # every size is checked before any run
         def refuse(*args, **kwargs):
             raise AssertionError("integrated before checking ref_n")
 
@@ -331,8 +358,8 @@ class TestSingleFluidReduction:
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
         with pytest.raises(ValueError, match="ref_n|n must be"):
-            single_fluid_reduction(m, n, 0.05, rho0=1.0, u0=0.0, s0=0.0,
-                                   ref_n=ref_n)
+            single_fluid_reduction(m, sizes, 0.05, rho0=1.0, u0=0.0,
+                                   s0=0.0, ref_n=ref_n)
 
     @pytest.mark.parametrize("lone", [
         {"omega_value": lambda x: 0.05 * np.sin(2 * np.pi * x)},
@@ -349,8 +376,8 @@ class TestSingleFluidReduction:
         m = SeparableAddedMass(SeparableAddedMassParams(
             gamma1=1.4, gamma2=1.4))
         with pytest.raises(ValueError, match="omega_value and omega_grad"):
-            single_fluid_reduction(m, 16, 0.05, rho0=1.0, u0=0.0, s0=0.0,
-                                   **lone)
+            single_fluid_reduction(m, [16], 0.05, rho0=1.0, u0=0.0,
+                                   s0=0.0, **lone)
 
     def test_reference_preserves_uniform_state(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
