@@ -39,18 +39,20 @@ from .potential import AdmissibilityError, evaluate
 from .solver import StepError, evolved_from_primitive_profiles, integrate
 from .state import ConvergenceError, evolved_to_primitive
 from .verify import (fick_residual, gibbs_residual, random_trig_fields,
-                     single_fluid_reduction)
+                     single_fluid_reduction, stack_trig_fields)
 
 _FMT = "%.17g"
 
+GIBBS_BLOCK = 32  # manufactured fields per gibbs_residual call
 
-def _atomic_write(path: str, data: str) -> None:
+
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write whole file or nothing (temp file plus atomic rename)."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,14 +63,16 @@ def _atomic_write(path: str, data: str) -> None:
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence[float]]) -> None:
     """Floats with 17 significant digits, anything else as ``str``; the
-    first row's types set every row's format."""
-    rows = list(rows)
-    lines = [",".join(header)]
-    if rows:
-        fmt = ",".join(_FMT if isinstance(v, float) else "%s"
-                       for v in rows[0])
-        lines += [fmt % tuple(row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    first row's types set every row's format; rows are written as taken."""
+    def lines():
+        yield ",".join(header) + "\n"
+        fmt = ""
+        for row in rows:
+            fmt = fmt or ",".join(_FMT if isinstance(v, float) else "%s"
+                                  for v in row) + "\n"
+            yield fmt % tuple(row)
+
+    _atomic_write(path, lines())
 
 
 def _write_manifest(outdir: str, cfg: ScenarioConfig, subcommand: str,
@@ -81,7 +85,7 @@ def _write_manifest(outdir: str, cfg: ScenarioConfig, subcommand: str,
         "config": cfg.raw,
     }
     _atomic_write(os.path.join(outdir, "run.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_diagnostics(outdir: str, exc: Exception) -> None:
@@ -91,7 +95,7 @@ def _write_diagnostics(outdir: str, exc: Exception) -> None:
         diag["time"] = exc.t
         diag["cell"] = exc.cell
     _atomic_write(os.path.join(outdir, "diagnostics.json"),
-                  json.dumps(diag, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(diag, indent=2, sort_keys=True) + "\n"])
 
 
 def _run_simulate(cfg: ScenarioConfig, outdir: str,
@@ -154,31 +158,35 @@ def _run_verify_gibbs(cfg: ScenarioConfig, outdir: str,
     x_lo = cfg.getfloat("grid", "x_lo")
     x_hi = cfg.getfloat("grid", "x_hi")
 
-    res_rows: List[List[float]] = []
     conv_rows: List[List[float]] = []
-    for i in range(n_fields):
-        field = random_trig_fields(rng)
-        point = (float(rng.uniform(t_lo, t_hi)),
-                 float(rng.uniform(x_lo, x_hi)))
-        g = gibbs_residual(model, closures, field, point, h_values)
-        cols = [g.E, g.M1, g.M2, g.B1, g.B2, g.S, g.combination,
-                *g.subidentities.values()]
-        for j, h in enumerate(h_values):
-            res_rows.append([float(i), *point, h,
-                             *(float(c[j]) for c in cols)])
-        combos = np.abs(g.combination).tolist()
-        ratios = [combos[j] / max(combos[j + 1], 1e-300)
-                  for j in range(len(combos) - 1)]
-        order = (math.log2(min(ratios)) if ratios else math.nan)
-        conv_rows.append([float(i), *ratios, order])
+
+    def residual_rows():
+        # one call per block; a field draws its point right after its fields
+        for start in range(0, n_fields, GIBBS_BLOCK):
+            fields, points = [], []
+            for _ in range(min(GIBBS_BLOCK, n_fields - start)):
+                fields.append(random_trig_fields(rng))
+                points.append((float(rng.uniform(t_lo, t_hi)),
+                               float(rng.uniform(x_lo, x_hi))))
+            g = gibbs_residual(model, closures, stack_trig_fields(fields),
+                               tuple(np.array(points).T), h_values)
+            cols = np.stack([g.E, g.M1, g.M2, g.B1, g.B2, g.S, g.combination,
+                             *g.subidentities.values()]).T.tolist()
+            for i, (point, values) in enumerate(zip(points, cols), start):
+                for h, row in zip(h_values, values):
+                    yield [float(i), *point, h, *row]
+                combos = [abs(row[6]) for row in values]  # |combination|
+                ratios = [combos[j] / max(combos[j + 1], 1e-300)
+                          for j in range(len(combos) - 1)]
+                order = (math.log2(min(ratios)) if ratios else math.nan)
+                conv_rows.append([float(i), *ratios, order])
 
     write_csv(os.path.join(outdir, "residuals.csv"),
               ["field_set", "t", "x", "h", "E", "M1", "M2", "B1", "B2", "S",
                "combination", "id_a", "id_b", "id_c", "id_d", "id_e", "id_f"],
-              res_rows)
-    n_ratios = max(len(r) - 2 for r in conv_rows)
+              residual_rows())
     write_csv(os.path.join(outdir, "convergence.csv"),
-              ["field_set", *[f"ratio_{j+1}" for j in range(n_ratios)],
+              ["field_set", *[f"ratio_{j}" for j in range(1, len(h_values))],
                "order"], conv_rows)
 
 

@@ -12,7 +12,9 @@ identity must vanish at O(h^2).  The identity decomposes into six simpler
 identities (a-f below), each checked individually.  One stencil serves both:
 the field is evaluated at the five nodes (t, x), (t +- h, x), (t, x +- h)
 for every step h at once, as arrays, in one thermodynamic and one closure
-call, and every derivative is a difference of rows of those arrays.
+call, and every derivative is a difference of rows of those arrays.  Fields
+stacked along a trailing axis (:func:`stack_trig_fields`) share that pass, bit
+for bit the same as one call per field, since every operation is entrywise.
 
 Also here: conservation drift bookkeeping for solver trajectories, the
 diffusion-law (Fick) residual for drag-dominated near-isothermal states
@@ -28,7 +30,8 @@ gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +64,12 @@ class ManufacturedField:
     omega2: Field
 
 
+def _trig(base, kx, kt, ph, ph2, c1, c2, t, x):
+    """A trigonometric field at (t, x), for one field or a stack of them."""
+    return (base + c1 * np.sin(kx * x + ph)
+            + c2 * np.cos(kt * t + kx * x + ph2))
+
+
 def random_trig_fields(rng: np.random.Generator,
                        rho_base: float = 1.0,
                        amp: float = 0.1) -> ManufacturedField:
@@ -76,17 +85,22 @@ def random_trig_fields(rng: np.random.Generator,
         ph2 = float(rng.uniform(0.0, 2.0 * np.pi))
         c1 = float(rng.uniform(0.3, 1.0)) * scale
         c2 = float(rng.uniform(0.3, 1.0)) * scale
-
-        def f(t, x):
-            return (base + c1 * np.sin(kx * x + ph)
-                    + c2 * np.cos(kt * t + kx * x + ph2))
-        return f
+        return partial(_trig, base, kx, kt, ph, ph2, c1, c2)
 
     return ManufacturedField(
         rho1=trig(rho_base, amp), rho2=trig(rho_base, amp),
         u1=trig(0.0, amp), u2=trig(0.0, amp),
         s1=trig(0.0, amp), s2=trig(0.0, amp),
         omega1=trig(0.0, amp), omega2=trig(0.0, amp))
+
+
+def stack_trig_fields(drawn: Sequence[ManufacturedField]) -> ManufacturedField:
+    """One field whose callables broadcast along a trailing field axis, entry
+    i being ``drawn[i]``, a field of :func:`random_trig_fields`."""
+    return ManufacturedField(**{
+        f.name: partial(_trig, *np.array([getattr(d, f.name).args
+                                          for d in drawn]).T)
+        for f in fields(ManufacturedField)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +126,19 @@ _X_NODES = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
 
 
 def gibbs_residual(model: PotentialModel, closures: ClosureParams,
-                   field: ManufacturedField, point: Tuple[float, float],
+                   field: ManufacturedField, point: Sequence[ArrayLike],
                    h: float | Sequence[float]) -> GibbsResidual:
     """Evaluate E, M_a, B_a, S, the combination and sub-identities at a point.
 
     ``h`` is one step (the fields are then floats) or a sequence of steps
-    (arrays over h).  All derivatives are central differences of step h in
-    both t and x; the combination therefore measures only the
+    (arrays over h).  ``point`` (t, x) is two floats, or two arrays along a
+    trailing axis of a stacked ``field`` (:func:`stack_trig_fields`), which
+    the outputs then gain last.  All derivatives are central differences of
+    step h in both t and x; the combination therefore measures only the
     finite-difference commutation error and must shrink at O(h^2).
     """
     h = np.asarray(h, dtype=float)
+    h = h.reshape(h.shape + (1,) * np.ndim(point[0]))
     nodes = (5,) + (1,) * h.ndim
     t = point[0] + h * _T_NODES.reshape(nodes)
     x = point[1] + h * _X_NODES.reshape(nodes)
@@ -192,7 +209,7 @@ def gibbs_residual(model: PotentialModel, closures: ClosureParams,
     sub["f"] = ddt(i_star) * p.w[0] + sub["f"]
 
     def out(q):
-        return float(q) if h.ndim == 0 else q
+        return float(q) if t.ndim == 1 else q
 
     return GibbsResidual(
         E=out(E), M1=out(M[0]), M2=out(M[1]), B1=out(B[0]), B2=out(B[1]),

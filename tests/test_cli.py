@@ -8,6 +8,7 @@ import pytest
 
 from twofluid import cli, verify
 from twofluid.cli import main
+from twofluid.config import build_closures, build_model, parse_config
 from twofluid.hyperbolicity import (check_stability_inequalities,
                                     min_eig_A_batch, mixture_rest_state,
                                     wave_speeds_batch)
@@ -57,7 +58,66 @@ def value_by_value_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def per_field_verify_gibbs(cfg, seed):
+    """{name: text} of the CSVs of the former ``verify-gibbs``: one
+    ``gibbs_residual`` call per field, on the same random stream, and every
+    row held until the end."""
+    rng = np.random.default_rng(seed)
+    model, closures = build_model(cfg), build_closures(cfg)
+    h_values = cfg.getfloats("gibbs", "h_values")
+    res_rows, conv_rows = [], []
+    for i in range(cfg.getint("gibbs", "n_fields")):
+        field = verify.random_trig_fields(rng)
+        point = (float(rng.uniform(cfg.getfloat("gibbs", "t_lo"),
+                                   cfg.getfloat("gibbs", "t_hi"))),
+                 float(rng.uniform(cfg.getfloat("grid", "x_lo"),
+                                   cfg.getfloat("grid", "x_hi"))))
+        g = verify.gibbs_residual(model, closures, field, point, h_values)
+        cols = [g.E, g.M1, g.M2, g.B1, g.B2, g.S, g.combination,
+                *g.subidentities.values()]
+        for j, h in enumerate(h_values):
+            res_rows.append([float(i), *point, h,
+                             *(float(c[j]) for c in cols)])
+        combos = np.abs(g.combination).tolist()
+        ratios = [combos[j] / max(combos[j + 1], 1e-300)
+                  for j in range(len(combos) - 1)]
+        order = (math.log2(min(ratios)) if ratios else math.nan)
+        conv_rows.append([float(i), *ratios, order])
+    n_ratios = max(len(r) - 2 for r in conv_rows)
+    return {
+        "residuals.csv": value_by_value_csv(
+            ["field_set", "t", "x", "h", "E", "M1", "M2", "B1", "B2", "S",
+             "combination", "id_a", "id_b", "id_c", "id_d", "id_e", "id_f"],
+            res_rows),
+        "convergence.csv": value_by_value_csv(
+            ["field_set", *[f"ratio_{j+1}" for j in range(n_ratios)],
+             "order"], conv_rows)}
+
+
 class TestWriteCsv:
+    def test_streamed_rows_match_value_by_value_formatting(self, tmp_path):
+        # rows are written as they are taken: a generator, a list and no
+        # rows give the text of the former writer
+        rng = np.random.default_rng(5)
+        rows = [[float(v) for v in rng.normal(size=4)] + [k, k % 2 == 0]
+                for k in range(50)]
+        header = ["a", "b", "c", "d", "k", "even"]
+        path = tmp_path / "t.csv"
+        for given, want in (((r for r in rows), rows), (rows, rows),
+                            ((r for r in []), []), ([], [])):
+            cli.write_csv(str(path), header, given)
+            assert path.read_bytes() == value_by_value_csv(header,
+                                                           want).encode()
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield [1.0, 2.0]
+            raise ValueError("row 2")
+
+        with pytest.raises(ValueError, match="row 2"):
+            cli.write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows())
+        assert os.listdir(tmp_path) == []
+
     def test_matches_value_by_value_formatting(self, tmp_path):
         # the column types of map.csv: floats (numpy ones too), bools, ints
         rng = np.random.default_rng(3)
@@ -173,8 +233,9 @@ class TestVerifyGibbs:
         assert ((out1 / "convergence.csv").read_bytes()
                 == (out2 / "convergence.csv").read_bytes())
 
-    def test_one_evaluation_per_field(self, tmp_path, monkeypatch):
-        # all stencil nodes at every h come from one call of each
+    def test_one_evaluation_per_block(self, tmp_path, monkeypatch):
+        # all stencil nodes at every h of a block of fields come from one
+        # call of each; block + 1 fields make a full and a partial block
         calls = {"evaluate": 0, "drag_and_heat": 0}
 
         def counting(name):
@@ -187,11 +248,25 @@ class TestVerifyGibbs:
 
         for name in calls:
             monkeypatch.setattr(verify, name, counting(name))
-        cfgp = write_config(tmp_path, BASE + "\n[gibbs]\nn_fields = 1\n")
+        n_fields = cli.GIBBS_BLOCK + 1
+        cfgp = write_config(tmp_path,
+                            BASE + f"\n[gibbs]\nn_fields = {n_fields}\n")
         out = tmp_path / "out"
         assert main(["verify-gibbs", "--config", cfgp, "--out", str(out)]) == 0
-        assert calls == {"evaluate": 1, "drag_and_heat": 1}
-        assert len((out / "residuals.csv").read_text().splitlines()) == 4
+        assert calls == {"evaluate": 2, "drag_and_heat": 2}
+        assert (len((out / "residuals.csv").read_text().splitlines())
+                == 1 + 3 * n_fields)
+
+    @pytest.mark.parametrize("n_fields", [1, cli.GIBBS_BLOCK,
+                                          cli.GIBBS_BLOCK + 1])
+    def test_blocks_match_per_field_loop(self, tmp_path, n_fields):
+        text = BASE + f"\n[gibbs]\nn_fields = {n_fields}\n"
+        out = tmp_path / "out"
+        assert main(["verify-gibbs", "--config", write_config(tmp_path, text),
+                     "--out", str(out), "--seed", "7"]) == 0
+        want = per_field_verify_gibbs(parse_config(text), seed=7)
+        for name, csv in want.items():
+            assert (out / name).read_bytes() == csv.encode()
 
     def test_seed_changes_output(self, tmp_path):
         cfgp = write_config(tmp_path, BASE)

@@ -398,6 +398,15 @@ class TestDragWeights:
             assert np.allclose(phi[:, i], want_phi, rtol=1e-12, atol=0.0)
             assert np.allclose(M[..., i], want_M, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("terms", [1, 6, 30])
+    def test_power_table_matches_cumprod(self, terms):
+        # the series' table of powers of -x is the cumprod along rows,
+        # bit for bit
+        y = -np.random.default_rng(terms).uniform(0.0, 1.0, 1600)
+        want = np.ones((terms, y.size))
+        want[1:] = np.cumprod(np.broadcast_to(y, want[1:].shape), axis=0)
+        assert np.array_equal(solver._powers(y, terms), want)
+
     def test_dissipation_matches_quadrature(self):
         # int_0^dt c(t) Z(t)^2 dt along Z = z0 e^(-r t) + g t phi_1(r t),
         # with c linear from c0 to c1, is nonnegative

@@ -17,7 +17,8 @@ from twofluid.state import (PrimitiveState, evolved_to_primitive,
 from twofluid.verify import (ManufacturedField, balance_subidentities,
                              conservation_drift, fick_residual,
                              gibbs_residual, random_trig_fields,
-                             single_fluid_reduction, single_fluid_reference)
+                             single_fluid_reduction, single_fluid_reference,
+                             stack_trig_fields)
 
 from conftest import count_calls
 
@@ -118,6 +119,28 @@ class TestBatchedSteps:
             work = drag_work(m, cl, field, (t, x))
             assert abs(one.subidentities["a"]) <= 1e-14 * work
             assert abs(one.subidentities["e"]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("a", [0.3, callable_a],
+                             ids=["constant_a", "callable_a"])
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           hs=st.lists(st.floats(1e-3, 2e-2), min_size=3, max_size=3))
+    def test_block_of_fields_matches_one_field_calls(self, a, seed, n, hs):
+        # one call on a stack of fields at their points gives, along the
+        # trailing field axis, each field's own call bit for bit
+        m = make_model(a=a)
+        cl = ClosureParams(k=0.7, kappa=0.4)
+        rng = np.random.default_rng(seed)
+        fields = [random_trig_fields(rng) for _ in range(n)]
+        t, x = rng.uniform(0.0, 1.0, (2, n))
+        block = gibbs_residual(m, cl, stack_trig_fields(fields), (t, x), hs)
+        assert block.combination.shape == (3, n)
+        for i, field in enumerate(fields):
+            one = gibbs_residual(m, cl, field, (float(t[i]), float(x[i])), hs)
+            for name in ("E", "M1", "M2", "B1", "B2", "S", "combination"):
+                assert np.array_equal(getattr(block, name)[:, i],
+                                      getattr(one, name))
+            for key, value in one.subidentities.items():
+                assert np.array_equal(block.subidentities[key][:, i], value)
 
     def test_sequence_gives_arrays_scalar_gives_floats(self):
         field = random_trig_fields(np.random.default_rng(3))
