@@ -38,8 +38,9 @@ from .hyperbolicity import map_hyperbolic_region
 from .potential import AdmissibilityError, evaluate
 from .solver import StepError, evolved_from_primitive_profiles, integrate
 from .state import ConvergenceError, evolved_to_primitive
-from .verify import (fick_residual, gibbs_residual, random_trig_fields,
-                     single_fluid_reduction, stack_trig_fields)
+from .verify import (TRIG_WORDS, fick_residual, gibbs_residual,
+                     single_fluid_reduction, trig_fields_from_words,
+                     uniform_from_words)
 
 _FMT = "%.17g"
 
@@ -147,31 +148,35 @@ def _run_hyperbolicity_map(cfg: ScenarioConfig, outdir: str,
               zip(*(c.tolist() for c in cols)))
 
 
+def _draw_gibbs_block(rng: np.random.Generator, n: int, t_range, x_range):
+    """(field, t, x) of n fields from n (TRIG_WORDS + 2) raw words: per field
+    its TRIG_WORDS words (``trig_fields_from_words``), then t's and x's."""
+    words = rng.bit_generator.random_raw((n, TRIG_WORDS + 2))
+    return (trig_fields_from_words(words[:, :TRIG_WORDS]),
+            uniform_from_words(words[:, -2], *t_range),
+            uniform_from_words(words[:, -1], *x_range))
+
+
 def _run_verify_gibbs(cfg: ScenarioConfig, outdir: str,
                       rng: np.random.Generator) -> None:
     model = build_model(cfg)
     closures = build_closures(cfg)
     n_fields = cfg.getint("gibbs", "n_fields")
     h_values = cfg.getfloats("gibbs", "h_values")
-    t_lo = cfg.getfloat("gibbs", "t_lo")
-    t_hi = cfg.getfloat("gibbs", "t_hi")
-    x_lo = cfg.getfloat("grid", "x_lo")
-    x_hi = cfg.getfloat("grid", "x_hi")
+    t_range = [cfg.getfloat("gibbs", key) for key in ("t_lo", "t_hi")]
+    x_range = [cfg.getfloat("grid", key) for key in ("x_lo", "x_hi")]
 
     conv_rows: List[List[float]] = []
 
     def residual_rows():
-        # one call per block; a field draws its point right after its fields
+        # one draw and one call per block
         for start in range(0, n_fields, GIBBS_BLOCK):
-            fields, points = [], []
-            for _ in range(min(GIBBS_BLOCK, n_fields - start)):
-                fields.append(random_trig_fields(rng))
-                points.append((float(rng.uniform(t_lo, t_hi)),
-                               float(rng.uniform(x_lo, x_hi))))
-            g = gibbs_residual(model, closures, stack_trig_fields(fields),
-                               tuple(np.array(points).T), h_values)
+            field, t, x = _draw_gibbs_block(
+                rng, min(GIBBS_BLOCK, n_fields - start), t_range, x_range)
+            g = gibbs_residual(model, closures, field, (t, x), h_values)
             cols = np.stack([g.E, g.M1, g.M2, g.B1, g.B2, g.S, g.combination,
                              *g.subidentities.values()]).T.tolist()
+            points = zip(t.tolist(), x.tolist())
             for i, (point, values) in enumerate(zip(points, cols), start):
                 for h, row in zip(h_values, values):
                     yield [float(i), *point, h, *row]

@@ -14,7 +14,8 @@ divides the reference grid of ``reduce-check``, ``ref_factor`` times the
 largest.  So are the scenario ranges: every count (``n_fields``,
 ``n_rho1``, ``n_rho2``, ``n_w``, ``ref_factor``) is at least 1,
 ``t_lo <= t_hi``, and ``theta_bound``, ``[run] theta0`` and the density
-bounds of ``[hyperbolicity]`` are positive.  Every number is finite.
+bounds of ``[hyperbolicity]`` are positive.  Every number is finite, and
+every range's width is finite (t, x and w), so no point sampled is inf.
 
 Initial profiles and external potentials are given as expressions in x
 (e.g. ``1.0 + 0.1*sin(2*pi*x)``) evaluated in a restricted numpy namespace;
@@ -198,6 +199,12 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise _range_error(cfg, section, key, "must be positive")
     for key in ("w_min", "w_max", "s1", "s2"):
         cfg.getfloat("hyperbolicity", key)
+    for section, lo, hi in (("gibbs", "t_lo", "t_hi"),
+                            ("grid", "x_lo", "x_hi"),
+                            ("hyperbolicity", "w_min", "w_max")):
+        if not math.isfinite(cfg.getfloat(section, hi)
+                             - cfg.getfloat(section, lo)):
+            raise _range_error(cfg, section, hi, f"- {lo} must be finite")
     ref_n = cfg.getint("reduce", "ref_factor") * max(n_values)
     if any(ref_n % n for n in n_values):
         raise ConfigError(

@@ -13,8 +13,8 @@ identities (a-f below), each checked individually.  One stencil serves both:
 the field is evaluated at the five nodes (t, x), (t +- h, x), (t, x +- h)
 for every step h at once, as arrays, in one thermodynamic and one closure
 call, and every derivative is a difference of rows of those arrays.  Fields
-stacked along a trailing axis (:func:`stack_trig_fields`) share that pass, bit
-for bit the same as one call per field, since every operation is entrywise.
+stacked along a trailing axis (:func:`trig_fields_from_words`, drawn from
+raw generator words) share that pass, bit for bit as one call per field.
 
 Also here: conservation drift bookkeeping for solver trajectories, the
 diffusion-law (Fick) residual for drag-dominated near-isothermal states
@@ -70,37 +70,55 @@ def _trig(base, kx, kt, ph, ph2, c1, c2, t, x):
             + c2 * np.cos(kt * t + kx * x + ph2))
 
 
+#: Raw 64-bit words per manufactured field: five per component.
+TRIG_WORDS = 5 * len(fields(ManufacturedField))
+
+
+def uniform_from_words(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``default_rng().uniform(lo, hi)`` of each raw PCG64 word: numpy's
+    next_double, the top 53 bits over 2**53."""
+    return lo + (hi - lo) * ((words >> np.uint64(11)) * 2.0 ** -53)
+
+
+def trig_fields_from_words(words: np.ndarray, rho_base: float = 1.0,
+                           amp: float = 0.1) -> ManufacturedField:
+    """Fields of :func:`random_trig_fields` stacked along a trailing axis,
+    field i from row i of raw PCG64 words (uint64, shape (n, TRIG_WORDS)).
+
+    Per component in field order, five words: kx and kt from the low and
+    high 32-bit halves h of the first by Lemire's 1 + (3 h >> 32), as
+    ``integers(1, 4)`` takes them, then ph, ph2, c1 and c2 as uniforms.
+    Bit for bit the scalar draws on the same stream, but a zero half gives
+    1 where numpy draws again (probability 2**-32), and a 32-bit half the
+    caller left buffered in the bit generator is not read.
+    """
+    k, ph, ph2, c1, c2 = words.reshape(-1, TRIG_WORDS // 5, 5).T
+    params = [1.0 + ((np.uint64(3) * h) >> np.uint64(32))
+              for h in (k & np.uint64(0xFFFFFFFF), k >> np.uint64(32))]
+    params += [uniform_from_words(w, 0.0, 2.0 * np.pi) for w in (ph, ph2)]
+    params += [uniform_from_words(w, 0.3, 1.0) * amp for w in (c1, c2)]
+    return ManufacturedField(**{
+        f.name: partial(_trig, rho_base if f.name.startswith("rho") else 0.0,
+                        *(q[j] for q in params))
+        for j, f in enumerate(fields(ManufacturedField))})
+
+
 def random_trig_fields(rng: np.random.Generator,
                        rho_base: float = 1.0,
                        amp: float = 0.1) -> ManufacturedField:
     """Generic smooth trigonometric fields with random phases and wavenumbers.
 
     Amplitudes are kept well below the density base so the whole evaluation
-    box (plus any reasonable finite-difference halo) stays admissible.
+    box (plus any reasonable finite-difference halo) stays admissible.  Its
+    floats are :func:`trig_fields_from_words` of raw words of a PCG64 ``rng``.
     """
-    def trig(base, scale):
-        kx = float(rng.integers(1, 4))
-        kt = float(rng.integers(1, 4))
-        ph = float(rng.uniform(0.0, 2.0 * np.pi))
-        ph2 = float(rng.uniform(0.0, 2.0 * np.pi))
-        c1 = float(rng.uniform(0.3, 1.0)) * scale
-        c2 = float(rng.uniform(0.3, 1.0)) * scale
-        return partial(_trig, base, kx, kt, ph, ph2, c1, c2)
-
-    return ManufacturedField(
-        rho1=trig(rho_base, amp), rho2=trig(rho_base, amp),
-        u1=trig(0.0, amp), u2=trig(0.0, amp),
-        s1=trig(0.0, amp), s2=trig(0.0, amp),
-        omega1=trig(0.0, amp), omega2=trig(0.0, amp))
-
-
-def stack_trig_fields(drawn: Sequence[ManufacturedField]) -> ManufacturedField:
-    """One field whose callables broadcast along a trailing field axis, entry
-    i being ``drawn[i]``, a field of :func:`random_trig_fields`."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("random_trig_fields needs a PCG64 (default_rng)")
+    block = trig_fields_from_words(
+        rng.bit_generator.random_raw((1, TRIG_WORDS)), rho_base, amp)
     return ManufacturedField(**{
-        f.name: partial(_trig, *np.array([getattr(d, f.name).args
-                                          for d in drawn]).T)
-        for f in fields(ManufacturedField)})
+        name: partial(_trig, *np.hstack(f.args).tolist())
+        for name, f in vars(block).items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +150,9 @@ def gibbs_residual(model: PotentialModel, closures: ClosureParams,
 
     ``h`` is one step (the fields are then floats) or a sequence of steps
     (arrays over h).  ``point`` (t, x) is two floats, or two arrays along a
-    trailing axis of a stacked ``field`` (:func:`stack_trig_fields`), which
-    the outputs then gain last.  All derivatives are central differences of
-    step h in both t and x; the combination therefore measures only the
+    trailing axis of a stacked ``field`` (:func:`trig_fields_from_words`),
+    which the outputs gain last.  All derivatives are central differences
+    of step h in both t and x; the combination therefore measures only the
     finite-difference commutation error and must shrink at O(h^2).
     """
     h = np.asarray(h, dtype=float)

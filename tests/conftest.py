@@ -5,16 +5,22 @@ without an example database, so the suite draws the same examples on every
 run, and with a modest example count so it stays fast.
 
 :func:`count_calls` is shared by the tests that count calls into a layer,
-:func:`certify` by those that certify states given by their fields, and
+:func:`certify` by those that certify states given by their fields,
+:func:`scalar_trig_params` and :func:`scalar_trig_fields` by those that
+check the drawing of manufactured fields against the former scalar
+``Generator`` calls, and
 the user laws :class:`CoupledInW` and :class:`CoupledInWGradient` by the
 potential and hyperbolicity tests; import them with
 ``from conftest import ...``.
 """
+from functools import partial
+
 import numpy as np
 from hypothesis import settings
 
 from twofluid.hyperbolicity import _certified_frame, _law_hessian
 from twofluid.potential import PotentialModel
+from twofluid.verify import ManufacturedField
 
 settings.register_profile("twofluid", derandomize=True, database=None,
                           deadline=None, max_examples=25)
@@ -39,6 +45,37 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def scalar_trig_params(rng, rho_base=1.0, amp=0.1):
+    """{component: (base, kx, kt, ph, ph2, c1, c2)} of a manufactured field
+    drawn by scalar ``Generator`` calls, as ``verify.random_trig_fields``
+    drew it before it read raw words: per component in field order, two
+    ``integers(1, 4)`` and four ``uniform``."""
+    def draw(base):
+        kx = float(rng.integers(1, 4))
+        kt = float(rng.integers(1, 4))
+        ph = float(rng.uniform(0.0, 2.0 * np.pi))
+        ph2 = float(rng.uniform(0.0, 2.0 * np.pi))
+        c1 = float(rng.uniform(0.3, 1.0)) * amp
+        c2 = float(rng.uniform(0.3, 1.0)) * amp
+        return base, kx, kt, ph, ph2, c1, c2
+
+    return {name: draw(rho_base if name.startswith("rho") else 0.0)
+            for name in ManufacturedField.__dataclass_fields__}
+
+
+def _scalar_trig(base, kx, kt, ph, ph2, c1, c2, t, x):
+    return (base + c1 * np.sin(kx * x + ph)
+            + c2 * np.cos(kt * t + kx * x + ph2))
+
+
+def scalar_trig_fields(rng, rho_base=1.0, amp=0.1):
+    """The field of :func:`scalar_trig_params`, independent of the code
+    under test."""
+    return ManufacturedField(**{
+        name: partial(_scalar_trig, *args)
+        for name, args in scalar_trig_params(rng, rho_base, amp).items()})
 
 
 def certify(model, rho1, rho2, u1, u2, s1, s2):

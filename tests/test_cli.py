@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twofluid import cli, verify
 from twofluid.cli import main
@@ -15,7 +17,8 @@ from twofluid.hyperbolicity import (check_stability_inequalities,
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import StepError, integrate
 
-from conftest import certify, count_calls
+from conftest import (certify, count_calls, scalar_trig_fields,
+                      scalar_trig_params)
 
 BASE = """
 [potential]
@@ -60,14 +63,14 @@ def value_by_value_csv(header, rows):
 
 def per_field_verify_gibbs(cfg, seed):
     """{name: text} of the CSVs of the former ``verify-gibbs``: one
-    ``gibbs_residual`` call per field, on the same random stream, and every
-    row held until the end."""
+    ``gibbs_residual`` call per field, fields and points drawn by the
+    former scalar ``Generator`` calls, and every row held until the end."""
     rng = np.random.default_rng(seed)
     model, closures = build_model(cfg), build_closures(cfg)
     h_values = cfg.getfloats("gibbs", "h_values")
     res_rows, conv_rows = [], []
     for i in range(cfg.getint("gibbs", "n_fields")):
-        field = verify.random_trig_fields(rng)
+        field = scalar_trig_fields(rng)
         point = (float(rng.uniform(cfg.getfloat("gibbs", "t_lo"),
                                    cfg.getfloat("gibbs", "t_hi"))),
                  float(rng.uniform(cfg.getfloat("grid", "x_lo"),
@@ -268,6 +271,32 @@ class TestVerifyGibbs:
         for name, csv in want.items():
             assert (out / name).read_bytes() == csv.encode()
 
+    @given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(1, 40),
+           t_lo=st.floats(-10.0, 10.0), t_width=st.floats(0.0, 10.0),
+           x_lo=st.floats(-10.0, 10.0), x_width=st.floats(1e-3, 10.0))
+    def test_block_draw_matches_scalar_calls(self, seed, k, t_lo, t_width,
+                                             x_lo, x_width):
+        # field by field: its components' kx, kt, ph, ph2, c1, c2, then t
+        # and x, each equal to the former scalar call's, and the generator
+        # left where those calls leave it
+        t_hi, x_hi = t_lo + t_width, x_lo + x_width
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        field, t, x = cli._draw_gibbs_block(rng, k, (t_lo, t_hi),
+                                              (x_lo, x_hi))
+        assert t.shape == x.shape == (k,)
+        for i in range(k):
+            for name, want in scalar_trig_params(ref).items():
+                base, *params = getattr(field, name).args
+                assert (base, *(float(p[i]) for p in params)) == want
+            assert float(t[i]) == float(ref.uniform(t_lo, t_hi))
+            assert float(x[i]) == float(ref.uniform(x_lo, x_hi))
+        got, want = rng.bit_generator.state, ref.bit_generator.state
+        # with no half buffered, the unread ``uinteger`` is not compared
+        assert got["state"] == want["state"]
+        assert got["has_uint32"] == want["has_uint32"] == 0
+        assert (rng.bit_generator.random_raw(3).tolist()
+                == ref.bit_generator.random_raw(3).tolist())
+
     def test_seed_changes_output(self, tmp_path):
         cfgp = write_config(tmp_path, BASE)
         out1 = tmp_path / "a"
@@ -456,6 +485,23 @@ class TestErrorPaths:
         assert main(["reduce-check", "--config", cfgp,
                      "--out", str(out)]) == 1
         assert not (out / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("subcommand, text", [
+        ("verify-gibbs", BASE + "\n[gibbs]\nt_lo = -1e308\nt_hi = 1e308\n"),
+        ("verify-gibbs",
+         BASE.replace("n = 32", "n = 32\nx_lo = -1e308\nx_hi = 1e308")),
+        ("hyperbolicity-map",
+         BASE + "\n[hyperbolicity]\nw_min = -1e308\nw_max = 1e308\n"),
+    ], ids=["t", "x", "w"])
+    def test_overflowing_range_exit_1(self, tmp_path, capsys, subcommand,
+                                      text):
+        # finite bounds whose width is not: caught by the config check,
+        # before any point is drawn or mapped
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),

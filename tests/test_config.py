@@ -117,6 +117,8 @@ class TestValidation:
         range_case("hyperbolicity", "rho1_max = -1", "must be positive"),
         range_case("hyperbolicity", "rho2_min = -0.5", "must be positive"),
         range_case("hyperbolicity", "rho2_max = 0", "must be positive"),
+        range_case("hyperbolicity", "w_min = 1e308\nw_max = -1e308",
+                   "- w_min must be finite"),
         ("hyperbolicity", "w_max = abc", "not a number"),
         ("hyperbolicity", "s2 = abc", "not a number"),
     ])
@@ -151,6 +153,18 @@ class TestValidation:
         with pytest.raises(ConfigError,
                            match=re.escape(f"[{section}] {key} = '{val}'")):
             parse_config(f"[{section}]\n{line}\n")
+
+    @pytest.mark.parametrize("section, lo, hi", [
+        ("gibbs", "t_lo", "t_hi"), ("grid", "x_lo", "x_hi"),
+        ("hyperbolicity", "w_min", "w_max")])
+    def test_range_width_must_be_finite(self, section, lo, hi):
+        # both bounds finite, their width not: the points sampled from the
+        # range would be inf or NaN
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[{section}]\n{lo} = -1e308\n{hi} = 1e308\n")
+        assert (str(exc.value)
+                == f"[{section}] {hi} = '1e308': {hi} - {lo} must be finite")
+        parse_config(f"[{section}]\n{lo} = -5e307\n{hi} = 5e307\n")
 
     @pytest.mark.parametrize("section, line, message", [
         ("potential", "k1 = -1", "K1 must be positive"),

@@ -14,13 +14,14 @@ from twofluid.solver import (Grid1D, SimulationConfig,
                              evolved_from_primitive_profiles, integrate)
 from twofluid.state import (PrimitiveState, evolved_to_primitive,
                             mixture_aggregates)
-from twofluid.verify import (ManufacturedField, balance_subidentities,
-                             conservation_drift, fick_residual,
-                             gibbs_residual, random_trig_fields,
-                             single_fluid_reduction, single_fluid_reference,
-                             stack_trig_fields)
+from twofluid.verify import (TRIG_WORDS, ManufacturedField,
+                             balance_subidentities, conservation_drift,
+                             fick_residual, gibbs_residual,
+                             random_trig_fields, single_fluid_reduction,
+                             single_fluid_reference, trig_fields_from_words,
+                             uniform_from_words)
 
-from conftest import count_calls
+from conftest import count_calls, scalar_trig_params
 
 
 def make_model(a=0.3):
@@ -132,7 +133,11 @@ class TestBatchedSteps:
         rng = np.random.default_rng(seed)
         fields = [random_trig_fields(rng) for _ in range(n)]
         t, x = rng.uniform(0.0, 1.0, (2, n))
-        block = gibbs_residual(m, cl, stack_trig_fields(fields), (t, x), hs)
+        # the same words, read as one block
+        words = np.random.default_rng(seed).bit_generator.random_raw(
+            (n, TRIG_WORDS))
+        block = gibbs_residual(m, cl, trig_fields_from_words(words), (t, x),
+                               hs)
         assert block.combination.shape == (3, n)
         for i, field in enumerate(fields):
             one = gibbs_residual(m, cl, field, (float(t[i]), float(x[i])), hs)
@@ -152,6 +157,107 @@ class TestBatchedSteps:
         assert all(type(v) is float for v in one.subidentities.values())
         assert many.combination.shape == (2,)
         assert balance_subidentities(*args, 1e-2) == one.subidentities
+
+
+def pcg64_state_for_word(word, inc):
+    """A PCG64 state (128 bits) whose next raw word is ``word``: the
+    XSL-RR output of the stepped state, inverted, then one step undone."""
+    mask = (1 << 64) - 1
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    xored = ((word << rot) | (word >> (64 - rot))) & mask
+    stepped = (hi << 64) | (hi ^ xored)
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    return ((stepped - inc) * pow(mult, -1, 1 << 128)) % (1 << 128)
+
+
+def field_params(field):
+    """{component: its (base, kx, kt, ph, ph2, c1, c2)} of a one-field
+    block or a :func:`random_trig_fields` field, as floats."""
+    return {name: tuple(float(np.squeeze(a))
+                        for a in getattr(field, name).args)
+            for name in ManufacturedField.__dataclass_fields__}
+
+
+class TestTrigFieldsFromWords:
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 4),
+           rho_base=st.floats(0.5, 2.0), amp=st.floats(0.0, 0.2))
+    def test_random_trig_fields_matches_scalar_calls(self, seed, n, rho_base,
+                                                     amp):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n):
+            field = random_trig_fields(rng, rho_base, amp)
+            assert field_params(field) == scalar_trig_params(ref, rho_base,
+                                                             amp)
+            assert all(type(a) is float for name in ("rho1", "omega2")
+                       for a in getattr(field, name).args)
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state[
+            "state"]
+
+    def test_rejects_32_bit_generator(self):
+        # MT19937's raw words are 32-bit: read as 64-bit ones they would
+        # give kt = 1 and uniforms within 1e-9 of lo, silently
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(TypeError, match="PCG64"):
+            random_trig_fields(rng)
+
+    def test_integers_from_crafted_halves(self):
+        # k = 1 + (3 h >> 32): the low half gives kx, the high half kt; a
+        # zero half gives 1 where numpy would draw again
+        halves = [0, 1, 0x55555555, 0x55555556, 0xAAAAAAAA, 0xAAAAAAAB,
+                  0xFFFFFFFF]
+        want = [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        for h, k in zip(halves, want):
+            words = np.zeros((1, TRIG_WORDS), dtype=np.uint64)
+            words[0, 0] = h
+            words[0, 5] = h << 32
+            params = field_params(trig_fields_from_words(words))
+            assert params["rho1"][1:3] == (k, 1.0)
+            assert params["rho2"][1:3] == (1.0, k)
+
+    def test_uniforms_from_crafted_words(self):
+        # the top 53 bits over 2**53, then lo + (hi - lo) u
+        words = np.array([0, 1 << 11, (1 << 11) - 1, 2 ** 64 - 1],
+                         dtype=np.uint64)
+        assert uniform_from_words(words, 0.0, 1.0).tolist() == [
+            0.0, 2.0 ** -53, 0.0, 1.0 - 2.0 ** -53]
+        assert uniform_from_words(words[:2], -1.0, 3.0).tolist() == [
+            -1.0, -1.0 + 4.0 * 2.0 ** -53]
+
+    def test_zero_half_where_numpy_draws_again(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        state["state"]["state"] = pcg64_state_for_word(
+            0xABCDEF12_00000000, state["state"]["inc"])
+        rng.bit_generator.state = state
+        assert rng.bit_generator.random_raw(1)[0] == 0xABCDEF12_00000000
+        rng.bit_generator.state = state
+        params = field_params(random_trig_fields(rng))
+        assert params["rho1"][1:3] == (1.0, 3.0)
+        # numpy rejects the zero low half and takes kx from the high one
+        rng.bit_generator.state = state
+        assert float(rng.integers(1, 4)) == 3.0
+
+    def test_buffered_half_is_not_read(self):
+        # a half the caller left buffered is neither read nor cleared; the
+        # scalar calls would have taken kx from it
+        rng = np.random.default_rng(11)
+        rng.integers(1, 4)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        field = random_trig_fields(rng)
+        after = rng.bit_generator.state
+        assert (after["has_uint32"], after["uinteger"]) == (
+            1, state["uinteger"])
+        ref = np.random.default_rng(11)
+        ref.integers(1, 4)
+        words = ref.bit_generator.random_raw((1, TRIG_WORDS))
+        assert field_params(field) == field_params(
+            trig_fields_from_words(words))
+        assert after == ref.bit_generator.state
+        ref.bit_generator.state = state
+        assert scalar_trig_params(ref)["rho1"][1] == float(
+            1 + (3 * state["uinteger"] >> 32))
 
 
 class TestBalanceSubidentities:
