@@ -33,10 +33,12 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, build_closures, build_model,
-                     build_simulation, initial_profiles, parse_config)
+                     build_simulation, initial_profiles, parse_config,
+                     profile_expression)
 from .hyperbolicity import map_hyperbolic_region
 from .potential import AdmissibilityError, evaluate
-from .solver import StepError, evolved_from_primitive_profiles, integrate
+from .solver import (Grid1D, StepError, _sample,
+                     evolved_from_primitive_profiles, integrate)
 from .state import ConvergenceError, evolved_to_primitive
 from .verify import (TRIG_WORDS, fick_residual, gibbs_residual,
                      single_fluid_reduction, trig_fields_from_words,
@@ -94,6 +96,7 @@ def _write_diagnostics(outdir: str, exc: Exception) -> None:
                                "message": str(exc)}
     if isinstance(exc, StepError):
         diag["time"] = exc.t
+    if hasattr(exc, "cell"):
         diag["cell"] = exc.cell
     _atomic_write(os.path.join(outdir, "diagnostics.json"),
                   [json.dumps(diag, indent=2, sort_keys=True) + "\n"])
@@ -226,19 +229,22 @@ def _run_fick_relax(cfg: ScenarioConfig, outdir: str,
 def _run_reduce_check(cfg: ScenarioConfig, outdir: str,
                       rng: np.random.Generator) -> None:
     num = lambda key: cfg.getfloat("potential", key)
+    n_values = cfg.getints("reduce", "n_values")
+    ref = Grid1D(cfg.getfloat("grid", "x_lo"), cfg.getfloat("grid", "x_hi"),
+                 cfg.getint("reduce", "ref_factor") * max(n_values))
+    omega1, omega2 = (profile_expression(cfg.get("run", key))
+                      for key in ("omega1", "omega2"))
     if (any(num(f"{k}1") != num(f"{k}2") for k in ("gamma", "cv", "k", "s0"))
-            or num("a") != 0.0):
-        raise ConfigError(
-            "reduce-check requires identical phases and a = 0")
+            or num("a") != 0.0 or not np.array_equal(
+                *(_sample(f, ref.centers()) for f in (omega1, omega2)))):
+        raise ConfigError("reduce-check requires identical phases, a = 0 "
+                          "and omega1 = omega2")
     model = build_model(cfg)
     prof = initial_profiles(cfg)
-    n_values = cfg.getints("reduce", "n_values")
     rows = single_fluid_reduction(
         model, n_values, cfg.getfloat("run", "t_end"), rho0=prof["rho1"],
-        u0=prof["u1"], s0=prof["s1"], x_lo=cfg.getfloat("grid", "x_lo"),
-        x_hi=cfg.getfloat("grid", "x_hi"),
-        ref_n=cfg.getint("reduce", "ref_factor") * max(n_values),
-        cfl=cfg.getfloat("run", "cfl"))
+        u0=prof["u1"], s0=prof["s1"], x_lo=ref.x_lo, x_hi=ref.x_hi,
+        ref_n=ref.n, omega=omega1, cfl=cfg.getfloat("run", "cfl"))
     write_csv(os.path.join(outdir, "reduce.csv"), list(rows[0]),
               [list(r.values()) for r in rows])
 

@@ -34,7 +34,11 @@ _FD2_REL_STEP = float(np.finfo(float).eps) ** (1.0 / 4.0)
 
 
 class AdmissibilityError(ValueError):
-    """Raised when a state leaves the admissible set rho_alpha > 0."""
+    """A state left the admissible set rho_a > 0, first at flat ``cell``."""
+
+    def __init__(self, message: str, cell: int | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 def require_admissible(rho1: ArrayLike, rho2: ArrayLike) -> None:
@@ -46,7 +50,8 @@ def require_admissible(rho1: ArrayLike, rho2: ArrayLike) -> None:
         if not (lo >= RHO_FLOOR and hi < np.inf):
             got = f"min {lo:g}" if not lo >= RHO_FLOOR else f"max {hi:g}"
             raise AdmissibilityError(
-                f"{name} must be finite and above {RHO_FLOOR:g}; got {got}")
+                f"{name} must be finite and above {RHO_FLOOR:g}; got {got}",
+                cell=int(np.argmin((arr >= RHO_FLOOR) & (arr < np.inf))))
 
 
 def _fd_step(x: np.ndarray) -> np.ndarray:

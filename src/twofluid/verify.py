@@ -23,9 +23,9 @@ single-fluid reduction check (two identical phases with no velocity coupling
 against a plain one-component Euler reference), which runs the two-fluid
 solver at every grid size asked for against one reference integration.  The
 reference keeps its own Euler equations but shares the solver's ghost-cell
-extension, Rusanov divergence and profile sampling; the two-fluid runs take
-the external potential as a plain callable Omega(x) and the reference its
-gradient.
+extension, Rusanov divergence and profile sampling.  An external potential
+is one plain callable Omega(x), whose value both phases and the reference
+take into their fluxes.
 """
 from __future__ import annotations
 
@@ -307,26 +307,26 @@ def fick_residual(model: PotentialModel, closures: ClosureParams,
     return residual, rel
 
 
-def _single_fluid_rhs(model, grid: Grid1D, y, omega_grad):
+def _single_fluid_rhs(model, grid: Grid1D, y, omega):
     """Rates of the one-component Euler system in (rho, u, s) form, for the
     stack ``y`` of those rows, and the largest cell speed.
 
-    u_t + (u^2/2 + h + Omega)_x = theta s_x with h the specific enthalpy;
-    phase 1 of a separable two-phase potential (no velocity coupling)
-    supplies h, theta, and the sound speed.
+    u_t + (u^2/2 + h + Omega)_x = theta s_x with h the specific enthalpy and
+    Omega = ``omega`` at the centres; phase 1 of a separable two-phase
+    potential (no velocity coupling) supplies h, theta, and the sound speed.
     """
     rho, u, s = y
     th = evaluate(model, rho, rho, s, s, np.zeros_like(rho))
     smax = np.abs(u) + np.sqrt(model.sound_speed_sq(1, rho, s))
 
     dx = grid.dx
-    ext = _extend(np.stack((rho, u, rho * u, 0.5 * u ** 2 + th.W_rho1, s,
-                            smax)), grid.bc)
+    ext = _extend(np.stack((rho, u, rho * u,
+                            0.5 * u ** 2 + th.W_rho1 + omega, s, smax)),
+                  grid.bc)
     lam = np.maximum(ext[-1, :-1], ext[-1, 1:])
     d_rho, d_u = -_rusanov_div(ext[2:4], ext[:2], lam, dx)
     ds_dx = _central_diff(ext[4], dx)
-    rates = np.stack((d_rho, d_u - omega_grad + th.theta1 * ds_dx,
-                      -u * ds_dx))
+    rates = np.stack((d_rho, d_u + th.theta1 * ds_dx, -u * ds_dx))
     return rates, float(np.max(smax))
 
 
@@ -334,16 +334,17 @@ def single_fluid_reference(model, grid: Grid1D, rho0, u0, s0, t_end: float,
                            omega: Callable[[np.ndarray], np.ndarray] | None
                            = None, cfl: float = 0.45):
     """Integrate the one-component Euler reference to t_end (Heun in time);
-    returns the rows rho, u, s."""
+    returns the rows rho, u, s.  The external potential ``omega``, Omega(x),
+    is sampled once at the cell centres and enters the u flux."""
     x = grid.centers()
     y = np.stack([_sample(f, x) for f in (rho0, u0, s0)])
-    omega_grad = _sample(0.0 if omega is None else omega, x)
+    omega = _sample(0.0 if omega is None else omega, x)
     t = 0.0
     while t < t_end - 1e-14 * max(1.0, t_end):
-        d1, smax = _single_fluid_rhs(model, grid, y, omega_grad)
+        d1, smax = _single_fluid_rhs(model, grid, y, omega)
         dt = min(cfl * grid.dx / max(smax, 1e-30), t_end - t)
         y1 = y + dt * d1
-        d2, _ = _single_fluid_rhs(model, grid, y1, omega_grad)
+        d2, _ = _single_fluid_rhs(model, grid, y1, omega)
         y = 0.5 * (y + y1 + dt * d2)
         t += dt
     return y
@@ -357,8 +358,7 @@ def _block_average(fine: np.ndarray, n_coarse: int) -> np.ndarray:
 def single_fluid_reduction(model, n_values: Sequence[int], t_end: float,
                            rho0, u0, s0,
                            x_lo: float = 0.0, x_hi: float = 1.0,
-                           ref_n: int | None = None,
-                           omega_value=None, omega_grad=None,
+                           ref_n: int | None = None, omega=None,
                            cfl: float = 0.45) -> List[Dict[str, float]]:
     """L1 distances of the two-fluid solution from a one-component reference,
     one row (n, l1_rho, l1_u, order_rho) per grid size in ``n_values``.
@@ -370,14 +370,11 @@ def single_fluid_reduction(model, n_values: Sequence[int], t_end: float,
     (ref_n, default 8 max(n_values), a multiple of every n; every grid is
     checked before any run), and restricted to each n by block averaging.
     ``order_rho`` is log2 of the previous row's l1_rho over this one (NaN on
-    the first row).  An external potential is given as ``omega_value`` (the
-    two-fluid runs) together with ``omega_grad`` (the reference); one
-    without the other would compare two different problems and raises
-    ``ValueError``.
+    the first row).  An external potential ``omega``, a callable of x, acts
+    on both phases (omega1 = omega2) and on the reference alike.
     """
-    if (omega_value is None) != (omega_grad is None):
-        raise ValueError("an external potential needs both omega_value and "
-                         "omega_grad, or neither")
+    if omega is None:
+        omega = np.zeros_like
     grids = [Grid1D(x_lo, x_hi, n) for n in n_values]
     if ref_n is None:
         ref_n = 8 * max(n_values)
@@ -390,14 +387,12 @@ def single_fluid_reduction(model, n_values: Sequence[int], t_end: float,
         return 0.5 * _sample(rho0, xx)
 
     rho_ref, u_ref, _ = single_fluid_reference(
-        model, ref_grid, rho0_half, u0, s0, t_end, omega=omega_grad, cfl=cfl)
+        model, ref_grid, rho0_half, u0, s0, t_end, omega=omega, cfl=cfl)
     rho_ref = 2.0 * rho_ref
-    if omega_value is None:
-        omega_value = np.zeros_like
     rows, prev = [], None
     for grid in grids:
-        cfg = SimulationConfig(grid=grid, model=model, omega1=omega_value,
-                               omega2=omega_value, cfl=cfl, t_end=t_end,
+        cfg = SimulationConfig(grid=grid, model=model, omega1=omega,
+                               omega2=omega, cfl=cfl, t_end=t_end,
                                report_interval=t_end)
         init = evolved_from_primitive_profiles(
             model, grid, rho1=rho0_half, rho2=rho0_half,

@@ -16,6 +16,7 @@ from twofluid.hyperbolicity import (check_stability_inequalities,
                                     wave_speeds_batch)
 from twofluid.potential import SeparableAddedMass, SeparableAddedMassParams
 from twofluid.solver import StepError, integrate
+from twofluid.state import ConvergenceError
 
 from conftest import (certify, count_calls, scalar_trig_fields,
                       scalar_trig_params)
@@ -174,6 +175,30 @@ class TestSimulate:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "NonHyperbolicError"
         assert "cell" in diag and "time" in diag
+
+    def test_negative_initial_density_names_its_cell(self, tmp_path):
+        # 1 - 2x falls below the floor first at the centre 16.5/32
+        cfgp = write_config(tmp_path,
+                            BASE.replace("0.05*sin(2*pi*x)", "-2*x"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "AdmissibilityError"
+        assert diag["message"].startswith("rho1 must be finite")
+        assert diag["cell"] == 16
+        assert "time" not in diag
+
+    def test_recovery_failure_names_its_cell(self, tmp_path, monkeypatch):
+        def failing(config, initial):
+            raise ConvergenceError("recovery failed", cell=5)
+
+        monkeypatch.setattr(cli, "integrate", failing)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, BASE),
+                     "--out", str(out)]) == 2
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag == {"error": "ConvergenceError",
+                        "message": "recovery failed", "cell": 5}
 
 
 class TestHyperbolicityMap:
@@ -372,14 +397,7 @@ sample_times = 0.15,0.3
 
 
 class TestReduceCheck:
-    def test_requires_identical_phases(self, tmp_path):
-        cfgp = write_config(tmp_path, BASE)
-        out = tmp_path / "out"
-        assert main(["reduce-check", "--config", cfgp,
-                     "--out", str(out)]) == 1
-
-    def test_numeric_keys_compare_as_numbers(self, tmp_path):
-        text = """
+    SMALL = """
 [potential]
 gamma1 = 2
 gamma2 = 2.0
@@ -399,11 +417,71 @@ t_end = 0.01
 n_values = 16,32
 ref_factor = 2
 """
-        cfgp = write_config(tmp_path, text)
+
+    @classmethod
+    def run(cls, tmp_path, potentials="", name="out"):
+        """Exit code and output directory of the small config, with
+        ``potentials`` added to its [run] section."""
+        text = cls.SMALL.replace("t_end = 0.01", "t_end = 0.01" + potentials)
+        out = tmp_path / name
+        rc = main(["reduce-check", "--config",
+                   write_config(tmp_path, text, name=f"{name}.ini"),
+                   "--out", str(out)])
+        return rc, out
+
+    def test_requires_identical_phases(self, tmp_path):
+        cfgp = write_config(tmp_path, BASE)
         out = tmp_path / "out"
         assert main(["reduce-check", "--config", cfgp,
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 1
+
+    def test_numeric_keys_compare_as_numbers(self, tmp_path):
+        rc, out = self.run(tmp_path)
+        assert rc == 0
         assert len((out / "reduce.csv").read_text().splitlines()) == 3
+
+    def test_external_potential_reaches_the_table(self, tmp_path):
+        # [run] omega1 = omega2 acts on both phases and the reference: the
+        # table is the library's with omega, and not the table without it
+        rc, plain = self.run(tmp_path)
+        assert rc == 0
+        expr = "0.3*sin(2*pi*x)"
+        rc, out = self.run(tmp_path, f"\nomega1 = {expr}\nomega2 = {expr}",
+                           name="omega")
+        assert rc == 0
+        text = (out / "reduce.csv").read_text()
+        assert text != (plain / "reduce.csv").read_text()
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=2.0, gamma2=2.0))
+        rows = verify.single_fluid_reduction(
+            m, (16, 32), 0.01,
+            rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
+            u0=0.0, s0=0.0, ref_n=64,
+            omega=lambda x: 0.3 * np.sin(2 * np.pi * x))
+        cli.write_csv(str(tmp_path / "lib.csv"), list(rows[0]),
+                      [list(r.values()) for r in rows])
+        assert text == (tmp_path / "lib.csv").read_text()
+
+    def test_potentials_compare_by_value(self, tmp_path):
+        # 0 and 0.0 are one potential, the default none
+        rc, plain = self.run(tmp_path)
+        rc, out = self.run(tmp_path, "\nomega1 = 0\nomega2 = 0.0",
+                           name="zero")
+        assert rc == 0
+        assert ((out / "reduce.csv").read_bytes()
+                == (plain / "reduce.csv").read_bytes())
+
+    @pytest.mark.parametrize("potentials", [
+        "\nomega1 = 0.3*sin(2*pi*x)",
+        "\nomega1 = 0.3*sin(2*pi*x)\nomega2 = 0.3*cos(2*pi*x)"],
+        ids=["omega1_only", "different"])
+    def test_different_potentials_exit_1(self, tmp_path, capsys,
+                                         potentials):
+        rc, out = self.run(tmp_path, potentials)
+        assert rc == 1
+        assert "omega1 = omega2" in capsys.readouterr().err
+        assert not (out / "reduce.csv").exists()
+        assert not (out / "diagnostics.json").exists()
 
     @pytest.mark.parametrize("n_values", ["16", "16,32", "8,16,32"])
     def test_one_reference_per_run(self, tmp_path, monkeypatch, n_values):
@@ -501,6 +579,12 @@ class TestErrorPaths:
         assert main([subcommand, "--config", write_config(tmp_path, text),
                      "--out", str(out)]) == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_subcommand_rejected_first(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown subcommand 'nope'"):
+            cli.run_subcommand("nope", parse_config(BASE), str(out))
         assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):

@@ -557,6 +557,18 @@ class TestCertificate:
 
 
 class TestCharacteristicSpeeds:
+    def test_indefinite_A_has_no_speeds(self):
+        # past w* in the zero-mixture-momentum frame A is indefinite: no
+        # Cholesky factor, so no speeds, and its negative eigenvalue kept
+        m = make_model(a=0.3)
+        w_star = critical_relative_velocity(m, 1.0, 1.0)
+        below, past = (characteristic_speeds(assemble_symmetric_system(
+            m, mixture_rest_state(1.0, 1.0, f * w_star, 0.0, 0.0)))
+            for f in (0.9, 1.2))
+        assert below.hyperbolic and below.speeds.shape == (4,)
+        assert not past.hyperbolic and past.speeds is None
+        assert past.min_eig_A < 0.0
+
     def test_decoupled_oracle_bulk(self):
         # with no velocity coupling the four speeds are u_a +- c_a
         m = make_model(a=0.0)
@@ -1140,6 +1152,16 @@ class TestCriticalW:
         negative_a = make_model(a=lambda r1, r2: -10.0 + 0.0 * r1)
         for law in (ConcaveInRho1(), negative_a):
             assert critical_relative_velocity(law, 1.0, 1.0) == 0.0
+
+    def test_scan_none_when_certified_up_to_w_max(self):
+        # the scan's first pass certifies all of [0, w_max] below w*
+        m, scanned = self._both_paths(0.2)
+        w_star = critical_relative_velocity(m, 1.0, 1.2, 0.05, -0.05)
+        assert critical_relative_velocity(scanned, 1.0, 1.2, 0.05, -0.05,
+                                          w_max=0.99 * w_star) is None
+        scan = critical_relative_velocity(scanned, 1.0, 1.2, 0.05, -0.05,
+                                          w_max=1.01 * w_star)
+        assert abs(scan - w_star) <= 1e-6 * w_star
 
     @pytest.mark.parametrize("w_max", [0.0, -5.0, np.inf, np.nan])
     def test_rejects_w_max_not_positive_and_finite(self, w_max):

@@ -68,6 +68,18 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
             require_admissible(rho1, rho2)
 
+    @pytest.mark.parametrize("rho1, rho2, cell", [
+        (np.array([1.0, 0.5, -1.0, -2.0]), 1.0, 2),
+        (np.array([1.0, np.inf, 0.0]), 1.0, 1),
+        (1.0, np.array([[1.0, 1.0], [np.nan, 0.0]]), 2),
+        (-1.0, 1.0, 0)], ids=["negative", "inf_first", "flat_2d", "scalar"])
+    def test_first_offending_cell_carried(self, rho1, rho2, cell):
+        # the flat index of the first inadmissible entry of the component
+        # named, whichever bound it fails
+        with pytest.raises(AdmissibilityError) as exc:
+            require_admissible(rho1, rho2)
+        assert exc.value.cell == cell
+
     def test_nonpositive_density_named(self):
         m = make_model()
         with pytest.raises(AdmissibilityError, match="rho1"):
@@ -117,6 +129,24 @@ class TestDerivativeConsistency:
                                u1=rng.normal(), u2=rng.normal(),
                                s1=rng.normal(0, 0.3), s2=rng.normal(0, 0.3))
             assert fd_check_derivatives(m, p, h=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_fd_check_step_must_be_positive(self, h):
+        p = PrimitiveState(rho1=1.2, rho2=0.8, u1=0.1, u2=0.4,
+                           s1=0.05, s2=-0.1)
+        with pytest.raises(ValueError, match="h must be positive"):
+            fd_check_derivatives(make_model(), p, h=h)
+
+    @pytest.mark.parametrize("rho1, rho2", [(1e-5, 0.8), (1.2, 2e-5)])
+    def test_fd_check_stencil_kept_off_the_floor(self, rho1, rho2):
+        # the +-2h stencil would reach below RHO_FLOOR; a smaller h fits
+        p = PrimitiveState(rho1=rho1, rho2=rho2, u1=0.1, u2=0.4,
+                           s1=0.05, s2=-0.1)
+        with pytest.raises(AdmissibilityError,
+                           match="too close to the density floor for an "
+                                 "h=1e-05 stencil"):
+            fd_check_derivatives(make_model(), p, h=1e-5)
+        assert np.isfinite(fd_check_derivatives(make_model(), p, h=1e-8))
 
     def test_hessian_symmetric(self):
         m = make_model()

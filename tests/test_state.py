@@ -135,6 +135,43 @@ class TestVelocityRecovery:
         w = solve_relative_velocity(m, 2.0, 2.0, 0.0, 0.0, dK)
         assert np.max(np.abs(w - 0.25 * w ** 3 - dK)) <= 1e-12
 
+    def test_newton_converging_on_its_last_step_returns(self):
+        # W_w = -a w is linear in w, so one Newton step from w = dK lands on
+        # the root: max_iter = 1 suffices, and with no step at all the
+        # residual of the starting guess is reported
+        m = type("Subclass", (SeparableAddedMass,), {})(
+            make_model(a=0.6).params)
+        rho1, rho2 = np.array([0.5, 1.0, 1.7]), np.array([1.3, 0.4, 1.0])
+        dK = np.array([0.8, -1.5, 0.3])
+        w = solve_relative_velocity(m, rho1, rho2, 0.0, 0.0, dK, max_iter=1)
+        expected = dK / (1.0 + 0.6 * (1.0 / rho1 + 1.0 / rho2))
+        assert np.max(np.abs(w - expected)) <= 1e-12
+        with pytest.raises(ConvergenceError, match="in 0 iterations") as exc:
+            solve_relative_velocity(m, rho1, rho2, 0.0, 0.0, dK, max_iter=0)
+        assert exc.value.cell == 0
+
+    def test_bisection_default_tolerance(self):
+        # tol defaults to 1e-12 max(1, |dK|), as in the Newton solve
+        m = make_model(a=0.6)
+        rho1, rho2 = np.array([0.5, 1.0, 1.7]), np.array([1.3, 0.4, 1.0])
+        dK = np.array([0.8, -15.0, 0.3])
+        tol = 1e-12 * np.maximum(1.0, np.abs(dK))
+        w = solve_relative_velocity_bisection(m, rho1, rho2, 0.0, 0.0, dK)
+        assert np.array_equal(w, solve_relative_velocity_bisection(
+            m, rho1, rho2, 0.0, 0.0, dK, tol=tol))
+        invsum = 1.0 / rho1 + 1.0 / rho2
+        g = w - invsum * m.dW_dw(rho1, rho2, 0.0, 0.0, w) - dK
+        assert np.all(np.abs(g) <= tol)
+
+    def test_bisection_non_convergence_raises(self):
+        # one bisection step evaluates the bracket's centre, w = dK, which
+        # is not the root for a != 0
+        with pytest.raises(ConvergenceError,
+                           match="^bisection did not converge$"):
+            solve_relative_velocity_bisection(make_model(a=0.6), 1.0, 1.0,
+                                              0.0, 0.0, 0.5, max_iter=1)
+
+
 def law(c, kind):
     """The built-in law with a constant a = c or a callable a of the
     densities of scale c, or a subclass that changes nothing (the Newton

@@ -442,9 +442,22 @@ class TestSingleFluidReduction:
             m, (100, 200), 0.1,
             rho0=lambda x: 1.0 + 0.1 * np.exp(-100 * (x - 0.5) ** 2),
             u0=0.0, s0=0.0, ref_n=1600,
-            omega_value=lambda x: 0.05 * np.sin(2 * np.pi * x),
-            omega_grad=lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x))
+            omega=lambda x: 0.05 * np.sin(2 * np.pi * x))
         assert rows[1]["order_rho"] > 0.7
+
+    def test_reference_takes_potential_into_its_flux(self):
+        # a uniform state at rest under Omega = c x: the flux difference
+        # of Omega gives u_t = -c exactly away from the transmissive ends,
+        # which one two-stage step reaches two cells into the grid
+        m = SeparableAddedMass(SeparableAddedMassParams(
+            gamma1=1.4, gamma2=1.4))
+        grid = Grid1D(0.0, 1.0, 32, bc="transmissive")
+        c, t_end = 0.7, 1e-3  # t_end below the CFL step: one step
+        rho, u, s = single_fluid_reference(m, grid, 1.0, 0.0, 0.0, t_end,
+                                           omega=lambda x: c * x)
+        np.testing.assert_allclose(u[2:-2], -c * t_end, rtol=1e-12)
+        np.testing.assert_allclose(rho[2:-2], 1.0, rtol=1e-14)
+        assert np.all(s == 0.0)
 
     def test_one_reference_per_call(self, monkeypatch):
         # the sizes share one reference integration, whatever their number
@@ -489,24 +502,6 @@ class TestSingleFluidReduction:
         with pytest.raises(ValueError, match="ref_n|n must be"):
             single_fluid_reduction(m, sizes, 0.05, rho0=1.0, u0=0.0,
                                    s0=0.0, ref_n=ref_n)
-
-    @pytest.mark.parametrize("lone", [
-        {"omega_value": lambda x: 0.05 * np.sin(2 * np.pi * x)},
-        {"omega_grad": lambda x: 0.05 * 2 * np.pi * np.cos(2 * np.pi * x)}],
-        ids=["value_only", "grad_only"])
-    def test_lone_external_potential_rejected_first(self, monkeypatch, lone):
-        # the two-fluid run reads omega_value and the reference omega_grad:
-        # with one of them only, the two runs would solve different problems
-        def refuse(*args, **kwargs):
-            raise AssertionError("integrated with a lone external potential")
-
-        monkeypatch.setattr(verify, "integrate", refuse)
-        monkeypatch.setattr(verify, "single_fluid_reference", refuse)
-        m = SeparableAddedMass(SeparableAddedMassParams(
-            gamma1=1.4, gamma2=1.4))
-        with pytest.raises(ValueError, match="omega_value and omega_grad"):
-            single_fluid_reduction(m, [16], 0.05, rho0=1.0, u0=0.0,
-                                   s0=0.0, **lone)
 
     def test_reference_preserves_uniform_state(self):
         m = SeparableAddedMass(SeparableAddedMassParams(
