@@ -353,10 +353,14 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
     certificate at ``N_SCAN + 1`` evenly spaced w in [lo, hi] in one
     batched call and keeps the first sub-interval on which it fails,
     starting from [0, ``w_max``], until it is narrower than
-    ``SCAN_REL_TOL`` times its upper end, and returns its midpoint.
+    ``SCAN_REL_TOL`` times its upper end, and returns its midpoint.  Raises
+    ValueError where ``s1`` or ``s2`` is not finite.
     """
     if not 0.0 < w_max < math.inf:
         raise ValueError(f"w_max must be positive and finite; got {w_max!r}")
+    for name, s in (("s1", s1), ("s2", s2)):
+        if not math.isfinite(s):
+            raise ValueError(f"{name} must be finite; got {s!r}")
     require_admissible(rho1, rho2)
     rho = rho1 + rho2
     if type(model) is SeparableAddedMass:
@@ -364,14 +368,14 @@ def critical_relative_velocity(model: PotentialModel, rho1: float, rho2: float,
         # -L_rr = F (I + w^2 M) F^T for M = F^-1 N2 F^-T, so the certificate
         # first fails at w^2 = -1 / min-eig(M), well conditioned also where
         # det(-L_rr), a quadratic in w^2, has a double root (W_w = W_ww w)
-        w = np.array([0.0, 1.0])
-        H = model.hessian(rho1, rho2, s1, s2, w)
-        R = _lagrangian_hessian(H, H[4, 4] * w, rho1, rho2, -rho2 * w / rho,
-                                rho1 * w / rho)
-        ok, L = _cholesky2(R[:, 0])
+        H = model.hessian(rho1, rho2, s1, s2, np.array([0.0, 1.0]))
+        R0, R1 = (_lagrangian_hessian(H[..., k], H[4, 4, k] * w, rho1, rho2,
+                                      -rho2 * w / rho, rho1 * w / rho)
+                  for k, w in enumerate((0.0, 1.0)))
+        ok, L = _cholesky2(R0)
         if not (ok[0] and ok[1]):
             return 0.0
-        (m11, m22, m12), _ = _congruence(L[:, 0], *(R[:3, 0] - R[:3, 1]))
+        (m11, m22, m12), _ = _congruence(L[:, 0], *(R0[:3] - R1[:3]))
         mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
         return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
     lo, hi = 0.0, float(w_max)
@@ -429,7 +433,8 @@ def _lagrangian_hessian(H, Ww, rho1, rho2, u1, u2):
 def _cholesky2(R):
     """Closed-form Cholesky of -L_rr and L_jj (index 0 and 1 of the second
     axis) from the rows ``R``: (ok, L), ``ok`` where the block is positive
-    definite, and there its factor L = (l11, l21, l22)."""
+    definite with finite pivots (never where an entry is not finite), and
+    there its factor L = (l11, l21, l22)."""
     a, c, b = np.array((-R[:3], R[7:])).swapaxes(0, 1)
     L = np.empty((3,) + a.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -437,7 +442,7 @@ def _cholesky2(R):
         np.divide(b, L[0], out=L[1])
         pivot2 = c - L[1] * L[1]
         np.sqrt(pivot2, out=L[2])
-    return (a > 0.0) & (pivot2 > 0.0), L
+    return (a > 0.0) & (pivot2 > 0.0) & (np.maximum(a, pivot2) < np.inf), L
 
 
 def _scaled_margin(R):
@@ -447,10 +452,10 @@ def _scaled_margin(R):
     with np.errstate(divide="ignore", invalid="ignore"):
         pivot2 = c - (b / np.sqrt(a)) ** 2
         mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-        # where positive definite, min-eig = det / max-eig with det =
-        # a * pivot2 (no cancellation); elsewhere min-eig <= 0
+        # where positive definite, min-eig / max-eig = (a / max-eig) (pivot2
+        # / max-eig), det = a pivot2 (no cancellation or overflow); else <= 0
         scaled = np.where((a > 0.0) & (pivot2 > 0.0),
-                          a * pivot2 / (mid + rad) ** 2,
+                          (a / (mid + rad)) * (pivot2 / (mid + rad)),
                           np.fmin((mid - rad) / (np.abs(mid) + rad), 0.0))
     return np.minimum(scaled[0], scaled[1])
 
@@ -576,7 +581,10 @@ def _speeds(cert, rows=(0, 3)):
     eigenvalue, each until its first step within 1e-8 of its state's
     largest speed (at most three): the error left is of the order of its
     square, and no state's speeds depend on the others'."""
-    x11, x22, x12, y11, y21, y22 = cert.pencil
+    # each state's pencil scaled exactly, by a power of two, to a largest
+    # entry in [1/2, 1): the sixth powers below stay finite
+    e = np.frexp(np.max(np.abs(cert.pencil), axis=0))[1]
+    x11, x22, x12, y11, y21, y22 = np.ldexp(cert.pencil, -e)
     side, branch = _ROOTS[:, rows, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # lambda = y - b, b = tr X / 4: M = y^2 I + y D - E for D = X - 2b I
@@ -626,6 +634,6 @@ def _speeds(cert, rows=(0, 3)):
             active &= np.abs(step) > tol
             if not active.any():
                 break
-    speeds = (y - b + cert.V).T
+    speeds = (np.ldexp(y - b, e) + cert.V).T
     speeds[~cert.ok] = np.nan
     return speeds

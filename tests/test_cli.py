@@ -176,6 +176,19 @@ class TestSimulate:
         assert diag["error"] == "NonHyperbolicError"
         assert "cell" in diag and "time" in diag
 
+    def test_overflowing_stage_names_its_cell(self, tmp_path):
+        # exp(800) overflows in the law from the centre 10.5/16 on: the
+        # first stage is not certified there
+        cfgp = write_config(tmp_path, BASE.replace("n = 32", "n = 16")
+                            .replace("u2 = 0.05", "u2 = 0.05\ns2 = 800*(x > 0.6)"))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", cfgp,
+                         "--out", str(out)]) == 2
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "NonHyperbolicError"
+        assert (diag["cell"], diag["time"]) == (10, 0.0)
+
     def test_negative_initial_density_names_its_cell(self, tmp_path):
         # 1 - 2x falls below the floor first at the centre 16.5/32
         cfgp = write_config(tmp_path,
@@ -246,6 +259,25 @@ s2 = -0.05
                   "hyperbolic"]
         assert (out / "map.csv").read_text() == value_by_value_csv(header,
                                                                    rows)
+
+
+    def test_overflowing_law_is_never_certified(self, tmp_path):
+        # exp(800) overflows in the law: every block holds an infinite
+        # entry, so no row reads hyperbolic = 1
+        cfgp = write_config(tmp_path, BASE + """
+[hyperbolicity]
+n_rho1 = 3
+n_rho2 = 3
+n_w = 4
+s2 = 800
+""")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["hyperbolicity-map", "--config", cfgp,
+                         "--out", str(out)]) == 0
+        rows = (out / "map.csv").read_text().splitlines()[1:]
+        assert len(rows) == 36
+        assert all(row.endswith(",0") for row in rows)
 
 
 class TestVerifyGibbs:

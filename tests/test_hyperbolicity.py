@@ -1,4 +1,5 @@
 """Tests for the Legendre transform, symmetric system, and speed analysis."""
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from twofluid import hyperbolicity
 from twofluid.hyperbolicity import (AsymmetryError, B_MATRIX, _certificate,
+                                    _cholesky2, _congruence,
                                     _forward_maps, _lagrangian_hessian,
                                     _law_hessian, _scaled_margin, _speeds,
                                     _symmetric_system,
@@ -476,6 +478,23 @@ class TestCertificate:
         assert np.all(np.isfinite(speeds[ok]))
         assert np.all(np.isnan(speeds[~ok]))
 
+
+    @given(a=st.sampled_from([0.0, 0.2, 1.0, "callable"]),
+           states=st.lists(st.tuples(
+               st.floats(0.03, 3.0), st.floats(0.03, 3.0),
+               st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+               st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+               min_size=1, max_size=40))
+    def test_certified_speeds_and_margin_finite(self, a, states):
+        # exp(s / cv) overflows from s = 710, and speeds beyond about 1e51
+        # overflowed the root-finder's sixth powers: a certified state's
+        # four speeds and margin are finite all the same
+        m = make_model(a=(lambda r1, r2: 0.3 * r1 * r2 / (r1 + r2))
+                       if a == "callable" else a)
+        with np.errstate(all="ignore"):
+            speeds, ok, margin = wave_speeds_batch(m, *np.array(states).T)
+        assert np.all(np.isfinite(speeds[ok]))
+        assert np.all(np.isfinite(margin[ok]))
 
     def test_min_eig_A_in_the_frame_that_certifies(self):
         # a lab-certified state, one certified only at zero mixture momentum
@@ -1168,6 +1187,61 @@ class TestCriticalW:
         for law in self._both_paths(0.2):
             with pytest.raises(ValueError, match="w_max"):
                 critical_relative_velocity(law, 1.0, 1.0, w_max=w_max)
+
+    @pytest.mark.parametrize("name, s", [
+        ("s1", np.nan), ("s1", np.inf), ("s2", -np.inf), ("s2", np.nan)])
+    def test_rejects_entropies_not_finite(self, name, s):
+        entropies = {"s1": 0.0, "s2": 0.0, name: s}
+        for law in self._both_paths(0.2):
+            with pytest.raises(ValueError, match=name):
+                critical_relative_velocity(law, 1.0, 1.0, **entropies)
+
+    @pytest.mark.parametrize("s1, s2", [(0.0, 800.0), (800.0, 0.0)])
+    def test_overflowing_law_fails_on_both_routes(self, s1, s2):
+        # exp(800) overflows: the blocks hold an infinite entry, which
+        # neither route certifies
+        for law in self._both_paths(0.2):
+            with np.errstate(all="ignore"):
+                assert critical_relative_velocity(law, 1.0, 1.0, s1,
+                                                  s2) == 0.0
+
+    @staticmethod
+    def _closed_form_on_columns(model, rho1, rho2, s1, s2, w_max=20.0):
+        """The closed form with the chain rule on the (2,) columns w = 0
+        and w = 1 at once, not column by column."""
+        w, rho = np.array([0.0, 1.0]), rho1 + rho2
+        H = model.hessian(rho1, rho2, s1, s2, w)
+        R = _lagrangian_hessian(H, H[4, 4] * w, rho1, rho2, -rho2 * w / rho,
+                                rho1 * w / rho)
+        ok, L = _cholesky2(R[:, 0])
+        if not (ok[0] and ok[1]):
+            return 0.0
+        (m11, m22, m12), _ = _congruence(L[:, 0], *(R[:3, 0] - R[:3, 1]))
+        mu = 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
+        return math.sqrt(-1.0 / mu) if mu * w_max * w_max <= -1.0 else None
+
+    def test_closed_form_columns_bit_for_bit(self):
+        # the same IEEE operations on scalars as on the (2,) columns:
+        # seeded random laws, a third with a callable a, then the
+        # hyper_scan benchmark grid
+        rng = np.random.default_rng(31)
+        cases = []
+        for i in range(150):
+            g1, g2 = rng.uniform(1.05, 3.0, 2)
+            c = float(rng.uniform(0.0, 3.0))
+            a = (lambda r1, r2, c=c: c * r1 * r2 / (r1 + r2)) if i % 3 \
+                else c
+            m = SeparableAddedMass(SeparableAddedMassParams(
+                gamma1=g1, gamma2=g2, a=a))
+            cases += [(m, *map(float, rng.uniform(0.05, 5.0, 2)),
+                       *map(float, rng.uniform(-2.0, 2.0, 2)))
+                      for _ in range(2)]
+        grid = [float(r) for r in np.linspace(0.5, 1.5, 16)]
+        cases += [(make_model(a=0.2), r1, r2, 0.05, -0.05)
+                  for r1 in grid for r2 in grid]
+        for case in cases:
+            assert critical_relative_velocity(*case) \
+                == self._closed_form_on_columns(*case)
 
     @pytest.mark.parametrize("rho1, rho2, name", [
         (-1.0, 1.0, "rho1"), (0.0, 1.0, "rho1"), (np.nan, 1.0, "rho1"),
